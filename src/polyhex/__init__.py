@@ -2,8 +2,9 @@
 
 Builds armchair (TUAC6) and zigzag (TUZC6) polyhex nanotube graphs
 parametrized by (m, n), computes the Randic, atom-bond connectivity and
-augmented Zagreb indices by exact edgewise summation, and adjudicates
-published closed-form expressions against the brute-force oracle.
+augmented Zagreb indices as sums over degree classes (exact for the
+augmented Zagreb index), and adjudicates published closed-form expressions
+against the brute-force oracle.
 """
 
 from .forms import (
@@ -30,7 +31,6 @@ from .graph import (
     VertexOutOfRangeError,
     edge_partition,
     is_connected,
-    make_graph,
 )
 from .indices import (
     ABC,
@@ -96,7 +96,6 @@ __all__ = [
     "fit_from_values",
     "index_from_partition",
     "is_connected",
-    "make_graph",
     "published_forms",
     "randic",
     "randic_term",

@@ -24,7 +24,7 @@ from .forms import (
     fit_closed_form,
     verify_published_forms,
 )
-from .graph import edge_partition
+from .graph import EdgePartition
 from .indices import ABC, AZI, RANDIC, index_from_partition
 from .tubes import (
     InvalidSpecError,
@@ -97,12 +97,7 @@ def _kinds(name: str) -> tuple[NanotubeKind, ...]:
     return (NanotubeKind.parse(name),)
 
 
-def _partition_fields(classes) -> dict[str, int]:
-    return {f"{lo},{hi}": count for (lo, hi), count in sorted(classes.items())}
-
-
-def _index_fields(spec: NanotubeSpec, which: Sequence[str]) -> dict[str, dict]:
-    partition = tube_edge_partition(spec)
+def _index_fields(partition: EdgePartition, which: Sequence[str]) -> dict[str, dict]:
     out: dict[str, dict] = {}
     for name in INDEX_NAMES:
         if name not in which:
@@ -120,15 +115,14 @@ def _index_fields(spec: NanotubeSpec, which: Sequence[str]) -> dict[str, dict]:
     return out
 
 
-def _output_record(spec: NanotubeSpec, which: Sequence[str]) -> dict:
+def _tube_record(spec: NanotubeSpec, partition: EdgePartition) -> dict:
     return {
         "kind": spec.kind.value,
         "m": spec.m,
         "n": spec.n,
         "vertex_count": tube_vertex_count(spec),
         "edge_count": tube_edge_count(spec),
-        "partition": _partition_fields(tube_edge_partition(spec).classes),
-        "indices": _index_fields(spec, which),
+        "partition": {f"{lo},{hi}": count for (lo, hi), count in partition.classes.items()},
     }
 
 
@@ -170,24 +164,15 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     spec = NanotubeSpec(NanotubeKind.parse(args.kind), args.m, args.n)
-    g = build_nanotube(spec)
-    _emit(
-        {
-            "kind": spec.kind.value,
-            "m": spec.m,
-            "n": spec.n,
-            "vertex_count": g.vertex_count,
-            "edge_count": g.edge_count,
-            "partition": _partition_fields(edge_partition(g).classes),
-        }
-    )
+    _emit(_tube_record(spec, tube_edge_partition(spec)))
     return 0
 
 
 def cmd_index(args: argparse.Namespace) -> int:
     spec = NanotubeSpec(NanotubeKind.parse(args.kind), args.m, args.n)
     which = INDEX_NAMES if args.index == "all" else (args.index,)
-    _emit(_output_record(spec, which))
+    partition = tube_edge_partition(spec)
+    _emit({**_tube_record(spec, partition), "indices": _index_fields(partition, which)})
     return 0
 
 
@@ -265,7 +250,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for m in range(args.m_range[0], args.m_range[1] + 1):
             for n in range(args.n_range[0], args.n_range[1] + 1):
                 spec = NanotubeSpec(kind, m, n)
-                fields = _index_fields(spec, which)
+                fields = _index_fields(tube_edge_partition(spec), which)
                 azi_fields = fields.get("azi")
                 rows.append(
                     [
@@ -319,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["dot", "json"], default="json")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("partition", help="degree-class edge counts of the built graph")
+    p = sub.add_parser("partition", help="degree-class edge counts from the count formulas")
     add_spec_args(p)
     p.set_defaults(func=cmd_partition)
 

@@ -5,7 +5,7 @@ variants per kind (the theorem statement and the final line of its
 derivation) that disagree with each other, and both turn out to disagree
 with brute force. Nothing here guesses which was intended: the published
 coefficient pairs are retained verbatim as data, an exact fit solves for
-the coefficients the edgewise oracle actually satisfies, and verification
+the coefficients the built-graph oracle actually satisfies, and verification
 reports every variant against the oracle point by point.
 """
 
@@ -129,7 +129,7 @@ def fit_from_values(
 def fit_closed_form(
     kind: NanotubeKind, index_name: str, samples: Sequence[tuple[int, int]]
 ) -> ClosedForm:
-    """Fit a*mn + b*m to brute-force edgewise index values at the samples.
+    """Fit a*mn + b*m to brute-force index values of built graphs at the samples.
 
     Only the augmented Zagreb index has exact rational values; for randic
     or abc the irrational per-edge terms admit no exact rational (a, b), so
@@ -151,7 +151,7 @@ def fit_closed_form(
 
 @dataclass(frozen=True)
 class PointCheck:
-    """One grid point: the form's claim against the edgewise oracle."""
+    """One grid point: the form's claim against the built-graph oracle."""
 
     m: int
     n: int
@@ -185,7 +185,7 @@ def verify_forms(
     m_range: tuple[int, int],
     n_range: tuple[int, int],
 ) -> DiscrepancyReport:
-    """Evaluate each form against the edgewise oracle on the inclusive grid.
+    """Evaluate each form against the built-graph oracle on the inclusive grid.
 
     Every grid point appears in the report with its exact difference; a form
     is consistent iff all differences are zero.

@@ -26,7 +26,6 @@ __all__ = [
     "VertexOutOfRangeError",
     "edge_partition",
     "is_connected",
-    "make_graph",
 ]
 
 
@@ -58,11 +57,11 @@ class VertexOutOfRangeError(GraphError):
 class Graph:
     """Undirected simple graph, immutable after construction.
 
-    Degrees and adjacency are precomputed so degree queries are O(1); that
-    is what edge-function sums spend all their time on.
+    Stores the sorted canonical edges and the degree of every vertex, which
+    is all that degree partitions and edge-function sums read.
     """
 
-    __slots__ = ("_vertex_count", "_edges", "_adjacency", "_degrees")
+    __slots__ = ("_vertex_count", "_edges", "_degrees")
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge]):
         if vertex_count < 0:
@@ -83,14 +82,13 @@ class Graph:
             seen.add(e)
             canonical.append(e)
         canonical.sort()
-        adjacency: list[list[int]] = [[] for _ in range(vertex_count)]
+        degrees = [0] * vertex_count
         for u, v in canonical:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
+            degrees[u] += 1
+            degrees[v] += 1
         self._vertex_count = vertex_count
         self._edges = tuple(canonical)
-        self._adjacency = tuple(tuple(nbrs) for nbrs in adjacency)
-        self._degrees = tuple(len(nbrs) for nbrs in adjacency)
+        self._degrees = tuple(degrees)
 
     @property
     def vertex_count(self) -> int:
@@ -115,11 +113,6 @@ class Graph:
             raise VertexOutOfRangeError(v, self._vertex_count)
         return self._degrees[v]
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        if not 0 <= v < self._vertex_count:
-            raise VertexOutOfRangeError(v, self._vertex_count)
-        return self._adjacency[v]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -130,11 +123,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(vertex_count={self._vertex_count}, edge_count={self.edge_count})"
-
-
-def make_graph(vertex_count: int, edges: Iterable[Edge]) -> Graph:
-    """Build a validated graph; rejects self-loops, duplicates and bad ids."""
-    return Graph(vertex_count, edges)
 
 
 @dataclass(frozen=True)
@@ -180,13 +168,17 @@ def is_connected(g: Graph) -> bool:
     """True iff g has a single connected component (vacuously true when empty)."""
     if g.vertex_count == 0:
         return True
+    adjacency: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
     seen = bytearray(g.vertex_count)
     seen[0] = 1
     reached = 1
     queue = deque([0])
     while queue:
         x = queue.popleft()
-        for y in g.neighbors(x):
+        for y in adjacency[x]:
             if not seen[y]:
                 seen[y] = 1
                 reached += 1

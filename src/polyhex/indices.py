@@ -1,11 +1,14 @@
 """Degree-based topological indices as edge-function sums.
 
-Every index here has the shape sum over edges uv of f(d_u, d_v). The
-augmented Zagreb index uses exact rational arithmetic end to end (its terms
-are rational, and exactness is what makes closed-form adjudication
+Every index here has the shape sum over edges uv of f(d_u, d_v), and f
+depends only on the endpoint degree pair, so every index is summed one way:
+count * f(class) over the degree classes of an EdgePartition, whether the
+partition was read off a built graph or came from the tube count formulas.
+The augmented Zagreb index uses exact rational arithmetic end to end (its
+terms are rational, and exactness is what makes closed-form adjudication
 unambiguous); the Randic and atom-bond connectivity indices sum irrational
-terms and use floats. Float sums run over a fixed order (sorted edges,
-sorted partition classes) via math.fsum, so results are deterministic.
+terms with math.fsum in sorted degree-class order, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .graph import DegreePair, EdgePartition, Graph
+from .graph import EdgePartition, Graph, edge_partition
 
 __all__ = [
     "ABC",
@@ -93,9 +96,6 @@ class EdgeFunction:
     term: Callable[[int, int], Fraction | float]
     exact: bool
 
-    def __call__(self, d_u: int, d_v: int) -> Fraction | float:
-        return self.term(d_u, d_v)
-
 
 AZI = EdgeFunction("azi", azi_term, exact=True)
 RANDIC = EdgeFunction("randic", randic_term, exact=False)
@@ -105,62 +105,27 @@ EDGE_FUNCTIONS: dict[str, EdgeFunction] = {f.name: f for f in (AZI, RANDIC, ABC)
 
 
 def azi(g: Graph) -> IndexValue:
-    """Exact augmented Zagreb index of g, summed edge by edge."""
-    degrees = g.degrees
-    cache: dict[DegreePair, Fraction] = {}
-    total = Fraction(0)
-    for u, v in g.edges:
-        pair = (degrees[u], degrees[v])
-        term = cache.get(pair)
-        if term is None:
-            try:
-                term = azi_term(*pair)
-            except UndefinedTermError:
-                raise UndefinedTermError(
-                    f"augmented Zagreb term is undefined on edge ({u}, {v}): "
-                    "both endpoints have degree 1"
-                ) from None
-            cache[pair] = term
-        total += term
-    return IndexValue.from_exact(total)
+    """Exact augmented Zagreb index of g, summed over its degree classes."""
+    return index_from_partition(edge_partition(g), AZI)
 
 
 def randic(g: Graph) -> IndexValue:
-    """Randic index of g, summed edge by edge in fixed order."""
-    degrees = g.degrees
-    return IndexValue.from_float(
-        math.fsum(1.0 / math.sqrt(degrees[u] * degrees[v]) for u, v in g.edges)
-    )
+    """Randic index of g, summed over its degree classes."""
+    return index_from_partition(edge_partition(g), RANDIC)
 
 
 def abc(g: Graph) -> IndexValue:
-    """Atom-bond connectivity index of g, summed edge by edge in fixed order."""
-    degrees = g.degrees
-    return IndexValue.from_float(
-        math.fsum(
-            math.sqrt((degrees[u] + degrees[v] - 2) / (degrees[u] * degrees[v]))
-            for u, v in g.edges
-        )
-    )
+    """Atom-bond connectivity index of g, summed over its degree classes."""
+    return index_from_partition(edge_partition(g), ABC)
 
 
 def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValue:
     """Sum count * f(d_min, d_max) over the partition's degree classes.
 
-    Equals the edgewise sum whenever the partition came from the same graph:
-    exactly for exact edge functions, to float reduction order otherwise.
+    Exact edge functions sum Fractions exactly; the others sum with
+    math.fsum in sorted degree-class order, so the result is deterministic.
     """
+    terms = (count * f.term(*pair) for pair, count in partition.classes.items())
     if f.exact:
-        total = Fraction(0)
-        for pair, count in partition.classes.items():
-            try:
-                term = f.term(*pair)
-            except UndefinedTermError:
-                raise UndefinedTermError(
-                    f"{f.name} term is undefined for degree class {pair}"
-                ) from None
-            total += count * term
-        return IndexValue.from_exact(total)
-    return IndexValue.from_float(
-        math.fsum(count * f.term(*pair) for pair, count in partition.classes.items())
-    )
+        return IndexValue.from_exact(sum(terms, Fraction(0)))
+    return IndexValue.from_float(math.fsum(terms))

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graph import Edge, EdgePartition, Graph, make_graph
+from .graph import Edge, EdgePartition, Graph
 
 __all__ = [
     "InvalidSpecError",
@@ -71,6 +71,11 @@ class NanotubeSpec:
     n: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, NanotubeKind):
+            raise InvalidSpecError(f"kind must be a NanotubeKind (got {self.kind!r})")
+        for name, value in (("m", self.m), ("n", self.n)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidSpecError(f"{name} must be an int (got {value!r})")
         if self.m < 2:
             raise InvalidSpecError(f"m must be >= 2 (got {self.m})")
         if self.n < 1:
@@ -140,7 +145,7 @@ def build_nanotube(spec: NanotubeSpec) -> Graph:
         edges = _armchair_edges(spec.m, spec.n)
     else:
         edges = _zigzag_edges(spec.m, spec.n)
-    return make_graph(tube_vertex_count(spec), edges)
+    return Graph(tube_vertex_count(spec), edges)
 
 
 def validate_ranges(m_range: tuple[int, int], n_range: tuple[int, int]) -> None:

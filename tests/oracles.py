@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import mpmath
 
-from polyhex import Graph, make_graph
+from polyhex import Graph
 
 mpmath.mp.dps = 50
 
@@ -110,14 +110,14 @@ def rel_close(value: float, reference, rel: float = 1e-12) -> bool:
 
 
 def cycle_graph(length: int) -> Graph:
-    return make_graph(length, [(i, (i + 1) % length) for i in range(length)])
+    return Graph(length, [(i, (i + 1) % length) for i in range(length)])
 
 
 def path_graph(length: int) -> Graph:
-    return make_graph(length, [(i, i + 1) for i in range(length - 1)])
+    return Graph(length, [(i, i + 1) for i in range(length - 1)])
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     shift = g.vertex_count
     edges = list(g.edges) + [(u + shift, v + shift) for u, v in h.edges]
-    return make_graph(g.vertex_count + h.vertex_count, edges)
+    return Graph(g.vertex_count + h.vertex_count, edges)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from polyhex import edge_partition, make_graph
+from polyhex import Graph, edge_partition
 from polyhex.cli import main
 
 
@@ -39,16 +39,21 @@ class TestBuild:
         assert len(payload["edges"]) == 10
         assert all(u < v for u, v in payload["edges"])
 
-    def test_json_round_trips_through_graph(self, capsys):
-        code, out, _ = run_cli(capsys, "build", "--kind", "armchair", "--m", "3", "--n", "2")
+    @pytest.mark.parametrize("m, n", [(2, 1), (3, 2), (5, 9)])
+    @pytest.mark.parametrize("kind", ["armchair", "zigzag"])
+    def test_json_round_trips_through_graph(self, capsys, kind, m, n):
+        spec_args = ("--kind", kind, "--m", str(m), "--n", str(n))
+        code, out, _ = run_cli(capsys, "build", *spec_args)
         assert code == 0
         payload = json.loads(out)
-        g = make_graph(payload["vertex_count"], [tuple(e) for e in payload["edges"]])
+        g = Graph(payload["vertex_count"], [tuple(e) for e in payload["edges"]])
         part = {f"{lo},{hi}": c for (lo, hi), c in edge_partition(g).classes.items()}
 
-        code, out, _ = run_cli(capsys, "partition", "--kind", "armchair", "--m", "3", "--n", "2")
+        code, out, _ = run_cli(capsys, "partition", *spec_args)
         assert code == 0
-        assert json.loads(out)["partition"] == part
+        record = json.loads(out)
+        assert record["partition"] == part
+        assert (record["vertex_count"], record["edge_count"]) == (g.vertex_count, g.edge_count)
 
     def test_dot_output(self, capsys):
         code, out, _ = run_cli(

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractions import Fraction
+
 from polyhex import (
+    ClosedForm,
     InvalidSpecError,
     NanotubeKind,
     NanotubeSpec,
+    Provenance,
     build_nanotube,
     edge_partition,
     is_connected,
@@ -36,6 +40,26 @@ class TestSpecValidation:
     def test_n_lower_bound(self):
         with pytest.raises(InvalidSpecError, match=r"n must be >= 1 \(got 0\)"):
             NanotubeSpec(NanotubeKind.ZIGZAG, 4, 0)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: NanotubeSpec("armchair", 5, 9), "kind must be a NanotubeKind"),
+            (lambda: NanotubeSpec(NanotubeKind.ZIGZAG, 2.5, 1), r"m must be an int \(got 2.5\)"),
+            (lambda: NanotubeSpec(NanotubeKind.ARMCHAIR, 3, True), r"n must be an int \(got True\)"),
+            (
+                lambda: ClosedForm(
+                    NanotubeKind.ARMCHAIR, "azi", Fraction(2187, 64), Fraction(807, 32),
+                    Provenance.FITTED,
+                ).evaluate(2.5, 1),
+                r"m must be an int \(got 2.5\)",
+            ),
+        ],
+        ids=["kind-as-string", "float-m", "bool-n", "closed-form-float-m"],
+    )
+    def test_wrong_types_rejected(self, make, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            make()
 
     def test_invalid_spec_is_value_error(self):
         assert issubclass(InvalidSpecError, ValueError)
