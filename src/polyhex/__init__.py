@@ -49,9 +49,11 @@ from .indices import (
     randic_term,
 )
 from .tubes import (
+    MAX_BUILD_EDGES,
     InvalidSpecError,
     NanotubeKind,
     NanotubeSpec,
+    TubeTooLargeError,
     build_nanotube,
     tube_edge_count,
     tube_edge_partition,
@@ -77,6 +79,7 @@ __all__ = [
     "InconsistentSamplesError",
     "IndexValue",
     "InvalidSpecError",
+    "MAX_BUILD_EDGES",
     "NanotubeKind",
     "NanotubeSpec",
     "PointCheck",
@@ -84,6 +87,7 @@ __all__ = [
     "RANDIC",
     "SelfLoopError",
     "SingularSystemError",
+    "TubeTooLargeError",
     "UndefinedTermError",
     "VertexOutOfRangeError",
     "abc",

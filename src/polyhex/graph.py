@@ -58,10 +58,12 @@ class Graph:
     """Undirected simple graph, immutable after construction.
 
     Stores the sorted canonical edges and the degree of every vertex, which
-    is all that degree partitions and edge-function sums read.
+    is all that degree partitions and edge-function sums read. The edge
+    partition is computed on the first edge_partition call and kept, so
+    azi, randic and abc on one graph count its edges once.
     """
 
-    __slots__ = ("_vertex_count", "_edges", "_degrees")
+    __slots__ = ("_vertex_count", "_edges", "_degrees", "_partition")
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge]):
         if vertex_count < 0:
@@ -89,6 +91,7 @@ class Graph:
         self._vertex_count = vertex_count
         self._edges = tuple(canonical)
         self._degrees = tuple(degrees)
+        self._partition: EdgePartition | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -136,6 +139,14 @@ class EdgePartition:
     classes: Mapping[DegreePair, int]
 
     def __post_init__(self) -> None:
+        # Exact type checks, before sorting compares the keys: bool is an int
+        # subclass, and index sums accumulate counts as exact integers.
+        for pair, count in self.classes.items():
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and type(pair[0]) is int and type(pair[1]) is int):
+                raise ValueError(f"degree class {pair!r} must be a pair of ints")
+            if type(count) is not int:
+                raise ValueError(f"degree class {pair} has non-int count {count!r}")
         cleaned: dict[DegreePair, int] = {}
         for pair in sorted(self.classes):
             count = self.classes[pair]
@@ -155,13 +166,19 @@ class EdgePartition:
 
 
 def edge_partition(g: Graph) -> EdgePartition:
-    """Count g's edges per unordered endpoint-degree pair."""
-    degrees = g.degrees
-    counts: Counter[DegreePair] = Counter()
-    for u, v in g.edges:
-        du, dv = degrees[u], degrees[v]
-        counts[(du, dv) if du <= dv else (dv, du)] += 1
-    return EdgePartition(counts)
+    """Count g's edges per unordered endpoint-degree pair.
+
+    The first call on g counts its edges and stores the partition on g;
+    later calls return that same object.
+    """
+    if g._partition is None:
+        degrees = g.degrees
+        counts: Counter[DegreePair] = Counter()
+        for u, v in g.edges:
+            du, dv = degrees[u], degrees[v]
+            counts[(du, dv) if du <= dv else (dv, du)] += 1
+        g._partition = EdgePartition(counts)
+    return g._partition
 
 
 def is_connected(g: Graph) -> bool:

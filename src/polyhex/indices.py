@@ -9,10 +9,15 @@ terms are rational, and exactness is what makes closed-form adjudication
 unambiguous); the Randic and atom-bond connectivity indices sum irrational
 terms with math.fsum in sorted degree-class order, so results are
 deterministic.
+
+Each term function caches its value per degree pair (a tube has at most
+three pairs), and edge_partition caches the partition on its Graph, so
+azi, randic and abc on one graph partition it once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +43,11 @@ __all__ = [
 ]
 
 
+# Bound on cached degree pairs per term function (tubes use three). Typed,
+# so a float or bool degree is never answered from an int pair's entry.
+_TERM_CACHE_SIZE = 1024
+
+
 class UndefinedTermError(ValueError):
     """An edge function was evaluated where its denominator vanishes."""
 
@@ -47,6 +57,7 @@ def _check_degrees(d_u: int, d_v: int) -> None:
         raise ValueError(f"edge endpoint degrees must be >= 1 (got ({d_u}, {d_v}))")
 
 
+@functools.lru_cache(maxsize=_TERM_CACHE_SIZE, typed=True)
 def azi_term(d_u: int, d_v: int) -> Fraction:
     """Exact augmented Zagreb term (d_u*d_v / (d_u+d_v-2))**3.
 
@@ -60,12 +71,14 @@ def azi_term(d_u: int, d_v: int) -> Fraction:
     return Fraction(d_u * d_v, d_u + d_v - 2) ** 3
 
 
+@functools.lru_cache(maxsize=_TERM_CACHE_SIZE, typed=True)
 def randic_term(d_u: int, d_v: int) -> float:
     """Randic term 1/sqrt(d_u*d_v)."""
     _check_degrees(d_u, d_v)
     return 1.0 / math.sqrt(d_u * d_v)
 
 
+@functools.lru_cache(maxsize=_TERM_CACHE_SIZE, typed=True)
 def abc_term(d_u: int, d_v: int) -> float:
     """Atom-bond connectivity term sqrt((d_u+d_v-2) / (d_u*d_v)); 0 at (1, 1)."""
     _check_degrees(d_u, d_v)
@@ -122,10 +135,15 @@ def abc(g: Graph) -> IndexValue:
 def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValue:
     """Sum count * f(d_min, d_max) over the partition's degree classes.
 
-    Exact edge functions sum Fractions exactly; the others sum with
-    math.fsum in sorted degree-class order, so the result is deterministic.
+    Exact edge functions sum integer numerators over the lcm of the term
+    denominators and reduce once; the others sum with math.fsum in sorted
+    degree-class order, so the result is deterministic.
     """
-    terms = (count * f.term(*pair) for pair, count in partition.classes.items())
     if f.exact:
-        return IndexValue.from_exact(sum(terms, Fraction(0)))
-    return IndexValue.from_float(math.fsum(terms))
+        terms = [(count, f.term(*pair)) for pair, count in partition.classes.items()]
+        den = math.lcm(*(term.denominator for _, term in terms))
+        num = sum(count * term.numerator * (den // term.denominator) for count, term in terms)
+        return IndexValue.from_exact(Fraction(num, den))
+    return IndexValue.from_float(
+        math.fsum(count * f.term(*pair) for pair, count in partition.classes.items())
+    )

@@ -29,9 +29,11 @@ from dataclasses import dataclass
 from .graph import Edge, EdgePartition, Graph
 
 __all__ = [
+    "MAX_BUILD_EDGES",
     "InvalidSpecError",
     "NanotubeKind",
     "NanotubeSpec",
+    "TubeTooLargeError",
     "build_nanotube",
     "tube_edge_count",
     "tube_edge_partition",
@@ -40,8 +42,19 @@ __all__ = [
 ]
 
 
+# Largest tube build_nanotube constructs. Building peaks near 240 traced bytes
+# per edge (65.8 MB for the 271,200-edge armchair [300, 300]), so this caps a
+# build near 1.2 GB. Counts and indices of larger tubes come from
+# tube_edge_partition, which builds no graph.
+MAX_BUILD_EDGES = 5_000_000
+
+
 class InvalidSpecError(ValueError):
     """Nanotube parameters outside the valid domain."""
+
+
+class TubeTooLargeError(InvalidSpecError):
+    """A tube whose graph would exceed MAX_BUILD_EDGES edges."""
 
 
 class NanotubeKind(enum.Enum):
@@ -140,7 +153,17 @@ def _armchair_edges(m: int, n: int) -> list[Edge]:
 
 
 def build_nanotube(spec: NanotubeSpec) -> Graph:
-    """Construct the tube graph for spec; connected, all degrees in {2, 3}."""
+    """Construct the tube graph for spec; connected, all degrees in {2, 3}.
+
+    Refuses, before generating any edge, a tube with more than
+    MAX_BUILD_EDGES edges.
+    """
+    edge_count = tube_edge_count(spec)
+    if edge_count > MAX_BUILD_EDGES:
+        raise TubeTooLargeError(
+            f"{spec.kind.value} tube m={spec.m}, n={spec.n} has {edge_count} edges, "
+            f"more than the {MAX_BUILD_EDGES} a built graph may have"
+        )
     if spec.kind is NanotubeKind.ARMCHAIR:
         edges = _armchair_edges(spec.m, spec.n)
     else:

@@ -12,6 +12,7 @@ criterion fails.
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -192,6 +193,8 @@ def test_criterion_8_sweep_determinism(tmp_path=None):
             tmp_path = Path(tempfile.mkdtemp())
         csv_a = Path(tmp_path) / "sweep_a.csv"
         csv_b = Path(tmp_path) / "sweep_b.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         for out in (csv_a, csv_b):
             result = subprocess.run(
                 [
@@ -200,6 +203,7 @@ def test_criterion_8_sweep_determinism(tmp_path=None):
                 ],
                 capture_output=True,
                 text=True,
+                env={**os.environ, "PYTHONPATH": pythonpath},
             )
             assert result.returncode == 0, result.stderr
         content_a, content_b = csv_a.read_bytes(), csv_b.read_bytes()

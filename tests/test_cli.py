@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import polyhex.tubes
 from polyhex import Graph, edge_partition
 from polyhex.cli import main
 
@@ -18,12 +22,17 @@ def run_cli(capsys, *argv: str):
     return code, captured.out, captured.err
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_process(*argv: str, cwd=None):
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "polyhex", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
 
 
@@ -71,6 +80,16 @@ class TestBuild:
         code, _, err = run_cli(capsys, "build", "--kind", "armchair", "--m", "1", "--n", "3")
         assert code == 2
         assert "m must be >= 2 (got 1)" in err
+
+    def test_rejects_huge_tube(self, capsys, monkeypatch):
+        def no_edges(m, n):
+            raise AssertionError("edges generated for a refused tube")
+
+        monkeypatch.setattr(polyhex.tubes, "_armchair_edges", no_edges)
+        code, out, err = run_cli(capsys, "build", "--kind", "armchair", "--m", "100000", "--n", "100000")
+        assert code == 2
+        assert out == ""
+        assert "30000400000 edges, more than the 5000000" in err
 
     def test_rejects_small_n(self, capsys):
         code, _, err = run_cli(capsys, "build", "--kind", "zigzag", "--m", "4", "--n", "0")
@@ -283,3 +302,22 @@ class TestDeterminism:
         assert run_process(*argv, "--out", str(csv_a)).returncode == 0
         assert run_process(*argv, "--out", str(csv_b)).returncode == 0
         assert csv_a.read_bytes() == csv_b.read_bytes()
+
+    # SHA-256 of outputs from the implementation before terms were memoized;
+    # two runs of one build cannot show a cached term that moved a digit.
+    def test_index_stdout_matches_pinned_digest(self, capsys):
+        code, out, _ = run_cli(capsys, "index", "--kind", "armchair", "--m", "5", "--n", "9")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "49f7b6fea106f58d0f7a3b22054b38e10afdd4e6a77073250782e65f91fe5154"
+        )
+
+    def test_sweep_csv_matches_pinned_digest(self, capsys, tmp_path):
+        out_path = tmp_path / "grid.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--m-range", "2:12", "--n-range", "1:12", "--out", str(out_path),
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "26216ad45b4b8d2198f2867ea3a7a0575f5b74b3b848f383d61e095e1fd49801"
+        )

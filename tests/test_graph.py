@@ -182,6 +182,20 @@ class TestEdgePartition:
         with pytest.raises(ValueError):
             EdgePartition({(0, 2): 1})
 
+    @pytest.mark.parametrize(
+        "classes",
+        [{(2, 3): 2.5}, {(2, 3): True}, {5: 1}, {(2, 3): 1, 7: 1}, {(2, 3.0): 1}, {(1, 2, 3): 1}],
+        ids=["float-count", "bool-count", "int-key", "mixed-keys", "float-degree", "triple-key"],
+    )
+    def test_malformed_class_rejected(self, classes):
+        with pytest.raises(ValueError):
+            EdgePartition(classes)
+
+    def test_partition_computed_once_per_graph(self):
+        g = oracles.cycle_graph(6)
+        assert edge_partition(g) is edge_partition(g)
+        assert edge_partition(oracles.cycle_graph(6)) is not edge_partition(g)
+
     def test_counts_read_only(self):
         part = EdgePartition({(2, 2): 3})
         with pytest.raises(TypeError):

@@ -33,6 +33,12 @@ from polyhex import (
 import oracles
 
 degree_pairs = st.tuples(st.integers(1, 9), st.integers(1, 9))
+partitions = st.dictionaries(
+    st.tuples(st.integers(1, 8), st.integers(1, 8))
+    .map(lambda p: (min(p), max(p)))
+    .filter(lambda p: p != (1, 1)),
+    st.integers(0, 10**6),
+).map(EdgePartition)
 
 
 class TestTerms:
@@ -53,6 +59,18 @@ class TestTerms:
                 term(0, 2)
             with pytest.raises(ValueError):
                 term(3, -1)
+
+    def test_failures_raised_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(UndefinedTermError):
+                azi_term(1, 1)
+            with pytest.raises(ValueError):
+                abc_term(0, 3)
+
+    def test_float_degrees_not_answered_from_int_entries(self):
+        assert azi_term(2, 3) == 8
+        with pytest.raises(TypeError):
+            azi_term(2.0, 3.0)
 
     def test_randic_term_values(self):
         assert randic_term(2, 2) == 0.5
@@ -191,6 +209,22 @@ class TestPartitionEvaluation:
         part = EdgePartition({(1, 1): 3})
         with pytest.raises(UndefinedTermError, match=r"\(1, 1\)"):
             index_from_partition(part, AZI)
+
+    @given(partitions)
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_naive_class_sums(self, part):
+        classes = list(part.classes.items())
+        exact = index_from_partition(part, AZI).exact
+        assert type(exact) is Fraction
+        assert exact == sum(
+            (count * Fraction(a * b, a + b - 2) ** 3 for (a, b), count in classes), Fraction(0)
+        )
+        assert index_from_partition(part, RANDIC).approx == math.fsum(
+            count * (1.0 / math.sqrt(a * b)) for (a, b), count in classes
+        )
+        assert index_from_partition(part, ABC).approx == math.fsum(
+            count * math.sqrt((a + b - 2) / (a * b)) for (a, b), count in classes
+        )
 
     @given(st.sampled_from([(k, m, n) for k in NanotubeKind
                             for m in (2, 4, 6) for n in (1, 3, 5)]))

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from fractions import Fraction
 
+import polyhex.tubes
 from polyhex import (
+    MAX_BUILD_EDGES,
     ClosedForm,
     InvalidSpecError,
     NanotubeKind,
     NanotubeSpec,
     Provenance,
+    TubeTooLargeError,
     build_nanotube,
     edge_partition,
     is_connected,
@@ -84,6 +87,30 @@ class TestSpecValidation:
             validate_ranges((1, 3), (1, 3))
         with pytest.raises(InvalidSpecError):
             validate_ranges((2, 3), (0, 3))
+
+
+class TestBuildSizeGuard:
+    """Sizes are computed, never built: the huge cases allocate nothing."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_huge_tube_refused_before_any_edge(self, kind, monkeypatch):
+        def no_edges(m, n):
+            raise AssertionError("edges generated for a refused tube")
+
+        monkeypatch.setattr(polyhex.tubes, "_armchair_edges", no_edges)
+        monkeypatch.setattr(polyhex.tubes, "_zigzag_edges", no_edges)
+        spec = NanotubeSpec(kind, 100_000, 100_000)
+        assert tube_edge_count(spec) > MAX_BUILD_EDGES
+        with pytest.raises(TubeTooLargeError, match="more than the 5000000"):
+            build_nanotube(spec)
+        assert issubclass(TubeTooLargeError, InvalidSpecError)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        spec = NanotubeSpec(NanotubeKind.ARMCHAIR, 2, 1)
+        monkeypatch.setattr(polyhex.tubes, "MAX_BUILD_EDGES", tube_edge_count(spec))
+        assert build_nanotube(spec).edge_count == tube_edge_count(spec)
+        with pytest.raises(TubeTooLargeError):
+            build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, 2, 2))
 
 
 class TestCounts:
