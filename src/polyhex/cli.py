@@ -144,7 +144,7 @@ def cmd_build(args: argparse.Namespace) -> int:
                 "n": spec.n,
                 "vertex_count": g.vertex_count,
                 "edge_count": g.edge_count,
-                "edges": [[u, v] for u, v in g.edges],
+                "edges": g.edges,  # tuples encode as JSON arrays
             },
             compact=True,
         )

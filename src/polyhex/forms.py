@@ -17,14 +17,23 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .indices import EDGE_FUNCTIONS, azi
-from .tubes import NanotubeKind, NanotubeSpec, build_nanotube, validate_ranges
+from .tubes import (
+    InvalidSpecError,
+    NanotubeKind,
+    NanotubeSpec,
+    build_nanotube,
+    grid_edge_count,
+    validate_ranges,
+)
 
 __all__ = [
     "DEFAULT_FIT_SAMPLES",
     "ClosedForm",
     "DiscrepancyReport",
     "FormCheck",
+    "GridTooLargeError",
     "InconsistentSamplesError",
+    "MAX_VERIFY_EDGES",
     "PointCheck",
     "Provenance",
     "SingularSystemError",
@@ -34,6 +43,19 @@ __all__ = [
     "verify_forms",
     "verify_published_forms",
 ]
+
+
+# Most edges the oracle may build for one verification grid, summed over its
+# tubes. Every tube of a large grid passes build_nanotube's per-tube cap, so
+# only this bound keeps a wide range from running for hours. The oracle
+# builds and sums just under a million edges per second (2-CPU Xeon VM,
+# Python 3.11), so this allows about 25 s; verify --kind both on
+# 2:26 x 1:25 builds 735,000 edges.
+MAX_VERIFY_EDGES = 20_000_000
+
+
+class GridTooLargeError(InvalidSpecError):
+    """A verification grid whose tubes together exceed MAX_VERIFY_EDGES edges."""
 
 
 class SingularSystemError(ValueError):
@@ -180,6 +202,19 @@ class DiscrepancyReport:
         return tuple(c for c in self.checks if c.form.provenance is provenance)
 
 
+def _check_grid(
+    kinds: tuple[NanotubeKind, ...], m_range: tuple[int, int], n_range: tuple[int, int]
+) -> None:
+    validate_ranges(m_range, n_range)
+    edges = grid_edge_count(kinds, m_range, n_range)
+    if edges > MAX_VERIFY_EDGES:
+        raise GridTooLargeError(
+            f"verification grid m={m_range[0]}:{m_range[1]}, n={n_range[0]}:{n_range[1]} "
+            f"would build {edges} edges, more than the {MAX_VERIFY_EDGES} one "
+            "verification may build"
+        )
+
+
 def verify_forms(
     forms: Iterable[ClosedForm],
     m_range: tuple[int, int],
@@ -188,15 +223,17 @@ def verify_forms(
     """Evaluate each form against the built-graph oracle on the inclusive grid.
 
     Every grid point appears in the report with its exact difference; a form
-    is consistent iff all differences are zero.
+    is consistent iff all differences are zero. A grid whose tubes would
+    together have more than MAX_VERIFY_EDGES edges is refused with
+    GridTooLargeError before any tube is built.
     """
-    validate_ranges(m_range, n_range)
     forms = tuple(forms)
     for form in forms:
         if form.index_name != "azi":
             raise ValueError(
                 f"verification oracle is exact and covers 'azi' only, not {form.index_name!r}"
             )
+    _check_grid(tuple(form.kind for form in forms), m_range, n_range)
     oracle_cache: dict[tuple[NanotubeKind, int, int], Fraction] = {}
     checks = []
     for form in forms:
@@ -221,8 +258,13 @@ def verify_published_forms(
     n_range: tuple[int, int],
     kinds: Iterable[NanotubeKind] | None = None,
 ) -> DiscrepancyReport:
-    """Adjudicate the published forms plus a freshly fitted form per kind."""
+    """Adjudicate the published forms plus a freshly fitted form per kind.
+
+    The grid is checked (ranges and MAX_VERIFY_EDGES) before the fits build
+    their sample tubes.
+    """
     selected = tuple(kinds) if kinds is not None else (NanotubeKind.ARMCHAIR, NanotubeKind.ZIGZAG)
+    _check_grid(selected, m_range, n_range)
     forms: list[ClosedForm] = []
     for kind in selected:
         forms.extend(f for f in published_forms() if f.kind is kind)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import islice
+from operator import eq, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -61,33 +63,57 @@ class Graph:
     is all that degree partitions and edge-function sums read. The edge
     partition is computed on the first edge_partition call and kept, so
     azi, randic and abc on one graph count its edges once.
+
+    Construction raises a GraphError (a ValueError) for bad input, in this
+    order of precedence:
+
+    * a vertex_count that is not an int, or is negative;
+    * the first faulty edge in input order: one that is a self-loop
+      (SelfLoopError), has an endpoint outside 0..vertex_count-1
+      (VertexOutOfRangeError; an out-of-range self-loop counts as a
+      self-loop), or is not a pair of ints (a plain GraphError);
+    * only when every edge passed those checks, a duplicate edge, in
+      either orientation (DuplicateEdgeError for the smallest duplicated
+      canonical edge).
+
+    Endpoints are not type-checked one by one: an int subclass is accepted
+    as its value, so bool ids are read as 0 and 1.
     """
 
     __slots__ = ("_vertex_count", "_edges", "_degrees", "_partition")
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge]):
+        if type(vertex_count) is not int:
+            raise GraphError(f"vertex_count must be an int (got {vertex_count!r})")
         if vertex_count < 0:
             raise GraphError(f"vertex_count must be non-negative (got {vertex_count})")
         canonical: list[Edge] = []
-        seen: set[Edge] = set()
-        for edge in edges:
-            u, v = edge
-            if u == v:
-                raise SelfLoopError((u, v))
-            if u > v:
-                u, v = v, u
-            if u < 0 or v >= vertex_count:
-                raise VertexOutOfRangeError((edge[0], edge[1]), vertex_count)
-            e = (u, v)
-            if e in seen:
-                raise DuplicateEdgeError(e)
-            seen.add(e)
-            canonical.append(e)
-        canonical.sort()
+        append = canonical.append
         degrees = [0] * vertex_count
-        for u, v in canonical:
-            degrees[u] += 1
-            degrees[v] += 1
+        try:
+            for u, v in edges:
+                if u < v:
+                    if u < 0 or v >= vertex_count:
+                        raise VertexOutOfRangeError((u, v), vertex_count)
+                    append((u, v))
+                elif v < u:
+                    if v < 0 or u >= vertex_count:
+                        raise VertexOutOfRangeError((u, v), vertex_count)
+                    append((v, u))
+                else:
+                    raise SelfLoopError((u, v))
+                degrees[u] += 1
+                degrees[v] += 1
+        except GraphError:
+            raise
+        except (TypeError, ValueError) as exc:
+            # a non-pair edge fails to unpack, a non-int endpoint fails to
+            # compare or to index the degree list
+            raise GraphError(f"edges must be pairs of int vertex ids ({exc})") from exc
+        canonical.sort()
+        if any(map(eq, canonical, islice(canonical, 1, None))):
+            duplicate = next(a for a, b in zip(canonical, islice(canonical, 1, None)) if a == b)
+            raise DuplicateEdgeError(duplicate)
         self._vertex_count = vertex_count
         self._edges = tuple(canonical)
         self._degrees = tuple(degrees)
@@ -172,12 +198,15 @@ def edge_partition(g: Graph) -> EdgePartition:
     later calls return that same object.
     """
     if g._partition is None:
-        degrees = g.degrees
-        counts: Counter[DegreePair] = Counter()
-        for u, v in g.edges:
-            du, dv = degrees[u], degrees[v]
-            counts[(du, dv) if du <= dv else (dv, du)] += 1
-        g._partition = EdgePartition(counts)
+        degree = g.degrees.__getitem__
+        edges = g.edges
+        counts = Counter(
+            zip(map(degree, map(itemgetter(0), edges)), map(degree, map(itemgetter(1), edges)))
+        )
+        classes: Counter[DegreePair] = Counter()
+        for (du, dv), count in counts.items():
+            classes[(du, dv) if du <= dv else (dv, du)] += count
+        g._partition = EdgePartition(classes)
     return g._partition
 
 

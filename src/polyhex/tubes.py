@@ -19,12 +19,19 @@ structure: armchair {(2,2): 2m, (2,3): 4m, (3,3): 3mn-2m} with 2m(n+2)
 vertices and 3mn+4m edges; zigzag {(2,3): 4m, (3,3): 3mn-2m} with 2mn+2m
 vertices and 3mn+2m edges. Any construction with these counts is equivalent
 for every degree-based index.
+
+Domain: m >= 2 and n >= 1 for both kinds. Zigzag m = 2 is accepted although
+it is not hexagonal: its rows are 4-cycles, so its girth is 4 (every other
+tube here has girth 6). Its degree classes still follow the counts above,
+so every degree-based index, and every closed form in m and n, holds there
+as it does for m >= 3.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable
 
 from .graph import Edge, EdgePartition, Graph
 
@@ -35,6 +42,7 @@ __all__ = [
     "NanotubeSpec",
     "TubeTooLargeError",
     "build_nanotube",
+    "grid_edge_count",
     "tube_edge_count",
     "tube_edge_partition",
     "tube_vertex_count",
@@ -42,10 +50,10 @@ __all__ = [
 ]
 
 
-# Largest tube build_nanotube constructs. Building peaks near 240 traced bytes
-# per edge (65.8 MB for the 271,200-edge armchair [300, 300]), so this caps a
-# build near 1.2 GB. Counts and indices of larger tubes come from
-# tube_edge_partition, which builds no graph.
+# Largest tube build_nanotube constructs. Building peaks near 212 traced bytes
+# per edge (57.4 MB for the 271,200-edge armchair [300, 300], tracemalloc,
+# Python 3.11), so this caps a build near 1.1 GB. Counts and indices of larger
+# tubes come from tube_edge_partition, which builds no graph.
 MAX_BUILD_EDGES = 5_000_000
 
 
@@ -107,6 +115,26 @@ def tube_edge_count(spec: NanotubeSpec) -> int:
     return 3 * spec.m * spec.n + 2 * spec.m
 
 
+def grid_edge_count(
+    kinds: Iterable[NanotubeKind], m_range: tuple[int, int], n_range: tuple[int, int]
+) -> int:
+    """Total edges of the tubes of each distinct kind over an inclusive (m, n) grid.
+
+    Computed in O(1) from tube_edge_count's formulas summed over the grid:
+    3*sum(m)*sum(n) + c*sum(m)*len(n-range), with c = 4 for armchair and 2
+    for zigzag. The ranges are assumed to pass validate_ranges.
+    """
+    (m_lo, m_hi), (n_lo, n_hi) = m_range, n_range
+    m_sum = (m_lo + m_hi) * (m_hi - m_lo + 1) // 2
+    n_sum = (n_lo + n_hi) * (n_hi - n_lo + 1) // 2
+    n_count = n_hi - n_lo + 1
+    total = 0
+    for kind in set(kinds):
+        ring = 4 if kind is NanotubeKind.ARMCHAIR else 2
+        total += 3 * m_sum * n_sum + ring * m_sum * n_count
+    return total
+
+
 def tube_edge_partition(spec: NanotubeSpec) -> EdgePartition:
     """Degree-class edge counts from closed count formulas, no graph built.
 
@@ -120,35 +148,33 @@ def tube_edge_partition(spec: NanotubeSpec) -> EdgePartition:
     return EdgePartition(classes)
 
 
+# The generators emit runs of zip(range, range) per row, so the per-edge work
+# runs in C; each row's wrap-around edge is appended on its own. The loop
+# versions, one iteration per edge, are kept in the tests as the reference.
 def _zigzag_edges(m: int, n: int) -> list[Edge]:
     width = 2 * m
     edges: list[Edge] = []
     for r in range(n + 1):
-        base = r * width
-        for c in range(width):
-            edges.append((base + c, base + (c + 1) % width))
+        base, end = r * width, (r + 1) * width
+        edges.extend(zip(range(base, end - 1), range(base + 1, end)))
+        edges.append((end - 1, base))
     for r in range(n):
-        base = r * width
-        for c in range(r % 2, width, 2):
-            edges.append((base + c, base + width + c))
+        low = r * width + r % 2
+        high = low + width
+        edges.extend(zip(range(low, high, 2), range(high, high + width, 2)))
     return edges
 
 
 def _armchair_edges(m: int, n: int) -> list[Edge]:
     width = 2 * m
-    edges: list[Edge] = []
-    for r in range(n + 1):
-        base = r * width
-        for c in range(width):
-            edges.append((base + c, base + width + c))
+    edges: list[Edge] = list(zip(range((n + 1) * width), range(width, (n + 2) * width)))
     for r in range(n + 2):
-        base = r * width
+        base, end = r * width, (r + 1) * width
         if r % 2 == 0:
-            for i in range(m):
-                edges.append((base + 2 * i, base + 2 * i + 1))
+            edges.extend(zip(range(base, end, 2), range(base + 1, end, 2)))
         else:
-            for i in range(m):
-                edges.append((base + 2 * i + 1, base + (2 * i + 2) % width))
+            edges.extend(zip(range(base + 1, end - 1, 2), range(base + 2, end, 2)))
+            edges.append((end - 1, base))
     return edges
 
 

@@ -109,6 +109,40 @@ def rel_close(value: float, reference, rel: float = 1e-12) -> bool:
     return abs(mpmath.mpf(value) - reference) / abs(reference) <= rel
 
 
+def zigzag_edges_reference(m: int, n: int) -> list[Edge]:
+    """Zigzag tube edges, one loop iteration per edge, as the tubes docstring reads."""
+    width = 2 * m
+    edges: list[Edge] = []
+    for r in range(n + 1):
+        base = r * width
+        for c in range(width):
+            edges.append((base + c, base + (c + 1) % width))
+    for r in range(n):
+        base = r * width
+        for c in range(r % 2, width, 2):
+            edges.append((base + c, base + width + c))
+    return edges
+
+
+def armchair_edges_reference(m: int, n: int) -> list[Edge]:
+    """Armchair tube edges, one loop iteration per edge, as the tubes docstring reads."""
+    width = 2 * m
+    edges: list[Edge] = []
+    for r in range(n + 1):
+        base = r * width
+        for c in range(width):
+            edges.append((base + c, base + width + c))
+    for r in range(n + 2):
+        base = r * width
+        if r % 2 == 0:
+            for i in range(m):
+                edges.append((base + 2 * i, base + 2 * i + 1))
+        else:
+            for i in range(m):
+                edges.append((base + 2 * i + 1, base + (2 * i + 2) % width))
+    return edges
+
+
 def cycle_graph(length: int) -> Graph:
     return Graph(length, [(i, (i + 1) % length) for i in range(length)])
 

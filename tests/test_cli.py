@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import polyhex.forms
 import polyhex.tubes
 from polyhex import Graph, edge_partition
 from polyhex.cli import main
@@ -217,6 +218,16 @@ class TestVerify:
         assert code == 2
         assert "empty range 12:2" in err
 
+    def test_rejects_huge_grid(self, capsys, monkeypatch):
+        def no_build(spec):
+            raise AssertionError("tube built for a refused grid")
+
+        monkeypatch.setattr(polyhex.forms, "build_nanotube", no_build)
+        code, out, err = run_cli(capsys, "verify", "--m-range", "2:400", "--n-range", "1:400")
+        assert code == 2
+        assert out == ""
+        assert "more than the 20000000" in err
+
     def test_malformed_range_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--m-range", "3", "--n-range", "1:2"])
@@ -311,6 +322,28 @@ class TestDeterminism:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "49f7b6fea106f58d0f7a3b22054b38e10afdd4e6a77073250782e65f91fe5154"
         )
+
+    # SHA-256 of build stdout from the implementation whose generators looped
+    # once per edge and whose JSON encoder was given lists.
+    @pytest.mark.parametrize(
+        "kind, m, n, fmt, digest",
+        [
+            ("armchair", 5, 9, "json",
+             "fbae264555ae66c3acfdbdb3d8990e298bef8db2b798e73743acecd26d370f13"),
+            ("armchair", 5, 9, "dot",
+             "aee843d8f916357403ddfc31166cfa8ec7a654834fda61889273eb364a70949e"),
+            ("zigzag", 4, 7, "json",
+             "8c35883cae459d961f6e564f81b1eb0e52782dbca666ca2e8dd4448acf0bc34d"),
+            ("zigzag", 2, 3, "dot",
+             "43bebfb2ea17a3f8039e270587854b78df0874658a1fe33a6bc2cd28563dd747"),
+        ],
+    )
+    def test_build_stdout_matches_pinned_digest(self, capsys, kind, m, n, fmt, digest):
+        code, out, _ = run_cli(
+            capsys, "build", "--kind", kind, "--m", str(m), "--n", str(n), "--format", fmt,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_sweep_csv_matches_pinned_digest(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"

@@ -8,9 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyhex.forms
 from polyhex import (
     DEFAULT_FIT_SAMPLES,
+    MAX_BUILD_EDGES,
+    MAX_VERIFY_EDGES,
     ClosedForm,
+    GridTooLargeError,
     InconsistentSamplesError,
     InvalidSpecError,
     NanotubeKind,
@@ -21,7 +25,9 @@ from polyhex import (
     build_nanotube,
     fit_closed_form,
     fit_from_values,
+    grid_edge_count,
     published_forms,
+    tube_edge_count,
     verify_forms,
     verify_published_forms,
 )
@@ -200,6 +206,49 @@ class TestVerification:
     def test_verify_rejects_out_of_domain_range(self):
         with pytest.raises(InvalidSpecError):
             verify_published_forms((1, 3), (1, 3))
+
+
+class TestGridBudget:
+    """Grid sizes are computed, never built: the refused grids allocate nothing."""
+
+    @pytest.mark.parametrize(
+        "m_range, n_range", [((2, 2), (1, 1)), ((2, 9), (1, 7)), ((5, 13), (4, 6))]
+    )
+    @pytest.mark.parametrize(
+        "kinds", [[NanotubeKind.ARMCHAIR], [NanotubeKind.ZIGZAG], list(NanotubeKind) * 2]
+    )
+    def test_grid_edge_count_is_the_sum_over_tubes(self, kinds, m_range, n_range):
+        expected = sum(
+            tube_edge_count(NanotubeSpec(kind, m, n))
+            for kind in set(kinds)
+            for m in range(m_range[0], m_range[1] + 1)
+            for n in range(n_range[0], n_range[1] + 1)
+        )
+        assert grid_edge_count(kinds, m_range, n_range) == expected
+
+    def test_grid_of_small_tubes_refused_before_any_build(self, monkeypatch):
+        def no_build(spec):
+            raise AssertionError("tube built for a refused grid")
+
+        monkeypatch.setattr(polyhex.forms, "build_nanotube", no_build)
+        m_range, n_range = (2, 400), (1, 400)
+        largest = NanotubeSpec(NanotubeKind.ARMCHAIR, 400, 400)
+        assert tube_edge_count(largest) <= MAX_BUILD_EDGES
+        assert grid_edge_count(list(NanotubeKind), m_range, n_range) > MAX_VERIFY_EDGES
+        with pytest.raises(GridTooLargeError, match="more than the 20000000"):
+            verify_published_forms(m_range, n_range)
+        form = published_forms()[0]
+        with pytest.raises(GridTooLargeError):
+            verify_forms([form], m_range, n_range)
+        assert issubclass(GridTooLargeError, InvalidSpecError)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        kinds = [NanotubeKind.ZIGZAG]
+        limit = grid_edge_count(kinds, (2, 3), (1, 2))
+        monkeypatch.setattr(polyhex.forms, "MAX_VERIFY_EDGES", limit)
+        assert len(verify_published_forms((2, 3), (1, 2), kinds).checks) == 3
+        with pytest.raises(GridTooLargeError):
+            verify_published_forms((2, 3), (1, 3), kinds)
 
 
 class TestCrossKind:

@@ -10,6 +10,7 @@ from polyhex import (
     DuplicateEdgeError,
     EdgePartition,
     Graph,
+    GraphError,
     SelfLoopError,
     VertexOutOfRangeError,
     edge_partition,
@@ -35,6 +36,31 @@ def graphs_with_permutation(draw):
     g = draw(graphs())
     perm = draw(st.permutations(range(g.vertex_count)))
     return g, tuple(perm)
+
+
+@st.composite
+def raw_edge_lists(draw, max_vertices: int = 8):
+    """Unvalidated input: self-loops, reversed duplicates, ids < 0 or >= n."""
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    ids = st.integers(min_value=-2, max_value=n + 1)
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=10))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges += [(v, u) for (u, v), flip in zip(edges, flips) if flip]
+    return n, draw(st.permutations(edges))
+
+
+def naive_fault(n: int, edges: list[tuple[int, int]]):
+    """The documented error class and offending edge, found edge by edge."""
+    for u, v in edges:
+        if u == v:
+            return SelfLoopError, (u, v)
+        if not (0 <= u < n and 0 <= v < n):
+            return VertexOutOfRangeError, (u, v)
+    canonical = sorted((min(u, v), max(u, v)) for u, v in edges)
+    duplicates = [a for a, b in zip(canonical, canonical[1:]) if a == b]
+    if duplicates:
+        return DuplicateEdgeError, duplicates[0]
+    return None, None
 
 
 def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
@@ -95,6 +121,40 @@ class TestConstruction:
         b = Graph(3, [(2, 1), (0, 1)])
         assert a == b
         assert hash(a) == hash(b)
+
+    @given(raw_edge_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_validation_matches_naive_checker(self, case):
+        n, edges = case
+        fault, offender = naive_fault(n, edges)
+        if fault is None:
+            g = Graph(n, edges)
+            assert g.edges == tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+            assert list(g.degrees) == oracles.degrees_from_edges(n, edges)
+            return
+        with pytest.raises(GraphError) as info:
+            Graph(n, edges)
+        assert type(info.value) is fault
+        found = info.value.offender if fault is VertexOutOfRangeError else info.value.edge
+        assert found == offender
+
+    @pytest.mark.parametrize(
+        "vertex_count, edges",
+        [(3, [(0.5, 1)]), (2.5, []), (3, [("a", 1)]), (3, [(0, 1, 2)]), (3, [(1,)]),
+         (3, 5), (True, [])],
+        ids=["float-id", "float-count", "str-id", "triple", "single", "not-iterable",
+             "bool-count"],
+    )
+    def test_non_int_input_rejected(self, vertex_count, edges):
+        with pytest.raises(GraphError) as info:
+            Graph(vertex_count, edges)
+        assert type(info.value) is GraphError
+
+    def test_bool_ids_read_as_zero_and_one(self):
+        # documented: endpoints are not type-checked one by one
+        g = Graph(2, [(True, False)])
+        assert g.edges == ((0, 1),)
+        assert g.degrees == (1, 1)
 
     def test_inequality(self):
         assert Graph(3, [(0, 1)]) != Graph(3, [(1, 2)])

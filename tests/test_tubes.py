@@ -240,6 +240,19 @@ class TestStructure:
         g = build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, m, 2))
         assert oracles.girth(g.vertex_count, list(g.edges)) == 6
 
+    @pytest.mark.parametrize(
+        "m, n", [(m, n) for m in range(2, 10) for n in range(1, 10)] + [(30, 17)]
+    )
+    def test_edges_match_loop_reference(self, m, n):
+        for generate, reference in (
+            (polyhex.tubes._armchair_edges, oracles.armchair_edges_reference),
+            (polyhex.tubes._zigzag_edges, oracles.zigzag_edges_reference),
+        ):
+            edges = generate(m, n)
+            expected = reference(m, n)
+            assert len(edges) == len(expected)
+            assert {(min(e), max(e)) for e in edges} == {(min(e), max(e)) for e in expected}
+
     @given(specs)
     @settings(max_examples=20, deadline=None)
     def test_build_is_deterministic(self, spec: NanotubeSpec):
