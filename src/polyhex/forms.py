@@ -23,7 +23,6 @@ from .tubes import (
     NanotubeSpec,
     build_nanotube,
     grid_edge_count,
-    validate_ranges,
 )
 
 __all__ = [
@@ -48,14 +47,18 @@ __all__ = [
 # Most edges the oracle may build for one verification grid, summed over its
 # tubes. Every tube of a large grid passes build_nanotube's per-tube cap, so
 # only this bound keeps a wide range from running for hours. The oracle
-# builds and sums just under a million edges per second (2-CPU Xeon VM,
-# Python 3.11), so this allows about 25 s; verify --kind both on
-# 2:26 x 1:25 builds 735,000 edges.
+# builds and sums about 1.3 million edges per second (verify --kind both on
+# 2:26 x 1:25 builds 735,000 edges in 0.57 s; 2-CPU Xeon VM, Python 3.11),
+# so this allows about 15 s.
 MAX_VERIFY_EDGES = 20_000_000
 
 
 class GridTooLargeError(InvalidSpecError):
-    """A verification grid whose tubes together exceed MAX_VERIFY_EDGES edges."""
+    """A grid over its size cap.
+
+    A verification grid may build at most MAX_VERIFY_EDGES edges in total;
+    a sweep grid may have at most MAX_SWEEP_ROWS rows (polyhex.cli).
+    """
 
 
 class SingularSystemError(ValueError):
@@ -74,13 +77,35 @@ class Provenance(enum.Enum):
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Exact linear form value(m, n) = a*m*n + b*m for one (kind, index)."""
+    """Exact linear form value(m, n) = a*m*n + b*m for one (kind, index).
+
+    Construction raises ValueError for a kind that is not a NanotubeKind, an
+    index_name not in EDGE_FUNCTIONS, an a or b that is not an int or a
+    Fraction (bool and float included), or a provenance that is not a
+    Provenance. An int coefficient is stored as a Fraction, so evaluate
+    always returns a Fraction.
+    """
 
     kind: NanotubeKind
     index_name: str
     a: Fraction
     b: Fraction
     provenance: Provenance
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, NanotubeKind):
+            raise ValueError(f"kind must be a NanotubeKind (got {self.kind!r})")
+        if not isinstance(self.index_name, str) or self.index_name not in EDGE_FUNCTIONS:
+            raise ValueError(
+                f"unknown index {self.index_name!r} (choose from {sorted(EDGE_FUNCTIONS)})"
+            )
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if type(value) is not int and not isinstance(value, Fraction):
+                raise ValueError(f"coefficient {name} must be an int or a Fraction (got {value!r})")
+            object.__setattr__(self, name, Fraction(value))
+        if not isinstance(self.provenance, Provenance):
+            raise ValueError(f"provenance must be a Provenance (got {self.provenance!r})")
 
     def evaluate(self, m: int, n: int) -> Fraction:
         NanotubeSpec(self.kind, m, n)  # domain check: m >= 2, n >= 1
@@ -205,7 +230,6 @@ class DiscrepancyReport:
 def _check_grid(
     kinds: tuple[NanotubeKind, ...], m_range: tuple[int, int], n_range: tuple[int, int]
 ) -> None:
-    validate_ranges(m_range, n_range)
     edges = grid_edge_count(kinds, m_range, n_range)
     if edges > MAX_VERIFY_EDGES:
         raise GridTooLargeError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import islice
-from operator import eq, itemgetter
+from operator import add, eq, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -198,13 +198,22 @@ def edge_partition(g: Graph) -> EdgePartition:
     later calls return that same object.
     """
     if g._partition is None:
-        degree = g.degrees.__getitem__
+        # Each edge is counted as the int d_low * base + d_high, so no tuple
+        # is made per edge; base exceeds every degree, so divmod decodes it.
+        degrees = g.degrees
+        base = max(degrees, default=0) + 1
+        scaled = [d * base for d in degrees]
         edges = g.edges
-        counts = Counter(
-            zip(map(degree, map(itemgetter(0), edges)), map(degree, map(itemgetter(1), edges)))
+        codes = Counter(
+            map(
+                add,
+                map(scaled.__getitem__, map(itemgetter(0), edges)),
+                map(degrees.__getitem__, map(itemgetter(1), edges)),
+            )
         )
         classes: Counter[DegreePair] = Counter()
-        for (du, dv), count in counts.items():
+        for code, count in codes.items():
+            du, dv = divmod(code, base)
             classes[(du, dv) if du <= dv else (dv, du)] += count
         g._partition = EdgePartition(classes)
     return g._partition

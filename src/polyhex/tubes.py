@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .graph import Edge, EdgePartition, Graph
 
@@ -50,9 +51,9 @@ __all__ = [
 ]
 
 
-# Largest tube build_nanotube constructs. Building peaks near 212 traced bytes
-# per edge (57.4 MB for the 271,200-edge armchair [300, 300], tracemalloc,
-# Python 3.11), so this caps a build near 1.1 GB. Counts and indices of larger
+# Largest tube build_nanotube constructs. Building peaks near 105 traced bytes
+# per edge (28.4 MB for the 271,200-edge armchair [300, 300], tracemalloc,
+# Python 3.11), so this caps a build near 0.5 GB. Counts and indices of larger
 # tubes come from tube_edge_partition, which builds no graph.
 MAX_BUILD_EDGES = 5_000_000
 
@@ -73,7 +74,7 @@ class NanotubeKind(enum.Enum):
     def parse(cls, name: str) -> "NanotubeKind":
         try:
             return cls(name.lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise InvalidSpecError(
                 f"unknown nanotube kind {name!r} (expected 'armchair' or 'zigzag')"
             ) from None
@@ -122,8 +123,9 @@ def grid_edge_count(
 
     Computed in O(1) from tube_edge_count's formulas summed over the grid:
     3*sum(m)*sum(n) + c*sum(m)*len(n-range), with c = 4 for armchair and 2
-    for zigzag. The ranges are assumed to pass validate_ranges.
+    for zigzag. The ranges are checked with validate_ranges first.
     """
+    validate_ranges(m_range, n_range)
     (m_lo, m_hi), (n_lo, n_hi) = m_range, n_range
     m_sum = (m_lo + m_hi) * (m_hi - m_lo + 1) // 2
     n_sum = (n_lo + n_hi) * (n_hi - n_lo + 1) // 2
@@ -148,34 +150,44 @@ def tube_edge_partition(spec: NanotubeSpec) -> EdgePartition:
     return EdgePartition(classes)
 
 
-# The generators emit runs of zip(range, range) per row, so the per-edge work
-# runs in C; each row's wrap-around edge is appended on its own. The loop
-# versions, one iteration per edge, are kept in the tests as the reference.
-def _zigzag_edges(m: int, n: int) -> list[Edge]:
+# The generators chain runs of zip(ids slice, ids slice) per row, so the
+# per-edge work runs in C and no edge list is built: Graph reads each pair
+# and drops it, and zip reuses its result tuple. Each row's wrap-around edge
+# is a one-element run. Slicing one ids list, not two ranges, makes the
+# edges Graph keeps share one int object per vertex. The loop versions, one
+# iteration per edge, are kept in the tests as the reference.
+def _zigzag_edges(m: int, n: int) -> Iterator[Edge]:
     width = 2 * m
-    edges: list[Edge] = []
-    for r in range(n + 1):
-        base, end = r * width, (r + 1) * width
-        edges.extend(zip(range(base, end - 1), range(base + 1, end)))
-        edges.append((end - 1, base))
-    for r in range(n):
-        low = r * width + r % 2
-        high = low + width
-        edges.extend(zip(range(low, high, 2), range(high, high + width, 2)))
-    return edges
+    ids = list(range((n + 1) * width))
+
+    def runs() -> Iterator[Iterable[Edge]]:
+        for r in range(n + 1):
+            base, end = r * width, (r + 1) * width
+            yield zip(ids[base : end - 1], ids[base + 1 : end])
+            yield ((ids[end - 1], ids[base]),)
+        for r in range(n):
+            low = r * width + r % 2
+            high = low + width
+            yield zip(ids[low:high:2], ids[high : high + width : 2])
+
+    return chain.from_iterable(runs())
 
 
-def _armchair_edges(m: int, n: int) -> list[Edge]:
+def _armchair_edges(m: int, n: int) -> Iterator[Edge]:
     width = 2 * m
-    edges: list[Edge] = list(zip(range((n + 1) * width), range(width, (n + 2) * width)))
-    for r in range(n + 2):
-        base, end = r * width, (r + 1) * width
-        if r % 2 == 0:
-            edges.extend(zip(range(base, end, 2), range(base + 1, end, 2)))
-        else:
-            edges.extend(zip(range(base + 1, end - 1, 2), range(base + 2, end, 2)))
-            edges.append((end - 1, base))
-    return edges
+    ids = list(range((n + 2) * width))
+
+    def runs() -> Iterator[Iterable[Edge]]:
+        yield zip(ids[: (n + 1) * width], ids[width:])
+        for r in range(n + 2):
+            base, end = r * width, (r + 1) * width
+            if r % 2 == 0:
+                yield zip(ids[base:end:2], ids[base + 1 : end : 2])
+            else:
+                yield zip(ids[base + 1 : end - 1 : 2], ids[base + 2 : end : 2])
+                yield ((ids[end - 1], ids[base]),)
+
+    return chain.from_iterable(runs())
 
 
 def build_nanotube(spec: NanotubeSpec) -> Graph:
@@ -198,8 +210,16 @@ def build_nanotube(spec: NanotubeSpec) -> Graph:
 
 
 def validate_ranges(m_range: tuple[int, int], n_range: tuple[int, int]) -> None:
-    """Check inclusive (lo, hi) grid ranges against the tube parameter domain."""
-    for name, (lo, hi) in (("m", m_range), ("n", n_range)):
+    """Check inclusive (lo, hi) grid ranges against the tube parameter domain.
+
+    Each range must be a pair of ints; a float, bool or str bound is refused
+    with InvalidSpecError, as NanotubeSpec refuses such an m or n.
+    """
+    for name, bounds in (("m", m_range), ("n", n_range)):
+        if not (isinstance(bounds, tuple) and len(bounds) == 2
+                and type(bounds[0]) is int and type(bounds[1]) is int):
+            raise InvalidSpecError(f"{name} range must be a pair of ints (got {bounds!r})")
+        lo, hi = bounds
         if lo > hi:
             raise ValueError(
                 f"empty range {lo}:{hi} for {name} (lower bound must not exceed upper bound)"

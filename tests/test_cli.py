@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import polyhex.cli
 import polyhex.forms
 import polyhex.tubes
 from polyhex import Graph, edge_partition
-from polyhex.cli import main
+from polyhex.cli import MAX_SWEEP_ROWS, main
 
 
 def run_cli(capsys, *argv: str):
@@ -287,6 +288,34 @@ class TestSweep:
         )
         assert code == 2
         assert "cannot write" in err
+
+    def test_huge_grid_refused_before_any_row(self, capsys, tmp_path, monkeypatch):
+        def no_rows(spec):
+            raise AssertionError("row computed for a refused sweep")
+
+        monkeypatch.setattr(polyhex.cli, "tube_edge_partition", no_rows)
+        out_path = tmp_path / "huge.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--m-range", "2:100000", "--n-range", "1:100000",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert f"more than the {MAX_SWEEP_ROWS} one sweep may write" in err
+        assert not out_path.exists()
+
+    def test_row_limit_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(polyhex.cli, "MAX_SWEEP_ROWS", 8)
+
+        def sweep(n_range):
+            return run_cli(
+                capsys, "sweep", "--m-range", "2:3", "--n-range", n_range,
+                "--out", str(tmp_path / "x.csv"),
+            )
+
+        code, _, err = sweep("1:2")
+        assert code == 0 and "wrote 8 rows" in err
+        code, _, err = sweep("1:3")
+        assert code == 2 and "would write 12 rows" in err
 
     def test_empty_range_rejected_before_writing(self, capsys, tmp_path):
         out_path = tmp_path / "never.csv"

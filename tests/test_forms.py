@@ -41,6 +41,12 @@ def oracle_value(kind: NanotubeKind, m: int, n: int) -> Fraction:
     assert value is not None
     return value
 
+# exact coefficients, and values of the wrong type
+loose_coefficients = st.one_of(
+    st.integers(-50, 50), st.fractions(-50, 50, max_denominator=64), st.booleans(),
+    st.floats(-50, 50), st.text(max_size=2), st.none(),
+)
+
 
 class TestPublishedForms:
     def test_catalog(self):
@@ -77,6 +83,58 @@ class TestPublishedForms:
             form.evaluate(1, 3)
         with pytest.raises(InvalidSpecError):
             form.evaluate(4, 0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("a", 0.5, r"coefficient a must be an int or a Fraction \(got 0.5\)"),
+            ("b", True, r"coefficient b must be an int or a Fraction \(got True\)"),
+            ("b", "1/2", r"coefficient b must be an int or a Fraction"),
+            ("kind", "armchair", r"kind must be a NanotubeKind \(got 'armchair'\)"),
+            ("provenance", "stated", r"provenance must be a Provenance \(got 'stated'\)"),
+            ("index_name", "wiener", r"unknown index 'wiener'"),
+            ("index_name", None, r"unknown index None"),
+        ],
+        ids=["float-a", "bool-b", "str-b", "str-kind", "str-provenance", "unknown-index",
+             "none-index"],
+    )
+    def test_malformed_form_rejected(self, field, value, message):
+        fields = dict(
+            kind=NanotubeKind.ARMCHAIR, index_name="azi", a=A, b=Fraction(1),
+            provenance=Provenance.STATED,
+        )
+        fields[field] = value
+        with pytest.raises(ValueError, match=message):
+            ClosedForm(**fields)
+
+    def test_int_coefficients_stored_as_fractions(self):
+        form = ClosedForm(NanotubeKind.ZIGZAG, "azi", 2, -1, Provenance.STATED)
+        assert type(form.a) is Fraction and type(form.b) is Fraction
+        assert type(form.evaluate(2, 1)) is Fraction
+
+    @given(
+        st.one_of(st.sampled_from(list(NanotubeKind)), st.just("zigzag")),
+        st.sampled_from(["azi", "randic", "abc", "wiener", ""]),
+        loose_coefficients,
+        loose_coefficients,
+        st.one_of(st.sampled_from(list(Provenance)), st.just("fitted")),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_constructor_accepts_exactly_valid_forms(self, kind, index_name, a, b, provenance):
+        valid = (
+            isinstance(kind, NanotubeKind)
+            and index_name in ("azi", "randic", "abc")
+            and all(type(c) is int or type(c) is Fraction for c in (a, b))
+            and isinstance(provenance, Provenance)
+        )
+        if not valid:
+            with pytest.raises(ValueError):
+                ClosedForm(kind, index_name, a, b, provenance)
+            return
+        form = ClosedForm(kind, index_name, a, b, provenance)
+        assert (form.a, form.b) == (a, b)
+        assert form.evaluate(3, 2) == Fraction(a) * 6 + Fraction(b) * 3
+        assert type(form.evaluate(3, 2)) is Fraction
 
     def test_evaluate_is_linear_in_n(self):
         form = published_forms()[0]
@@ -203,6 +261,15 @@ class TestVerification:
         with pytest.raises(ValueError, match="empty range"):
             verify_published_forms((5, 2), (1, 3))
 
+    @pytest.mark.parametrize(
+        "m_range, n_range",
+        [((2, 3.5), (1, 2)), ((2, 3), (1.0, 2)), ((True, 3), (1, 2)), ((2, 3), ("1", 2))],
+        ids=["float-m", "float-n", "bool-m", "str-n"],
+    )
+    def test_verify_rejects_non_int_bounds(self, m_range, n_range):
+        with pytest.raises(InvalidSpecError, match="range must be a pair of ints"):
+            verify_forms(published_forms(), m_range, n_range)
+
     def test_verify_rejects_out_of_domain_range(self):
         with pytest.raises(InvalidSpecError):
             verify_published_forms((1, 3), (1, 3))
@@ -225,6 +292,14 @@ class TestGridBudget:
             for n in range(n_range[0], n_range[1] + 1)
         )
         assert grid_edge_count(kinds, m_range, n_range) == expected
+
+    @pytest.mark.parametrize(
+        "m_range, n_range", [((2, 3.5), (1, 2)), ((2, 3), (1, 2.0)), ((2, 3), (False, 2))],
+        ids=["float-m", "float-n", "bool-n"],
+    )
+    def test_grid_edge_count_rejects_non_int_bounds(self, m_range, n_range):
+        with pytest.raises(InvalidSpecError, match="range must be a pair of ints"):
+            grid_edge_count([NanotubeKind.ARMCHAIR], m_range, n_range)
 
     def test_grid_of_small_tubes_refused_before_any_build(self, monkeypatch):
         def no_build(spec):

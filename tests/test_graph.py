@@ -222,6 +222,56 @@ class TestEdgePartition:
             edge_partition(relabel(g, perm)).classes
         )
 
+    @pytest.mark.parametrize(
+        "vertex_count, edges",
+        [
+            (301, [(0, v) for v in range(1, 301)]),
+            (301, [(v, 300) for v in range(300)]),
+            (8, [(0, 5), (1, 5), (2, 5), (3, 5), (4, 5), (5, 6), (5, 7), (0, 1)]),
+        ],
+        ids=["star-K1-300-hub-first", "star-K1-300-hub-last", "low-endpoint-higher-degree"],
+    )
+    def test_wide_degrees_match_brute_force(self, vertex_count, edges):
+        # the hypothesis graphs stay under degree 8; these reach degree 300
+        # and put the higher degree on either endpoint
+        part = edge_partition(Graph(vertex_count, edges))
+        assert dict(part.classes) == oracles.partition_from_edges(vertex_count, edges)
+
+    @given(
+        st.dictionaries(
+            st.one_of(
+                st.tuples(st.integers(-1, 5), st.integers(-1, 5)),
+                st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+                st.tuples(st.integers(1, 5), st.floats(1, 5)),
+                st.tuples(st.booleans(), st.integers(1, 5)),
+                st.integers(1, 5),
+                st.text(max_size=2),
+            ),
+            st.one_of(
+                st.integers(-2, 10**6), st.booleans(), st.floats(allow_nan=False),
+                st.fractions(), st.none(),
+            ),
+            max_size=5,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_constructor_accepts_exactly_valid_classes(self, classes):
+        valid = all(
+            isinstance(pair, tuple) and len(pair) == 2
+            and type(pair[0]) is int and type(pair[1]) is int
+            and 1 <= pair[0] <= pair[1] and type(count) is int and count >= 0
+            for pair, count in classes.items()
+        )
+        if not valid:
+            with pytest.raises(ValueError):
+                EdgePartition(classes)
+            return
+        part = EdgePartition(classes)
+        kept = {pair: count for pair, count in classes.items() if count}
+        assert dict(part.classes) == kept
+        assert list(part.classes) == sorted(kept)
+        assert part.total == sum(kept.values())
+
     def test_keys_sorted(self):
         part = EdgePartition({(3, 3): 1, (1, 2): 2, (2, 3): 4})
         assert list(part.classes) == [(1, 2), (2, 3), (3, 3)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,12 @@ KINDS = (NanotubeKind.ARMCHAIR, NanotubeKind.ZIGZAG)
 specs = st.tuples(
     st.sampled_from(KINDS), st.integers(2, 7), st.integers(1, 7)
 ).map(lambda t: NanotubeSpec(*t))
+
+# ints in and out of the domain, and values of the wrong type
+loose_numbers = st.one_of(
+    st.integers(-3, 12), st.booleans(), st.floats(-3, 12), st.fractions(-3, 12),
+    st.text(max_size=2), st.none(),
+)
 
 
 class TestSpecValidation:
@@ -73,6 +81,29 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             NanotubeKind.parse("chiral")
 
+    @pytest.mark.parametrize("name", [5, None, b"armchair"])
+    def test_kind_parse_rejects_non_str(self, name):
+        with pytest.raises(InvalidSpecError, match="unknown nanotube kind"):
+            NanotubeKind.parse(name)
+
+    @given(
+        st.one_of(st.sampled_from(KINDS), st.sampled_from(["armchair", "zigzag"]), st.none()),
+        loose_numbers,
+        loose_numbers,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_constructor_accepts_exactly_valid_specs(self, kind, m, n):
+        valid = (
+            isinstance(kind, NanotubeKind)
+            and type(m) is int and type(n) is int and m >= 2 and n >= 1
+        )
+        if not valid:
+            with pytest.raises(InvalidSpecError):
+                NanotubeSpec(kind, m, n)
+            return
+        spec = NanotubeSpec(kind, m, n)
+        assert (spec.kind, spec.m, spec.n) == (kind, m, n)
+
     def test_validate_ranges_accepts_forward_ranges(self):
         validate_ranges((2, 12), (1, 12))
 
@@ -81,6 +112,23 @@ class TestSpecValidation:
             validate_ranges((12, 2), (1, 3))
         with pytest.raises(ValueError, match="empty range 5:4"):
             validate_ranges((2, 3), (5, 4))
+
+    @pytest.mark.parametrize(
+        "m_range, n_range, message",
+        [
+            ((2, 3.5), (1, 2), r"m range must be a pair of ints \(got \(2, 3.5\)\)"),
+            ((2, 3), (1.0, 2), r"n range must be a pair of ints"),
+            ((False, 3), (1, 2), r"m range must be a pair of ints \(got \(False, 3\)\)"),
+            ((2, 3), (1, True), r"n range must be a pair of ints"),
+            (("2", 3), (1, 2), r"m range must be a pair of ints"),
+            ((2, 3), "1:2", r"n range must be a pair of ints"),
+            ((2, 3, 4), (1, 2), r"m range must be a pair of ints"),
+        ],
+        ids=["float-hi", "float-lo", "bool-lo", "bool-hi", "str-bound", "str-range", "triple"],
+    )
+    def test_validate_ranges_rejects_non_int_bounds(self, m_range, n_range, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            validate_ranges(m_range, n_range)
 
     def test_validate_ranges_rejects_domain(self):
         with pytest.raises(InvalidSpecError):
@@ -111,6 +159,25 @@ class TestBuildSizeGuard:
         assert build_nanotube(spec).edge_count == tube_edge_count(spec)
         with pytest.raises(TubeTooLargeError):
             build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, 2, 2))
+
+
+class TestBuildMemory:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_peak_traced_bytes_per_edge(self, kind):
+        # Each edge and each vertex id is allocated once: no edge list is
+        # built beside Graph's canonical tuples.
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            g = build_nanotube(NanotubeSpec(kind, 100, 100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak - before <= 130 * g.edge_count
 
 
 class TestCounts:
@@ -248,7 +315,7 @@ class TestStructure:
             (polyhex.tubes._armchair_edges, oracles.armchair_edges_reference),
             (polyhex.tubes._zigzag_edges, oracles.zigzag_edges_reference),
         ):
-            edges = generate(m, n)
+            edges = list(generate(m, n))
             expected = reference(m, n)
             assert len(edges) == len(expected)
             assert {(min(e), max(e)) for e in edges} == {(min(e), max(e)) for e in expected}
