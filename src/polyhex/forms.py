@@ -23,6 +23,7 @@ from .tubes import (
     NanotubeSpec,
     build_nanotube,
     grid_edge_count,
+    tube_edge_count,
 )
 
 __all__ = [
@@ -44,20 +45,22 @@ __all__ = [
 ]
 
 
-# Most edges the oracle may build for one verification grid, summed over its
-# tubes. Every tube of a large grid passes build_nanotube's per-tube cap, so
-# only this bound keeps a wide range from running for hours. The oracle
-# builds and sums about 1.3 million edges per second (verify --kind both on
-# 2:26 x 1:25 builds 735,000 edges in 0.57 s; 2-CPU Xeon VM, Python 3.11),
-# so this allows about 15 s.
+# Most edges the oracle may build for one verification grid, or for the
+# samples of one fit, summed over its tubes. Every tube of a large grid or a
+# long sample list passes build_nanotube's per-tube cap, so only this bound
+# keeps such a call from running for hours. The oracle builds and sums about
+# 1.3 million edges per second (verify --kind both on 2:26 x 1:25 builds
+# 735,000 edges in 0.57 s; 2-CPU Xeon VM, Python 3.11), so this allows about
+# 15 s.
 MAX_VERIFY_EDGES = 20_000_000
 
 
 class GridTooLargeError(InvalidSpecError):
     """A grid over its size cap.
 
-    A verification grid may build at most MAX_VERIFY_EDGES edges in total;
-    a sweep grid may have at most MAX_SWEEP_ROWS rows (polyhex.cli).
+    A verification grid, or the sample list of one fit, may build at most
+    MAX_VERIFY_EDGES edges in total; a sweep grid may have at most
+    MAX_SWEEP_ROWS rows (polyhex.cli).
     """
 
 
@@ -180,7 +183,9 @@ def fit_closed_form(
 
     Only the augmented Zagreb index has exact rational values; for randic
     or abc the irrational per-edge terms admit no exact rational (a, b), so
-    the fit is refused as inconsistent rather than approximated.
+    the fit is refused as inconsistent rather than approximated. Samples
+    whose tubes would together have more than MAX_VERIFY_EDGES edges are
+    refused with GridTooLargeError before any tube is built.
     """
     if index_name not in EDGE_FUNCTIONS:
         raise ValueError(
@@ -191,7 +196,14 @@ def fit_closed_form(
             f"index {index_name!r} has irrational edge terms; no exact rational "
             "a*mn + b*m exists, and approximate fitting is not supported"
         )
-    values = [azi(build_nanotube(NanotubeSpec(kind, m, n))).exact for (m, n) in samples]
+    specs = [NanotubeSpec(kind, m, n) for m, n in samples]
+    edges = sum(map(tube_edge_count, specs))
+    if edges > MAX_VERIFY_EDGES:
+        raise GridTooLargeError(
+            f"fit samples would build {edges} edges, more than the "
+            f"{MAX_VERIFY_EDGES} one fit may build"
+        )
+    values = [azi(build_nanotube(spec)).exact for spec in specs]
     a, b = fit_from_values(samples, values)
     return ClosedForm(kind, index_name, a, b, Provenance.FITTED)
 

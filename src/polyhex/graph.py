@@ -7,7 +7,7 @@ everything downstream (index sums, serialized output) is deterministic.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from operator import add, eq, itemgetter
@@ -27,7 +27,6 @@ __all__ = [
     "SelfLoopError",
     "VertexOutOfRangeError",
     "edge_partition",
-    "is_connected",
 ]
 
 
@@ -174,8 +173,7 @@ class EdgePartition:
             if type(count) is not int:
                 raise ValueError(f"degree class {pair} has non-int count {count!r}")
         cleaned: dict[DegreePair, int] = {}
-        for pair in sorted(self.classes):
-            count = self.classes[pair]
+        for pair, count in sorted(self.classes.items()):
             lo, hi = pair
             if not 1 <= lo <= hi:
                 raise ValueError(f"degree class {pair} must satisfy 1 <= d_min <= d_max")
@@ -217,25 +215,3 @@ def edge_partition(g: Graph) -> EdgePartition:
             classes[(du, dv) if du <= dv else (dv, du)] += count
         g._partition = EdgePartition(classes)
     return g._partition
-
-
-def is_connected(g: Graph) -> bool:
-    """True iff g has a single connected component (vacuously true when empty)."""
-    if g.vertex_count == 0:
-        return True
-    adjacency: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for u, v in g.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen = bytearray(g.vertex_count)
-    seen[0] = 1
-    reached = 1
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in adjacency[x]:
-            if not seen[y]:
-                seen[y] = 1
-                reached += 1
-                queue.append(y)
-    return reached == g.vertex_count

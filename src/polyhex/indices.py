@@ -21,6 +21,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
+from operator import mul
 from typing import Callable
 
 from .graph import EdgePartition, Graph, edge_partition
@@ -92,14 +94,6 @@ class IndexValue:
     exact: Fraction | None
     approx: float
 
-    @classmethod
-    def from_exact(cls, value: Fraction) -> "IndexValue":
-        return cls(exact=value, approx=float(value))
-
-    @classmethod
-    def from_float(cls, value: float) -> "IndexValue":
-        return cls(exact=None, approx=value)
-
 
 @dataclass(frozen=True)
 class EdgeFunction:
@@ -135,15 +129,21 @@ def abc(g: Graph) -> IndexValue:
 def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValue:
     """Sum count * f(d_min, d_max) over the partition's degree classes.
 
-    Exact edge functions sum integer numerators over the lcm of the term
-    denominators and reduce once; the others sum with math.fsum in sorted
-    degree-class order, so the result is deterministic.
+    Exact edge functions accumulate one integer numerator over the running
+    lcm of the term denominators and reduce once; the float approximation
+    is num / den, which int true division rounds correctly. The others sum
+    with math.fsum in sorted degree-class order, so the result is
+    deterministic.
     """
+    classes = partition.classes
     if f.exact:
-        terms = [(count, f.term(*pair)) for pair, count in partition.classes.items()]
-        den = math.lcm(*(term.denominator for _, term in terms))
-        num = sum(count * term.numerator * (den // term.denominator) for count, term in terms)
-        return IndexValue.from_exact(Fraction(num, den))
-    return IndexValue.from_float(
-        math.fsum(count * f.term(*pair) for pair, count in partition.classes.items())
-    )
+        num, den = 0, 1
+        for pair, count in classes.items():
+            term = f.term(*pair)
+            term_den = term.denominator
+            lcm = math.lcm(den, term_den)
+            num = num * (lcm // den) + count * term.numerator * (lcm // term_den)
+            den = lcm
+        return IndexValue(Fraction(num, den), num / den)
+    # count * f(class) for each class, in the partition's sorted order
+    return IndexValue(None, math.fsum(map(mul, classes.values(), starmap(f.term, classes))))

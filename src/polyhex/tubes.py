@@ -95,9 +95,10 @@ class NanotubeSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, NanotubeKind):
             raise InvalidSpecError(f"kind must be a NanotubeKind (got {self.kind!r})")
-        for name, value in (("m", self.m), ("n", self.n)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidSpecError(f"{name} must be an int (got {value!r})")
+        if not isinstance(self.m, int) or isinstance(self.m, bool):
+            raise InvalidSpecError(f"m must be an int (got {self.m!r})")
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise InvalidSpecError(f"n must be an int (got {self.n!r})")
         if self.m < 2:
             raise InvalidSpecError(f"m must be >= 2 (got {self.m})")
         if self.n < 1:

@@ -1,12 +1,15 @@
 """Independent brute-force oracles and small graph builders for the tests.
 
-Everything here works from a raw edge list, on purpose: degrees, components
-and girth are recomputed from scratch rather than read off the Graph object
-under test. Extended-precision references use mpmath at 50 digits.
+Everything here works from a raw edge list, on purpose: degrees,
+connectivity, components and girth are recomputed from scratch rather than
+read off the Graph object under test. Extended-precision references use
+mpmath at 50 digits; the CLI's decimal strings are checked against the
+decimal module.
 """
 
 from __future__ import annotations
 
+import decimal
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -56,6 +59,28 @@ def component_count(vertex_count: int, edges: list[Edge]) -> int:
     return components
 
 
+def is_connected(g: Graph) -> bool:
+    """True iff g has a single connected component (vacuously true when empty)."""
+    if g.vertex_count == 0:
+        return True
+    adjacency: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    seen = bytearray(g.vertex_count)
+    seen[0] = 1
+    reached = 1
+    queue = deque([0])
+    while queue:
+        x = queue.popleft()
+        for y in adjacency[x]:
+            if not seen[y]:
+                seen[y] = 1
+                reached += 1
+                queue.append(y)
+    return reached == g.vertex_count
+
+
 def girth(vertex_count: int, edges: list[Edge]) -> int | None:
     """Length of a shortest cycle via BFS from every vertex; None if acyclic."""
     adjacency: list[list[int]] = [[] for _ in range(vertex_count)]
@@ -100,6 +125,22 @@ def abc_reference(vertex_count: int, edges: list[Edge]) -> mpmath.mpf:
         mpmath.sqrt(mpmath.mpf(degs[u] + degs[v] - 2) / (degs[u] * degs[v]))
         for u, v in edges
     )
+
+
+def exact_decimal_reference(q: Fraction) -> str:
+    """q in decimal via the decimal module: every digit, trailing zeros dropped,
+    when the expansion terminates; otherwise the float to 15 significant digits."""
+    num, den = q.numerator, q.denominator
+    # a terminating expansion of num / (2**a * 5**b) has at most
+    # len(num) + max(a, b) significant digits, and max(a, b) < den.bit_length()
+    context = decimal.Context(
+        prec=len(str(abs(num))) + den.bit_length() + 1, traps=[decimal.Inexact]
+    )
+    try:
+        value = context.divide(decimal.Decimal(num), decimal.Decimal(den))
+    except decimal.Inexact:
+        return f"{float(q):.15g}"
+    return format(value.normalize(context), "f")
 
 
 def rel_close(value: float, reference, rel: float = 1e-12) -> bool:

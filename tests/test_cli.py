@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polyhex.cli
 import polyhex.forms
 import polyhex.tubes
 from polyhex import Graph, edge_partition
-from polyhex.cli import MAX_SWEEP_ROWS, main
+from polyhex.cli import MAX_SWEEP_ROWS, _exact_decimal, main
+
+import oracles
 
 
 def run_cli(capsys, *argv: str):
@@ -178,6 +186,17 @@ class TestFit:
         assert code == 2
         assert "m must be >= 2" in err
 
+    def test_long_sample_list_refused_before_any_build(self, capsys, monkeypatch):
+        def no_build(spec):
+            raise AssertionError("tube built for a refused fit")
+
+        monkeypatch.setattr(polyhex.forms, "build_nanotube", no_build)
+        samples = [f"1000,{1000 + i}" for i in range(7)]
+        code, out, err = run_cli(capsys, "fit", "--kind", "armchair", "--samples", *samples)
+        assert code == 2
+        assert out == ""
+        assert "more than the 20000000 one fit may build" in err
+
 
 class TestVerify:
     def test_full_grid_flags_published_forms(self, capsys):
@@ -289,6 +308,35 @@ class TestSweep:
         assert code == 2
         assert "cannot write" in err
 
+    def test_unwritable_path_refused_before_any_row(self, capsys, tmp_path, monkeypatch):
+        def no_rows(spec):
+            raise AssertionError("row computed for an unwritable sweep")
+
+        monkeypatch.setattr(polyhex.cli, "tube_edge_partition", no_rows)
+        code, _, err = run_cli(
+            capsys, "sweep", "--m-range", "2:50", "--n-range", "1:50",
+            "--out", str(tmp_path / "missing" / "x.csv"),
+        )
+        assert code == 2
+        assert "cannot write" in err
+
+    def test_error_while_writing_rows(self, capsys, tmp_path, monkeypatch):
+        class FullDisk(io.StringIO):
+            # takes the header, then fails as a full disk does
+            def write(self, text):
+                if self.tell():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(text)
+
+        monkeypatch.setattr(polyhex.cli, "open", lambda *a, **k: FullDisk(), raising=False)
+        code, _, err = run_cli(
+            capsys, "sweep", "--m-range", "2:3", "--n-range", "1:2",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "cannot write" in err and "No space left on device" in err
+        assert "wrote" not in err
+
     def test_huge_grid_refused_before_any_row(self, capsys, tmp_path, monkeypatch):
         def no_rows(spec):
             raise AssertionError("row computed for a refused sweep")
@@ -316,6 +364,27 @@ class TestSweep:
         assert code == 0 and "wrote 8 rows" in err
         code, _, err = sweep("1:3")
         assert code == 2 and "would write 12 rows" in err
+
+    # Rows are written as they are computed, so the peak does not grow with
+    # the grid (4,000 and 16,000 rows here).
+    @pytest.mark.parametrize("m_range, n_range", [("2:41", "1:50"), ("2:81", "1:100")])
+    def test_peak_traced_memory_is_flat(self, capsys, tmp_path, m_range, n_range):
+        argv = ("sweep", "--m-range", m_range, "--n-range", n_range,
+                "--out", str(tmp_path / "x.csv"))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            code = main(list(argv))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak - before < 512 * 1024
 
     def test_empty_range_rejected_before_writing(self, capsys, tmp_path):
         out_path = tmp_path / "never.csv"
@@ -374,6 +443,26 @@ class TestDeterminism:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # SHA-256 of index-subset CSVs from the implementation that held every
+    # row until the end; pins the blank cells of unselected indices.
+    @pytest.mark.parametrize(
+        "kind, indices, digest",
+        [
+            ("zigzag", "abc,azi",
+             "02b975db79d163ff9c077939b4d2429c0af9ffd467826d4ab546cab824fad119"),
+            ("armchair", "randic",
+             "7a641107775a8501cbe70a5384c1e5a401dc4c11d0557774b7d1e0aa1b018fc8"),
+        ],
+    )
+    def test_sweep_subset_csv_matches_pinned_digest(self, capsys, tmp_path, kind, indices, digest):
+        out_path = tmp_path / "subset.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--kind", kind, "--indices", indices,
+            "--m-range", "2:30", "--n-range", "1:30", "--out", str(out_path),
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
     def test_sweep_csv_matches_pinned_digest(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
         code, _, _ = run_cli(
@@ -383,3 +472,29 @@ class TestDeterminism:
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
             "26216ad45b4b8d2198f2867ea3a7a0575f5b74b3b848f383d61e095e1fd49801"
         )
+
+
+TERMINATING_DENOMINATORS = st.builds(
+    lambda a, b: 2**a * 5**b, st.integers(0, 40), st.integers(0, 40)
+)
+# a factor coprime to 10 makes the expansion non-terminating
+OTHER_FACTORS = st.sampled_from([3, 7, 9, 11, 13, 17, 21, 49, 999, 2**61 - 1])
+NON_TERMINATING_DENOMINATORS = st.builds(
+    lambda den, factor: den * factor, TERMINATING_DENOMINATORS, OTHER_FACTORS
+)
+
+
+class TestExactDecimal:
+    @given(
+        st.integers(-(10**15), 10**15),
+        st.one_of(st.just(1), TERMINATING_DENOMINATORS, NON_TERMINATING_DENOMINATORS),
+    )
+    @example(0, 1)
+    @example(0, 2**40 * 5**40)
+    @example(-1, 2**40)
+    @example(-(10**15), 5**40)
+    @example(10**15, 3)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_decimal_module_reference(self, num, den):
+        q = Fraction(num, den)
+        assert _exact_decimal(q) == oracles.exact_decimal_reference(q)

@@ -325,6 +325,27 @@ class TestGridBudget:
         with pytest.raises(GridTooLargeError):
             verify_published_forms((2, 3), (1, 3), kinds)
 
+    def test_long_fit_sample_list_refused_before_any_build(self, monkeypatch):
+        def no_build(spec):
+            raise AssertionError("tube built for a refused fit")
+
+        monkeypatch.setattr(polyhex.forms, "build_nanotube", no_build)
+        samples = [(1000, 1000 + i) for i in range(7)]
+        edges = [tube_edge_count(NanotubeSpec(NanotubeKind.ARMCHAIR, m, n)) for m, n in samples]
+        assert max(edges) <= MAX_BUILD_EDGES
+        assert sum(edges) > MAX_VERIFY_EDGES
+        with pytest.raises(GridTooLargeError, match="more than the 20000000 one fit may build"):
+            fit_closed_form(NanotubeKind.ARMCHAIR, "azi", samples)
+
+    def test_fit_limit_is_inclusive(self, monkeypatch):
+        kind = NanotubeKind.ZIGZAG
+        samples = [(2, 1), (2, 2), (3, 1)]
+        limit = sum(tube_edge_count(NanotubeSpec(kind, m, n)) for m, n in samples)
+        monkeypatch.setattr(polyhex.forms, "MAX_VERIFY_EDGES", limit)
+        assert fit_closed_form(kind, "azi", samples).b == FITTED_B[kind]
+        with pytest.raises(GridTooLargeError):
+            fit_closed_form(kind, "azi", [*samples, (2, 3)])
+
 
 class TestCrossKind:
     @pytest.mark.parametrize("m", [2, 3, 5, 8])

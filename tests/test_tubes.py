@@ -21,7 +21,6 @@ from polyhex import (
     TubeTooLargeError,
     build_nanotube,
     edge_partition,
-    is_connected,
     tube_edge_count,
     tube_edge_partition,
     tube_vertex_count,
@@ -255,7 +254,7 @@ class TestStructure:
     @settings(max_examples=30, deadline=None)
     def test_connected(self, spec: NanotubeSpec):
         g = build_nanotube(spec)
-        assert is_connected(g)
+        assert oracles.is_connected(g)
         assert oracles.component_count(g.vertex_count, list(g.edges)) == 1
 
     @given(specs)
