@@ -5,112 +5,16 @@ parametrized by (m, n), computes the Randic, atom-bond connectivity and
 augmented Zagreb indices as sums over degree classes (exact for the
 augmented Zagreb index), and adjudicates published closed-form expressions
 against the brute-force oracle.
+
+The public names are those of each module's __all__.
 """
 
-from .forms import (
-    DEFAULT_FIT_SAMPLES,
-    ClosedForm,
-    DiscrepancyReport,
-    FormCheck,
-    GridTooLargeError,
-    InconsistentSamplesError,
-    MAX_VERIFY_EDGES,
-    PointCheck,
-    Provenance,
-    SingularSystemError,
-    fit_closed_form,
-    fit_from_values,
-    published_forms,
-    verify_forms,
-    verify_published_forms,
-)
-from .graph import (
-    DuplicateEdgeError,
-    EdgePartition,
-    Graph,
-    GraphError,
-    SelfLoopError,
-    VertexOutOfRangeError,
-    edge_partition,
-)
-from .indices import (
-    ABC,
-    AZI,
-    EDGE_FUNCTIONS,
-    EdgeFunction,
-    IndexValue,
-    RANDIC,
-    UndefinedTermError,
-    abc,
-    abc_term,
-    azi,
-    azi_term,
-    index_from_partition,
-    randic,
-    randic_term,
-)
-from .tubes import (
-    MAX_BUILD_EDGES,
-    InvalidSpecError,
-    NanotubeKind,
-    NanotubeSpec,
-    TubeTooLargeError,
-    build_nanotube,
-    grid_edge_count,
-    tube_edge_count,
-    tube_edge_partition,
-    tube_vertex_count,
-    validate_ranges,
-)
+from .forms import *
+from .graph import *
+from .indices import *
+from .tubes import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ABC",
-    "AZI",
-    "ClosedForm",
-    "DEFAULT_FIT_SAMPLES",
-    "DiscrepancyReport",
-    "DuplicateEdgeError",
-    "EDGE_FUNCTIONS",
-    "EdgeFunction",
-    "EdgePartition",
-    "FormCheck",
-    "Graph",
-    "GraphError",
-    "GridTooLargeError",
-    "InconsistentSamplesError",
-    "IndexValue",
-    "InvalidSpecError",
-    "MAX_BUILD_EDGES",
-    "MAX_VERIFY_EDGES",
-    "NanotubeKind",
-    "NanotubeSpec",
-    "PointCheck",
-    "Provenance",
-    "RANDIC",
-    "SelfLoopError",
-    "SingularSystemError",
-    "TubeTooLargeError",
-    "UndefinedTermError",
-    "VertexOutOfRangeError",
-    "abc",
-    "abc_term",
-    "azi",
-    "azi_term",
-    "build_nanotube",
-    "edge_partition",
-    "fit_closed_form",
-    "fit_from_values",
-    "grid_edge_count",
-    "index_from_partition",
-    "published_forms",
-    "randic",
-    "randic_term",
-    "tube_edge_count",
-    "tube_edge_partition",
-    "tube_vertex_count",
-    "validate_ranges",
-    "verify_forms",
-    "verify_published_forms",
-]
+# Importing a submodule binds its name here.
+__all__ = forms.__all__ + graph.__all__ + indices.__all__ + tubes.__all__

@@ -26,7 +26,7 @@ from .forms import (
     verify_published_forms,
 )
 from .graph import EdgePartition
-from .indices import ABC, AZI, RANDIC, index_from_partition
+from .indices import ABC, AZI, EDGE_FUNCTIONS, RANDIC, index_from_partition
 from .tubes import (
     InvalidSpecError,
     NanotubeKind,
@@ -38,7 +38,7 @@ from .tubes import (
     validate_ranges,
 )
 
-INDEX_NAMES = ("azi", "randic", "abc")
+INDEX_NAMES = tuple(EDGE_FUNCTIONS)
 
 # Most rows one sweep may write. Sweep writes each row as it is computed, so
 # its memory does not grow with the grid (tracemalloc peak near 200 KB at
@@ -110,16 +110,15 @@ def _index_fields(partition: EdgePartition, which: Sequence[str]) -> dict[str, d
     for name in INDEX_NAMES:
         if name not in which:
             continue
+        value = index_from_partition(partition, EDGE_FUNCTIONS[name])
         if name == "azi":
-            value = index_from_partition(partition, AZI)
             assert value.exact is not None
             out[name] = {
                 **_fraction_fields(value.exact),
                 "decimal": _exact_decimal(value.exact),
             }
         else:
-            f = RANDIC if name == "randic" else ABC
-            out[name] = {"decimal": _float_decimal(index_from_partition(partition, f).approx)}
+            out[name] = {"decimal": _float_decimal(value.approx)}
     return out
 
 

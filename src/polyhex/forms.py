@@ -133,6 +133,23 @@ def published_forms() -> tuple[ClosedForm, ...]:
 DEFAULT_FIT_SAMPLES: tuple[tuple[int, int], ...] = ((2, 1), (2, 2), (3, 1), (3, 2))
 
 
+def _independent_pair(samples: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """Indices of the first two samples whose rows (mn, m) are independent.
+
+    The rows of (m1, n1) and (m2, n2) have determinant m1*m2*(n1 - n2), so
+    for tube samples (m >= 2) they are independent exactly when their n
+    differ. Only the samples are read, so fit_closed_form runs this before
+    it builds any tube. Raises SingularSystemError when no pair is.
+    """
+    nonzero = [i for i, (m, _) in enumerate(samples) if m]
+    for j in nonzero[1:]:
+        if samples[j][1] != samples[nonzero[0]][1]:
+            return nonzero[0], j
+    raise SingularSystemError(
+        "samples are linearly dependent (need two samples with different n)"
+    )
+
+
 def fit_from_values(
     samples: Sequence[tuple[int, int]], values: Sequence[Fraction]
 ) -> tuple[Fraction, Fraction]:
@@ -145,28 +162,15 @@ def fit_from_values(
     """
     if len(samples) != len(values):
         raise ValueError("samples and values must have equal length")
-    if len(samples) < 2:
-        raise SingularSystemError("need at least two (m, n) samples to fit two coefficients")
+    i, j = _independent_pair(samples)
     rows = [
         (Fraction(m * n), Fraction(m), Fraction(value))
         for (m, n), value in zip(samples, values)
     ]
-    solution: tuple[Fraction, Fraction] | None = None
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            det = rows[i][0] * rows[j][1] - rows[j][0] * rows[i][1]
-            if det:
-                a = (rows[i][2] * rows[j][1] - rows[j][2] * rows[i][1]) / det
-                b = (rows[i][0] * rows[j][2] - rows[j][0] * rows[i][2]) / det
-                solution = (a, b)
-                break
-        if solution:
-            break
-    if solution is None:
-        raise SingularSystemError(
-            "samples are linearly dependent (need two samples with different n)"
-        )
-    a, b = solution
+    (mn_i, m_i, value_i), (mn_j, m_j, value_j) = rows[i], rows[j]
+    det = mn_i * m_j - mn_j * m_i
+    a = (value_i * m_j - value_j * m_i) / det
+    b = (mn_i * value_j - mn_j * value_i) / det
     for (m, n), (mn_coeff, m_coeff, value) in zip(samples, rows):
         if a * mn_coeff + b * m_coeff != value:
             raise InconsistentSamplesError(
@@ -183,9 +187,10 @@ def fit_closed_form(
 
     Only the augmented Zagreb index has exact rational values; for randic
     or abc the irrational per-edge terms admit no exact rational (a, b), so
-    the fit is refused as inconsistent rather than approximated. Samples
-    whose tubes would together have more than MAX_VERIFY_EDGES edges are
-    refused with GridTooLargeError before any tube is built.
+    the fit is refused as inconsistent rather than approximated. Before any
+    tube is built, samples that cannot determine (a, b) are refused with
+    SingularSystemError, and samples whose tubes would together have more
+    than MAX_VERIFY_EDGES edges with GridTooLargeError.
     """
     if index_name not in EDGE_FUNCTIONS:
         raise ValueError(
@@ -197,6 +202,7 @@ def fit_closed_form(
             "a*mn + b*m exists, and approximate fitting is not supported"
         )
     specs = [NanotubeSpec(kind, m, n) for m, n in samples]
+    _independent_pair(samples)
     edges = sum(map(tube_edge_count, specs))
     if edges > MAX_VERIFY_EDGES:
         raise GridTooLargeError(
@@ -270,21 +276,21 @@ def verify_forms(
                 f"verification oracle is exact and covers 'azi' only, not {form.index_name!r}"
             )
     _check_grid(tuple(form.kind for form in forms), m_range, n_range)
-    oracle_cache: dict[tuple[NanotubeKind, int, int], Fraction] = {}
+    grid = [
+        (m, n)
+        for m in range(m_range[0], m_range[1] + 1)
+        for n in range(n_range[0], n_range[1] + 1)
+    ]
+    oracles = {
+        kind: [azi(build_nanotube(NanotubeSpec(kind, m, n))).exact for m, n in grid]
+        for kind in dict.fromkeys(form.kind for form in forms)
+    }
     checks = []
     for form in forms:
         points = []
-        for m in range(m_range[0], m_range[1] + 1):
-            for n in range(n_range[0], n_range[1] + 1):
-                key = (form.kind, m, n)
-                oracle_value = oracle_cache.get(key)
-                if oracle_value is None:
-                    g = build_nanotube(NanotubeSpec(form.kind, m, n))
-                    oracle_value = azi(g).exact
-                    assert oracle_value is not None
-                    oracle_cache[key] = oracle_value
-                claimed = form.evaluate(m, n)
-                points.append(PointCheck(m, n, claimed, oracle_value, claimed - oracle_value))
+        for (m, n), oracle_value in zip(grid, oracles[form.kind]):
+            claimed = form.evaluate(m, n)
+            points.append(PointCheck(m, n, claimed, oracle_value, claimed - oracle_value))
         checks.append(FormCheck(form, tuple(points)))
     return DiscrepancyReport(m_range, n_range, tuple(checks))
 

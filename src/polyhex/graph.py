@@ -18,9 +18,7 @@ Edge = tuple[int, int]
 DegreePair = tuple[int, int]
 
 __all__ = [
-    "DegreePair",
     "DuplicateEdgeError",
-    "Edge",
     "EdgePartition",
     "Graph",
     "GraphError",

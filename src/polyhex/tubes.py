@@ -14,15 +14,15 @@ Armchair TUAC6[m, n], rows r = 0..n+1:
   * each row carries a perfect matching around the circumference: even rows
     pair (r, 2i)-(r, 2i+1), odd rows pair (r, 2i+1)-(r, (2i+2) mod 2m).
 
-With open tube ends (no caps) this yields exactly the known degree-class
-structure: armchair {(2,2): 2m, (2,3): 4m, (3,3): 3mn-2m} with 2m(n+2)
-vertices and 3mn+4m edges; zigzag {(2,3): 4m, (3,3): 3mn-2m} with 2mn+2m
-vertices and 3mn+2m edges. Any construction with these counts is equivalent
-for every degree-based index.
+With open tube ends (no caps), every count of either family, vertices and
+the edges of each degree class, is c_mn*m*n + c_m*m for integer
+coefficients that depend on the kind alone; _COUNTS below holds them, and
+every count function here reads them from it. Any construction with these
+counts is equivalent for every degree-based index.
 
 Domain: m >= 2 and n >= 1 for both kinds. Zigzag m = 2 is accepted although
 it is not hexagonal: its rows are 4-cycles, so its girth is 4 (every other
-tube here has girth 6). Its degree classes still follow the counts above,
+tube here has girth 6). Its degree classes still follow the counts in _COUNTS,
 so every degree-based index, and every closed form in m and n, holds there
 as it does for m >= 3.
 """
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .graph import Edge, EdgePartition, Graph
+from .graph import DegreePair, Edge, EdgePartition, Graph
 
 __all__ = [
     "MAX_BUILD_EDGES",
@@ -105,16 +105,26 @@ class NanotubeSpec:
             raise InvalidSpecError(f"n must be >= 1 (got {self.n})")
 
 
+# Per kind: the vertex count's (c_mn, c_m), then each degree class's edge
+# count (c_mn, c_m). A count is c_mn*m*n + c_m*m, computed as (c_mn*n + c_m)*m.
+_COUNTS: dict[NanotubeKind, tuple[tuple[int, int], dict[DegreePair, tuple[int, int]]]] = {
+    NanotubeKind.ARMCHAIR: ((2, 4), {(2, 2): (0, 2), (2, 3): (0, 4), (3, 3): (3, -2)}),
+    NanotubeKind.ZIGZAG: ((2, 2), {(2, 3): (0, 4), (3, 3): (3, -2)}),
+}
+# The edge count's (c_mn, c_m): the sum of the degree-class columns.
+_EDGE_COEFFICIENTS = {
+    kind: tuple(map(sum, zip(*classes.values()))) for kind, (_, classes) in _COUNTS.items()
+}
+
+
 def tube_vertex_count(spec: NanotubeSpec) -> int:
-    if spec.kind is NanotubeKind.ARMCHAIR:
-        return 2 * spec.m * (spec.n + 2)
-    return 2 * spec.m * spec.n + 2 * spec.m
+    c_mn, c_m = _COUNTS[spec.kind][0]
+    return (c_mn * spec.n + c_m) * spec.m
 
 
 def tube_edge_count(spec: NanotubeSpec) -> int:
-    if spec.kind is NanotubeKind.ARMCHAIR:
-        return 3 * spec.m * spec.n + 4 * spec.m
-    return 3 * spec.m * spec.n + 2 * spec.m
+    c_mn, c_m = _EDGE_COEFFICIENTS[spec.kind]
+    return (c_mn * spec.n + c_m) * spec.m
 
 
 def grid_edge_count(
@@ -122,33 +132,37 @@ def grid_edge_count(
 ) -> int:
     """Total edges of the tubes of each distinct kind over an inclusive (m, n) grid.
 
-    Computed in O(1) from tube_edge_count's formulas summed over the grid:
-    3*sum(m)*sum(n) + c*sum(m)*len(n-range), with c = 4 for armchair and 2
-    for zigzag. The ranges are checked with validate_ranges first.
+    Computed in O(1): summing c_mn*m*n + c_m*m over the grid gives
+    sum(m) * (c_mn*sum(n) + c_m*len(n-range)). The ranges are checked with
+    validate_ranges first; a kind that is not a NanotubeKind is refused
+    with InvalidSpecError.
     """
     validate_ranges(m_range, n_range)
+    distinct: set[NanotubeKind] = set()
+    for kind in kinds:
+        if not isinstance(kind, NanotubeKind):
+            raise InvalidSpecError(f"kind must be a NanotubeKind (got {kind!r})")
+        distinct.add(kind)
     (m_lo, m_hi), (n_lo, n_hi) = m_range, n_range
     m_sum = (m_lo + m_hi) * (m_hi - m_lo + 1) // 2
     n_sum = (n_lo + n_hi) * (n_hi - n_lo + 1) // 2
     n_count = n_hi - n_lo + 1
-    total = 0
-    for kind in set(kinds):
-        ring = 4 if kind is NanotubeKind.ARMCHAIR else 2
-        total += 3 * m_sum * n_sum + ring * m_sum * n_count
-    return total
+    return sum(
+        m_sum * (c_mn * n_sum + c_m * n_count)
+        for c_mn, c_m in map(_EDGE_COEFFICIENTS.__getitem__, distinct)
+    )
 
 
 def tube_edge_partition(spec: NanotubeSpec) -> EdgePartition:
-    """Degree-class edge counts from closed count formulas, no graph built.
+    """Degree-class edge counts from _COUNTS, no graph built.
 
     This is the O(1) fast path for index computation on large tubes; it is
     held equal to edge_partition(build_nanotube(spec)) by the test grid.
     """
     m, n = spec.m, spec.n
-    classes = {(2, 3): 4 * m, (3, 3): 3 * m * n - 2 * m}
-    if spec.kind is NanotubeKind.ARMCHAIR:
-        classes[2, 2] = 2 * m
-    return EdgePartition(classes)
+    return EdgePartition(
+        {pair: (c_mn * n + c_m) * m for pair, (c_mn, c_m) in _COUNTS[spec.kind][1].items()}
+    )
 
 
 # The generators chain runs of zip(ids slice, ids slice) per row, so the

@@ -197,6 +197,17 @@ class TestFit:
         assert out == ""
         assert "more than the 20000000 one fit may build" in err
 
+    @pytest.mark.parametrize("samples", [["300,300"], ["300,300", "301,300"]])
+    def test_singular_samples_refused_before_any_build(self, capsys, monkeypatch, samples):
+        def no_build(spec):
+            raise AssertionError("tube built for a refused fit")
+
+        monkeypatch.setattr(polyhex.forms, "build_nanotube", no_build)
+        code, out, err = run_cli(capsys, "fit", "--kind", "armchair", "--samples", *samples)
+        assert code == 1
+        assert out == ""
+        assert "fit failed: samples are linearly dependent" in err
+
 
 class TestVerify:
     def test_full_grid_flags_published_forms(self, capsys):
@@ -462,6 +473,29 @@ class TestDeterminism:
         )
         assert code == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    # SHA-256 of stdout from the implementation whose count functions each
+    # branched on the kind and whose verify cached oracle values per point.
+    @pytest.mark.parametrize(
+        "argv, exit_code, digest",
+        [
+            (("verify", "--kind", "both", "--m-range", "2:9", "--n-range", "1:8"), 1,
+             "09f9402415ad00d93b6c5f6d5e5d8cc2102be865ba815e7599e328ad8986797c"),
+            (("partition", "--kind", "armchair", "--m", "7", "--n", "5"), 0,
+             "68f34d0d1c27ede115db6348e9029c5184c5f218484c05185a9bee8a9bbe35d0"),
+            (("partition", "--kind", "zigzag", "--m", "7", "--n", "5"), 0,
+             "7562f23de02336ccf43171c0ec42a6b31a427fb8832f02d8c72de1b9e607ba98"),
+            (("fit", "--kind", "zigzag"), 0,
+             "e359c95ba0aff4c5f8b88b59a29a33a56800dcb717a58dc0d6b7f5c9794d59f1"),
+            (("fit", "--kind", "armchair", "--samples", "4,2", "5,3", "6,7"), 0,
+             "fd190427203c02902cf883295c9f7feaf39ef270f489163b3490cfb611033a42"),
+        ],
+        ids=["verify", "partition-armchair", "partition-zigzag", "fit-zigzag", "fit-armchair"],
+    )
+    def test_stdout_matches_pinned_digest(self, capsys, argv, exit_code, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_sweep_csv_matches_pinned_digest(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"

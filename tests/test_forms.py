@@ -301,6 +301,15 @@ class TestGridBudget:
         with pytest.raises(InvalidSpecError, match="range must be a pair of ints"):
             grid_edge_count([NanotubeKind.ARMCHAIR], m_range, n_range)
 
+    # A kind's name or None was once counted as a zigzag tube.
+    @pytest.mark.parametrize(
+        "kinds", [["armchair"], [None], [NanotubeKind.ARMCHAIR, "zigzag"]],
+        ids=["name", "none", "kind-and-name"],
+    )
+    def test_grid_edge_count_rejects_non_kinds(self, kinds):
+        with pytest.raises(InvalidSpecError, match="kind must be a NanotubeKind"):
+            grid_edge_count(kinds, (2, 3), (1, 2))
+
     def test_grid_of_small_tubes_refused_before_any_build(self, monkeypatch):
         def no_build(spec):
             raise AssertionError("tube built for a refused grid")
