@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 
 from .forms import (
     DEFAULT_FIT_SAMPLES,
+    ClosedForm,
     DiscrepancyReport,
     GridTooLargeError,
     InconsistentSamplesError,
@@ -26,7 +27,7 @@ from .forms import (
     verify_published_forms,
 )
 from .graph import EdgePartition
-from .indices import ABC, AZI, EDGE_FUNCTIONS, RANDIC, index_from_partition
+from .indices import EDGE_FUNCTIONS, EdgeFunction, index_from_partition
 from .tubes import (
     InvalidSpecError,
     NanotubeKind,
@@ -38,7 +39,9 @@ from .tubes import (
     validate_ranges,
 )
 
+KIND_NAMES = tuple(kind.value for kind in NanotubeKind)
 INDEX_NAMES = tuple(EDGE_FUNCTIONS)
+INDEX_LIST = ",".join(INDEX_NAMES)  # as --indices takes them
 
 # Most rows one sweep may write. Sweep writes each row as it is computed, so
 # its memory does not grow with the grid (tracemalloc peak near 200 KB at
@@ -79,47 +82,35 @@ def _exact_decimal(q: Fraction) -> str:
     return sign + whole + ("." + fractional if fractional else "")
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"invalid range {text!r} (expected LO:HI)")
-    try:
-        return int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid range {text!r} (expected LO:HI)") from None
+def _int_pair(what: str, sep: str, metavar: str) -> dict:
+    """add_argument keywords for an argument of two ints written X<sep>Y."""
 
+    def parse(text: str) -> tuple[int, int]:
+        try:
+            x, y = text.split(sep)  # ValueError unless exactly one separator
+            return int(x), int(y)
+        except ValueError:
+            message = f"invalid {what} {text!r} (expected {metavar})"
+        raise argparse.ArgumentTypeError(message)
 
-def _parse_sample(text: str) -> tuple[int, int]:
-    m, sep, n = text.partition(",")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"invalid sample {text!r} (expected M,N)")
-    try:
-        return int(m), int(n)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid sample {text!r} (expected M,N)") from None
+    return {"type": parse, "metavar": metavar}
 
 
 def _kinds(name: str) -> tuple[NanotubeKind, ...]:
-    if name == "both":
-        return (NanotubeKind.ARMCHAIR, NanotubeKind.ZIGZAG)
-    return (NanotubeKind.parse(name),)
+    return tuple(NanotubeKind) if name == "both" else (NanotubeKind.parse(name),)
 
 
-def _index_fields(partition: EdgePartition, which: Sequence[str]) -> dict[str, dict]:
-    out: dict[str, dict] = {}
-    for name in INDEX_NAMES:
-        if name not in which:
-            continue
-        value = index_from_partition(partition, EDGE_FUNCTIONS[name])
-        if name == "azi":
-            assert value.exact is not None
-            out[name] = {
-                **_fraction_fields(value.exact),
-                "decimal": _exact_decimal(value.exact),
-            }
-        else:
-            out[name] = {"decimal": _float_decimal(value.approx)}
-    return out
+def _cell_names(f: EdgeFunction) -> tuple[str, ...]:
+    return ("num", "den", "decimal") if f.exact else ("decimal",)
+
+
+def _index_cells(partition: EdgePartition, f: EdgeFunction) -> tuple[int | str, ...]:
+    """f's value as the cells _cell_names(f) names: num, den and exact decimal, or %.15g."""
+    value = index_from_partition(partition, f)
+    if f.exact:
+        q = value.exact
+        return q.numerator, q.denominator, _exact_decimal(q)
+    return (_float_decimal(value.approx),)
 
 
 def _tube_record(spec: NanotubeSpec, partition: EdgePartition) -> dict:
@@ -177,10 +168,21 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 def cmd_index(args: argparse.Namespace) -> int:
     spec = NanotubeSpec(NanotubeKind.parse(args.kind), args.m, args.n)
-    which = INDEX_NAMES if args.index == "all" else (args.index,)
+    functions = EDGE_FUNCTIONS.values() if args.index == "all" else (EDGE_FUNCTIONS[args.index],)
     partition = tube_edge_partition(spec)
-    _emit({**_tube_record(spec, partition), "indices": _index_fields(partition, which)})
+    indices = {f.name: dict(zip(_cell_names(f), _index_cells(partition, f))) for f in functions}
+    _emit({**_tube_record(spec, partition), "indices": indices})
     return 0
+
+
+def _form_fields(form: ClosedForm) -> dict:
+    return {
+        "kind": form.kind.value,
+        "index": form.index_name,
+        "provenance": form.provenance.value,
+        "a": _fraction_fields(form.a),
+        "b": _fraction_fields(form.b),
+    }
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -191,44 +193,29 @@ def cmd_fit(args: argparse.Namespace) -> int:
     except (SingularSystemError, InconsistentSamplesError) as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 1
-    _emit(
-        {
-            "kind": kind.value,
-            "index": form.index_name,
-            "provenance": form.provenance.value,
-            "a": _fraction_fields(form.a),
-            "b": _fraction_fields(form.b),
-            "samples": [[m, n] for m, n in samples],
-        }
-    )
+    _emit({**_form_fields(form), "samples": [[m, n] for m, n in samples]})
     return 0
 
 
 def _report_fields(report: DiscrepancyReport) -> dict:
-    forms = []
-    for check in report.checks:
-        form = check.form
-        forms.append(
-            {
-                "kind": form.kind.value,
-                "index": form.index_name,
-                "provenance": form.provenance.value,
-                "a": _fraction_fields(form.a),
-                "b": _fraction_fields(form.b),
-                "verdict": "consistent" if check.consistent else "inconsistent",
-                "mismatches": sum(1 for p in check.points if p.difference != 0),
-                "points": [
-                    {
-                        "m": p.m,
-                        "n": p.n,
-                        "claimed": _fraction_fields(p.claimed),
-                        "oracle": _fraction_fields(p.oracle),
-                        "difference": _fraction_fields(p.difference),
-                    }
-                    for p in check.points
-                ],
-            }
-        )
+    forms = [
+        {
+            **_form_fields(check.form),
+            "verdict": "consistent" if check.consistent else "inconsistent",
+            "mismatches": sum(1 for p in check.points if p.difference != 0),
+            "points": [
+                {
+                    "m": p.m,
+                    "n": p.n,
+                    "claimed": _fraction_fields(p.claimed),
+                    "oracle": _fraction_fields(p.oracle),
+                    "difference": _fraction_fields(p.difference),
+                }
+                for p in check.points
+            ],
+        }
+        for check in report.checks
+    ]
     return {
         "index": "azi",
         "m_range": list(report.m_range),
@@ -246,60 +233,49 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _sweep_rows(
     kinds: Sequence[NanotubeKind], ms: range, ns: range, which: Sequence[str]
-) -> Iterator[tuple]:
-    """CSV rows of sweep, one per (kind, m, n), computed as they are read."""
-    want_azi, want_randic, want_abc = ("azi" in which, "randic" in which, "abc" in which)
+) -> Iterator[list]:
+    """CSV rows of sweep, one per (kind, m, n), computed as they are read.
+
+    An index not in which prints as blank cells, as many as it has.
+    """
+    columns = [(f, f.name in which, ("",) * len(_cell_names(f))) for f in EDGE_FUNCTIONS.values()]
     for kind in kinds:
         for m in ms:
             for n in ns:
                 spec = NanotubeSpec(kind, m, n)
                 partition = tube_edge_partition(spec)
-                if want_azi:
-                    q = index_from_partition(partition, AZI).exact
-                    azi_cells = (q.numerator, q.denominator, _exact_decimal(q))
-                else:
-                    azi_cells = ("", "", "")
-                yield (
-                    kind.value,
-                    m,
-                    n,
-                    tube_vertex_count(spec),
-                    tube_edge_count(spec),
-                    *azi_cells,
-                    _float_decimal(index_from_partition(partition, RANDIC).approx)
-                    if want_randic else "",
-                    _float_decimal(index_from_partition(partition, ABC).approx)
-                    if want_abc else "",
-                )
+                row = [kind.value, m, n, tube_vertex_count(spec), tube_edge_count(spec)]
+                for f, wanted, blanks in columns:
+                    row.extend(_index_cells(partition, f) if wanted else blanks)
+                yield row
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    validate_ranges(args.m_range, args.n_range)
+    ms, ns = validate_ranges(args.m_range, args.n_range)
     which = tuple(args.indices.split(",")) if args.indices else INDEX_NAMES
     for name in which:
         if name not in INDEX_NAMES:
             raise InvalidSpecError(
-                f"unknown index {name!r} (expected a comma-separated subset of azi,randic,abc)"
+                f"unknown index {name!r} (expected a comma-separated subset of {INDEX_LIST})"
             )
     kinds = sorted(_kinds(args.kind), key=lambda k: k.value)
-    (m_lo, m_hi), (n_lo, n_hi) = args.m_range, args.n_range
-    row_count = len(kinds) * (m_hi - m_lo + 1) * (n_hi - n_lo + 1)
+    # stop - start rather than len(), which overflows past sys.maxsize items
+    row_count = len(kinds) * (ms.stop - ms.start) * (ns.stop - ns.start)
     if row_count > MAX_SWEEP_ROWS:
         raise GridTooLargeError(
-            f"sweep grid m={m_lo}:{m_hi}, n={n_lo}:{n_hi} would write {row_count} rows, "
+            f"sweep grid m={ms[0]}:{ms[-1]}, n={ns[0]}:{ns[-1]} would write {row_count} rows, "
             f"more than the {MAX_SWEEP_ROWS} one sweep may write"
         )
-    rows = _sweep_rows(kinds, range(m_lo, m_hi + 1), range(n_lo, n_hi + 1), which)
     try:
         # Opened before any row is computed, so an unwritable path fails fast;
         # each row is written as soon as it is computed, so memory stays flat.
         with open(args.out, "w", newline="") as handle:
-            writerow = csv.writer(handle, lineterminator="\n").writerow
-            writerow(
-                ["kind", "m", "n", "vertices", "edges", "azi_num", "azi_den", "azi", "randic", "abc"]
-            )
-            for row in rows:
-                writerow(row)
+            writer = csv.writer(handle, lineterminator="\n")
+            header = ["kind", "m", "n", "vertices", "edges"]
+            for f in EDGE_FUNCTIONS.values():
+                header += [f.name if c == "decimal" else f"{f.name}_{c}" for c in _cell_names(f)]
+            writer.writerow(header)
+            writer.writerows(_sweep_rows(kinds, ms, ns, which))
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
@@ -318,13 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_spec_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--kind", required=True, choices=["armchair", "zigzag"])
+        p.add_argument("--kind", required=True, choices=KIND_NAMES)
         p.add_argument("--m", type=int, required=True, help="hexagons around the circumference (>= 2)")
         p.add_argument("--n", type=int, required=True, help="rows / repetitions (>= 1)")
 
-    def add_range_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--m-range", type=_parse_range, required=True, metavar="LO:HI")
-        p.add_argument("--n-range", type=_parse_range, required=True, metavar="LO:HI")
+    def add_grid_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--kind", choices=[*KIND_NAMES, "both"], default="both")
+        p.add_argument("--m-range", required=True, **_int_pair("range", ":", "LO:HI"))
+        p.add_argument("--n-range", required=True, **_int_pair("range", ":", "LO:HI"))
 
     p = sub.add_parser("build", help="emit the tube graph as DOT or JSON")
     add_spec_args(p)
@@ -341,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("fit", help="solve a*mn + b*m exactly from brute-force samples")
-    p.add_argument("--kind", required=True, choices=["armchair", "zigzag"])
-    p.add_argument("--index", choices=list(INDEX_NAMES), default="azi")
-    p.add_argument("--samples", type=_parse_sample, nargs="+", metavar="M,N")
+    p.add_argument("--kind", required=True, choices=KIND_NAMES)
+    p.add_argument("--index", choices=INDEX_NAMES, default="azi")
+    p.add_argument("--samples", nargs="+", **_int_pair("sample", ",", "M,N"))
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser(
@@ -351,14 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="adjudicate published closed forms against the brute-force oracle "
         "(exit 1 when a stated form is inconsistent)",
     )
-    p.add_argument("--kind", choices=["armchair", "zigzag", "both"], default="both")
-    add_range_args(p)
+    add_grid_args(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="write a CSV of index values over a grid")
-    p.add_argument("--kind", choices=["armchair", "zigzag", "both"], default="both")
-    add_range_args(p)
-    p.add_argument("--indices", help="comma-separated subset of azi,randic,abc (default all)")
+    add_grid_args(p)
+    p.add_argument("--indices", help=f"comma-separated subset of {INDEX_LIST} (default all)")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep)
 
@@ -371,7 +346,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        # InvalidSpecError, GraphError, empty ranges: all usage/validation
+        # InvalidSpecError (empty ranges included), GraphError: all usage/validation
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,7 @@ from .tubes import (
     build_nanotube,
     grid_edge_count,
     tube_edge_count,
+    validate_ranges,
 )
 
 __all__ = [
@@ -72,6 +73,11 @@ class InconsistentSamplesError(ValueError):
     """No exact a*mn + b*m reproduces the sample values; the ansatz fails."""
 
 
+def _is_exact_number(value: object) -> bool:
+    """True for an int or a Fraction; bool and float are not exact numbers here."""
+    return type(value) is int or isinstance(value, Fraction)
+
+
 class Provenance(enum.Enum):
     STATED = "stated"    # coefficient pair as printed in the published theorem
     PROOF = "proof"      # final line of the published derivation
@@ -104,7 +110,7 @@ class ClosedForm:
             )
         for name in ("a", "b"):
             value = getattr(self, name)
-            if type(value) is not int and not isinstance(value, Fraction):
+            if not _is_exact_number(value):
                 raise ValueError(f"coefficient {name} must be an int or a Fraction (got {value!r})")
             object.__setattr__(self, name, Fraction(value))
         if not isinstance(self.provenance, Provenance):
@@ -133,18 +139,23 @@ def published_forms() -> tuple[ClosedForm, ...]:
 DEFAULT_FIT_SAMPLES: tuple[tuple[int, int], ...] = ((2, 1), (2, 2), (3, 1), (3, 2))
 
 
-def _independent_pair(samples: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """Indices of the first two samples whose rows (mn, m) are independent.
+def _check_samples(samples: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """Check the fit samples; return the first two whose rows (mn, m) are independent.
 
-    The rows of (m1, n1) and (m2, n2) have determinant m1*m2*(n1 - n2), so
-    for tube samples (m >= 2) they are independent exactly when their n
-    differ. Only the samples are read, so fit_closed_form runs this before
+    Every sample must be a tube's (m, n): a pair that NanotubeSpec of either
+    kind accepts (both kinds share one domain: ints, m >= 2, n >= 1), else
+    InvalidSpecError. The rows of (m1, n1) and (m2, n2) have determinant
+    m1*m2*(n1 - n2), so with m >= 2 they are independent exactly when their
+    n differ. Only the samples are read, so fit_closed_form runs this before
     it builds any tube. Raises SingularSystemError when no pair is.
     """
-    nonzero = [i for i, (m, _) in enumerate(samples) if m]
-    for j in nonzero[1:]:
-        if samples[j][1] != samples[nonzero[0]][1]:
-            return nonzero[0], j
+    for sample in samples:
+        if not (isinstance(sample, tuple) and len(sample) == 2):
+            raise InvalidSpecError(f"a sample must be an (m, n) pair (got {sample!r})")
+        NanotubeSpec(NanotubeKind.ZIGZAG, *sample)
+    for j in range(1, len(samples)):
+        if samples[j][1] != samples[0][1]:
+            return 0, j
     raise SingularSystemError(
         "samples are linearly dependent (need two samples with different n)"
     )
@@ -156,13 +167,17 @@ def fit_from_values(
     """Solve a*mn + b*m = value exactly over all samples.
 
     Two samples with distinct n determine (a, b); every further sample is an
-    exact consistency check on the ansatz. Raises SingularSystemError when
-    no two rows are independent, InconsistentSamplesError when the
+    exact consistency check on the ansatz. Raises InvalidSpecError or
+    SingularSystemError as _check_samples does, ValueError for a value that
+    is not an int or a Fraction, InconsistentSamplesError when the
     over-determined system has no exact solution.
     """
     if len(samples) != len(values):
         raise ValueError("samples and values must have equal length")
-    i, j = _independent_pair(samples)
+    i, j = _check_samples(samples)
+    for value in values:
+        if not _is_exact_number(value):
+            raise ValueError(f"value must be an int or a Fraction (got {value!r})")
     rows = [
         (Fraction(m * n), Fraction(m), Fraction(value))
         for (m, n), value in zip(samples, values)
@@ -180,6 +195,15 @@ def fit_from_values(
     return a, b
 
 
+def _check_edge_budget(edges: int, subject: str, caller: str) -> None:
+    """Refuse, with GridTooLargeError, a call that would build more than MAX_VERIFY_EDGES."""
+    if edges > MAX_VERIFY_EDGES:
+        raise GridTooLargeError(
+            f"{subject} would build {edges} edges, more than the "
+            f"{MAX_VERIFY_EDGES} one {caller} may build"
+        )
+
+
 def fit_closed_form(
     kind: NanotubeKind, index_name: str, samples: Sequence[tuple[int, int]]
 ) -> ClosedForm:
@@ -188,7 +212,8 @@ def fit_closed_form(
     Only the augmented Zagreb index has exact rational values; for randic
     or abc the irrational per-edge terms admit no exact rational (a, b), so
     the fit is refused as inconsistent rather than approximated. Before any
-    tube is built, samples that cannot determine (a, b) are refused with
+    tube is built, a sample outside the tube domain is refused with
+    InvalidSpecError, samples that cannot determine (a, b) with
     SingularSystemError, and samples whose tubes would together have more
     than MAX_VERIFY_EDGES edges with GridTooLargeError.
     """
@@ -201,14 +226,9 @@ def fit_closed_form(
             f"index {index_name!r} has irrational edge terms; no exact rational "
             "a*mn + b*m exists, and approximate fitting is not supported"
         )
+    _check_samples(samples)
     specs = [NanotubeSpec(kind, m, n) for m, n in samples]
-    _independent_pair(samples)
-    edges = sum(map(tube_edge_count, specs))
-    if edges > MAX_VERIFY_EDGES:
-        raise GridTooLargeError(
-            f"fit samples would build {edges} edges, more than the "
-            f"{MAX_VERIFY_EDGES} one fit may build"
-        )
+    _check_edge_budget(sum(map(tube_edge_count, specs)), "fit samples", "fit")
     values = [azi(build_nanotube(spec)).exact for spec in specs]
     a, b = fit_from_values(samples, values)
     return ClosedForm(kind, index_name, a, b, Provenance.FITTED)
@@ -247,14 +267,14 @@ class DiscrepancyReport:
 
 def _check_grid(
     kinds: tuple[NanotubeKind, ...], m_range: tuple[int, int], n_range: tuple[int, int]
-) -> None:
-    edges = grid_edge_count(kinds, m_range, n_range)
-    if edges > MAX_VERIFY_EDGES:
-        raise GridTooLargeError(
-            f"verification grid m={m_range[0]}:{m_range[1]}, n={n_range[0]}:{n_range[1]} "
-            f"would build {edges} edges, more than the {MAX_VERIFY_EDGES} one "
-            "verification may build"
-        )
+) -> tuple[range, range]:
+    """Refuse a grid over the edge budget; return its m and n values (validate_ranges)."""
+    _check_edge_budget(
+        grid_edge_count(kinds, m_range, n_range),
+        f"verification grid m={m_range[0]}:{m_range[1]}, n={n_range[0]}:{n_range[1]}",
+        "verification",
+    )
+    return validate_ranges(m_range, n_range)
 
 
 def verify_forms(
@@ -265,22 +285,21 @@ def verify_forms(
     """Evaluate each form against the built-graph oracle on the inclusive grid.
 
     Every grid point appears in the report with its exact difference; a form
-    is consistent iff all differences are zero. A grid whose tubes would
-    together have more than MAX_VERIFY_EDGES edges is refused with
-    GridTooLargeError before any tube is built.
+    is consistent iff all differences are zero. An item that is not a
+    ClosedForm is refused with ValueError, and a grid whose tubes would
+    together have more than MAX_VERIFY_EDGES edges with GridTooLargeError,
+    both before any tube is built.
     """
     forms = tuple(forms)
     for form in forms:
+        if not isinstance(form, ClosedForm):
+            raise ValueError(f"can only verify a ClosedForm (got {form!r})")
         if form.index_name != "azi":
             raise ValueError(
                 f"verification oracle is exact and covers 'azi' only, not {form.index_name!r}"
             )
-    _check_grid(tuple(form.kind for form in forms), m_range, n_range)
-    grid = [
-        (m, n)
-        for m in range(m_range[0], m_range[1] + 1)
-        for n in range(n_range[0], n_range[1] + 1)
-    ]
+    ms, ns = _check_grid(tuple(form.kind for form in forms), m_range, n_range)
+    grid = [(m, n) for m in ms for n in ns]
     oracles = {
         kind: [azi(build_nanotube(NanotubeSpec(kind, m, n))).exact for m, n in grid]
         for kind in dict.fromkeys(form.kind for form in forms)
@@ -305,7 +324,7 @@ def verify_published_forms(
     The grid is checked (ranges and MAX_VERIFY_EDGES) before the fits build
     their sample tubes.
     """
-    selected = tuple(kinds) if kinds is not None else (NanotubeKind.ARMCHAIR, NanotubeKind.ZIGZAG)
+    selected = tuple(kinds) if kinds is not None else tuple(NanotubeKind)
     _check_grid(selected, m_range, n_range)
     forms: list[ClosedForm] = []
     for kind in selected:

@@ -133,20 +133,21 @@ def grid_edge_count(
     """Total edges of the tubes of each distinct kind over an inclusive (m, n) grid.
 
     Computed in O(1): summing c_mn*m*n + c_m*m over the grid gives
-    sum(m) * (c_mn*sum(n) + c_m*len(n-range)). The ranges are checked with
+    sum(m) * (c_mn*sum(n) + c_m*len(n-range)), and each sum is its range's
+    length times the mean of its endpoints. The ranges are checked with
     validate_ranges first; a kind that is not a NanotubeKind is refused
     with InvalidSpecError.
     """
-    validate_ranges(m_range, n_range)
+    ms, ns = validate_ranges(m_range, n_range)
     distinct: set[NanotubeKind] = set()
     for kind in kinds:
         if not isinstance(kind, NanotubeKind):
             raise InvalidSpecError(f"kind must be a NanotubeKind (got {kind!r})")
         distinct.add(kind)
-    (m_lo, m_hi), (n_lo, n_hi) = m_range, n_range
-    m_sum = (m_lo + m_hi) * (m_hi - m_lo + 1) // 2
-    n_sum = (n_lo + n_hi) * (n_hi - n_lo + 1) // 2
-    n_count = n_hi - n_lo + 1
+    # stop - start rather than len(), which overflows past sys.maxsize items
+    m_count, n_count = ms.stop - ms.start, ns.stop - ns.start
+    m_sum = (ms[0] + ms[-1]) * m_count // 2
+    n_sum = (ns[0] + ns[-1]) * n_count // 2
     return sum(
         m_sum * (c_mn * n_sum + c_m * n_count)
         for c_mn, c_m in map(_EDGE_COEFFICIENTS.__getitem__, distinct)
@@ -224,11 +225,13 @@ def build_nanotube(spec: NanotubeSpec) -> Graph:
     return Graph(tube_vertex_count(spec), edges)
 
 
-def validate_ranges(m_range: tuple[int, int], n_range: tuple[int, int]) -> None:
+def validate_ranges(m_range: tuple[int, int], n_range: tuple[int, int]) -> tuple[range, range]:
     """Check inclusive (lo, hi) grid ranges against the tube parameter domain.
 
     Each range must be a pair of ints; a float, bool or str bound is refused
-    with InvalidSpecError, as NanotubeSpec refuses such an m or n.
+    with InvalidSpecError, as NanotubeSpec refuses such an m or n, and so is
+    an empty range (lo > hi). Returns the grid's m values and n values, each
+    as the range from lo through hi.
     """
     for name, bounds in (("m", m_range), ("n", n_range)):
         if not (isinstance(bounds, tuple) and len(bounds) == 2
@@ -236,10 +239,11 @@ def validate_ranges(m_range: tuple[int, int], n_range: tuple[int, int]) -> None:
             raise InvalidSpecError(f"{name} range must be a pair of ints (got {bounds!r})")
         lo, hi = bounds
         if lo > hi:
-            raise ValueError(
+            raise InvalidSpecError(
                 f"empty range {lo}:{hi} for {name} (lower bound must not exceed upper bound)"
             )
     if m_range[0] < 2:
         raise InvalidSpecError(f"m must be >= 2 (range starts at {m_range[0]})")
     if n_range[0] < 1:
         raise InvalidSpecError(f"n must be >= 1 (range starts at {n_range[0]})")
+    return range(m_range[0], m_range[1] + 1), range(n_range[0], n_range[1] + 1)

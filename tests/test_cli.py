@@ -259,6 +259,14 @@ class TestVerify:
         assert out == ""
         assert "more than the 20000000" in err
 
+    def test_rejects_grid_past_sys_maxsize(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--m-range", f"2:{10**19}", "--n-range", "1:1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "more than the 20000000 one verification may build" in err
+
     def test_malformed_range_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--m-range", "3", "--n-range", "1:2"])
@@ -359,6 +367,17 @@ class TestSweep:
             "--out", str(out_path),
         )
         assert code == 2
+        assert f"more than the {MAX_SWEEP_ROWS} one sweep may write" in err
+        assert not out_path.exists()
+
+    def test_grid_past_sys_maxsize_refused(self, capsys, tmp_path):
+        out_path = tmp_path / "huge.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--m-range", f"2:{10**19}", "--n-range", "1:1",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert f"would write {2 * (10**19 - 1)} rows" in err
         assert f"more than the {MAX_SWEEP_ROWS} one sweep may write" in err
         assert not out_path.exists()
 
@@ -496,6 +515,75 @@ class TestDeterminism:
         code, out, _ = run_cli(capsys, *argv)
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # SHA-256 of --help stdout at 80 columns, and of single-index stdout, from
+    # the implementation whose parsers spelled out every kind and index name
+    # and whose index and sweep commands each formatted index values; the
+    # help digests are the same on Python 3.10, 3.11, 3.12 and 3.13.
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ((), "414fa8c6a66a79f2d944252ce2024e0201931f8cf97be0831e58862e0209d3ee"),
+            (("build",), "1b89c2fd018b25363ffc77b1773240361e0b572c9717f51725d2bc60f6ff75a4"),
+            (("partition",), "8bb779adc82e122b403184c01d4c806a5124c8053f116be6016a8d84089445a6"),
+            (("index",), "7284da3da4fb0783efd0204d350919244b702979a2038b08124a5bc3761256b4"),
+            (("fit",), "27aad7ac8b0f653fc2272cf8579660f5e7017cce4c0472470d517a91c0d8a901"),
+            (("verify",), "d3a5c959a02368a0541f5a5b77d629edf8af119c6ed2d779653b1719dfc6aea0"),
+            (("sweep",), "2cf55d96d031743d9db17561aee2ed893a14a74d73728ff9d434687b2fff4b6b"),
+        ],
+        ids=["polyhex", "build", "partition", "index", "fit", "verify", "sweep"],
+    )
+    def test_help_matches_pinned_digest(self, capsys, monkeypatch, command, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--help"])
+        assert excinfo.value.code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "index, digest",
+        [
+            ("azi", "a972ba480706cbed51152aaabc6a03da7902b9e4306ca88ecd70109ca17ee8a1"),
+            ("randic", "b72138551c1a5e791c1bef29e7eec84403f8071e39575029d08ba75c6d494081"),
+            ("abc", "29a1dfb05eb38b875d96332089f20accdd2c551abb209272b9265c4af62488e1"),
+        ],
+    )
+    def test_single_index_matches_pinned_digest(self, capsys, index, digest):
+        code, out, _ = run_cli(
+            capsys, "index", "--kind", "zigzag", "--m", "3", "--n", "4", "--index", index,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # The last stderr line of each refusal, from the implementation with one
+    # argument parser per separator.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", "--m-range", "2-5", "--n-range", "1:2"),
+             "polyhex verify: error: argument --m-range: invalid range '2-5' (expected LO:HI)"),
+            (("verify", "--m-range", "a:5", "--n-range", "1:2"),
+             "polyhex verify: error: argument --m-range: invalid range 'a:5' (expected LO:HI)"),
+            (("fit", "--kind", "armchair", "--samples", "2x1", "3,2"),
+             "polyhex fit: error: argument --samples: invalid sample '2x1' (expected M,N)"),
+            (("fit", "--kind", "armchair", "--samples", "a,1", "3,2"),
+             "polyhex fit: error: argument --samples: invalid sample 'a,1' (expected M,N)"),
+            (("sweep", "--indices", "wiener", "--m-range", "2:3", "--n-range", "1:2"),
+             "error: unknown index 'wiener' (expected a comma-separated subset of azi,randic,abc)"),
+        ],
+        ids=["range-separator", "range-bound", "sample-separator", "sample-bound", "sweep-index"],
+    )
+    def test_refusal_message_pinned(self, capsys, tmp_path, argv, message):
+        if argv[0] == "sweep":
+            argv = (*argv, "--out", str(tmp_path / "refused.csv"))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse refuses before any command runs
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == message
 
     def test_sweep_csv_matches_pinned_digest(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,48 @@ class TestFitting:
         with pytest.raises(ValueError):
             fit_from_values(((2, 1), (2, 2)), (Fraction(1),))
 
+    # Each was once solved as given or failed with a bare TypeError.
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            ((2, 1), (3, None)),
+            ((True, 1), (2, 2)),
+            ((2, 1), (1, 2)),
+            ((0, 1), (2, 1), (2, 2)),
+            ((2, 1), (2, 0)),
+            ((2, 1), (2.0, 2)),
+            ((2, 1), 5),
+            ((2, 1), (2, 2, 3)),
+        ],
+        ids=["none-n", "bool-m", "m-1", "m-0", "n-0", "float-m", "not-a-pair", "triple"],
+    )
+    def test_fit_from_values_rejects_malformed_samples(self, samples):
+        with pytest.raises(InvalidSpecError):
+            fit_from_values(samples, [Fraction(k) for k in range(len(samples))])
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.1, 0.2], [Fraction(1), 2.0], [True, 1], ["1", 2], [None, 1]],
+        ids=["floats", "one-float", "bool", "str", "none"],
+    )
+    def test_fit_from_values_rejects_inexact_values(self, values):
+        with pytest.raises(ValueError, match="must be an int or a Fraction"):
+            fit_from_values([(2, 1), (2, 2)], values)
+
+    def test_fit_from_values_accepts_int_values(self):
+        assert fit_from_values([(2, 1), (2, 2)], [4, 6]) == (Fraction(1), Fraction(1))
+
+    @pytest.mark.parametrize(
+        "samples", [[5], [(2, 1), "3,2"], [(2, 1), (3,)]], ids=["int", "str", "single"]
+    )
+    def test_fit_rejects_malformed_samples_before_any_build(self, monkeypatch, samples):
+        def no_build(spec):
+            raise AssertionError("tube built for refused samples")
+
+        monkeypatch.setattr(polyhex.forms, "build_nanotube", no_build)
+        with pytest.raises(InvalidSpecError, match="must be an"):
+            fit_closed_form(NanotubeKind.ARMCHAIR, "azi", samples)
+
     @given(
         a=st.fractions(min_value=-50, max_value=50, max_denominator=64),
         b=st.fractions(min_value=-50, max_value=50, max_denominator=64),
@@ -257,6 +300,17 @@ class TestVerification:
         report = verify_forms([correct], (2, 5), (1, 5))
         assert report.checks[0].consistent
 
+    @pytest.mark.parametrize(
+        "items", [["x"], [published_forms()[0], None], [(A, A)]], ids=["str", "none", "tuple"]
+    )
+    def test_verify_rejects_non_forms_before_any_build(self, monkeypatch, items):
+        def no_build(spec):
+            raise AssertionError("tube built for a refused form")
+
+        monkeypatch.setattr(polyhex.forms, "build_nanotube", no_build)
+        with pytest.raises(ValueError, match="can only verify a ClosedForm"):
+            verify_forms(items, (2, 3), (1, 2))
+
     def test_verify_rejects_empty_range(self):
         with pytest.raises(ValueError, match="empty range"):
             verify_published_forms((5, 2), (1, 3))
@@ -309,6 +363,22 @@ class TestGridBudget:
     def test_grid_edge_count_rejects_non_kinds(self, kinds):
         with pytest.raises(InvalidSpecError, match="kind must be a NanotubeKind"):
             grid_edge_count(kinds, (2, 3), (1, 2))
+
+    def test_grid_edge_count_is_constant_time(self):
+        # a sum over these ranges would not finish; armchair tubes have
+        # 3mn + 4m edges, zigzag tubes 3mn + 2m
+        hi = 10**15
+        m_sum, n_sum = (2 + hi) * (hi - 1) // 2, (1 + hi) * hi // 2
+        expected = m_sum * (3 * n_sum + 4 * hi) + m_sum * (3 * n_sum + 2 * hi)
+        assert grid_edge_count(list(NanotubeKind), (2, hi), (1, hi)) == expected
+
+    def test_grid_edge_count_past_sys_maxsize(self):
+        # ranges with more than sys.maxsize items have no len(); the count
+        # must still come out, as an int, for the budget check to refuse
+        hi = 10**19
+        assert hi - 1 > sys.maxsize
+        m_sum = (2 + hi) * (hi - 1) // 2
+        assert grid_edge_count([NanotubeKind.ARMCHAIR], (2, hi), (1, 2)) == m_sum * (3 * 3 + 4 * 2)
 
     def test_grid_of_small_tubes_refused_before_any_build(self, monkeypatch):
         def no_build(spec):

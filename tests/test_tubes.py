@@ -106,6 +106,16 @@ class TestSpecValidation:
     def test_validate_ranges_accepts_forward_ranges(self):
         validate_ranges((2, 12), (1, 12))
 
+    def test_validate_ranges_returns_inclusive_ranges(self):
+        assert validate_ranges((2, 12), (1, 1)) == (range(2, 13), range(1, 2))
+        assert validate_ranges((5, 5), (3, 7)) == (range(5, 6), range(3, 8))
+
+    def test_validate_ranges_refuses_empty_as_invalid_spec(self):
+        with pytest.raises(InvalidSpecError, match="empty range 12:2 for m"):
+            validate_ranges((12, 2), (1, 3))
+        with pytest.raises(InvalidSpecError, match="empty range 5:4 for n"):
+            validate_ranges((2, 3), (5, 4))
+
     def test_validate_ranges_rejects_empty(self):
         with pytest.raises(ValueError, match="empty range 12:2"):
             validate_ranges((12, 2), (1, 3))
