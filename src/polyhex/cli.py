@@ -126,9 +126,10 @@ def _tube_record(spec: NanotubeSpec, partition: EdgePartition) -> dict:
 
 def _emit(payload: dict, compact: bool = False) -> None:
     if compact:
-        sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        sys.stdout.write(json.dumps(payload, separators=(",", ":")))
     else:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2))
+    sys.stdout.write("\n")
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -152,11 +153,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     def label(v: int) -> str:
         return f'"{v // width}_{v % width}"'
 
-    lines = [f"graph {spec.kind.value}_m{spec.m}_n{spec.n} {{"]
-    lines.extend(f"  {label(v)};" for v in range(g.vertex_count))
-    lines.extend(f"  {label(u)} -- {label(v)};" for u, v in g.edges)
-    lines.append("}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    out = sys.stdout  # one line at a time, so no copy of the document is held
+    out.write(f"graph {spec.kind.value}_m{spec.m}_n{spec.n} {{\n")
+    out.writelines(f"  {label(v)};\n" for v in range(g.vertex_count))
+    out.writelines(f"  {label(u)} -- {label(v)};\n" for u, v in g.edges)
+    out.write("}\n")
     return 0
 
 
@@ -198,21 +199,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _report_fields(report: DiscrepancyReport) -> dict:
+    """The verify report with every form's "points" left empty; _write_report fills them."""
     forms = [
         {
             **_form_fields(check.form),
             "verdict": "consistent" if check.consistent else "inconsistent",
-            "mismatches": sum(1 for p in check.points if p.difference != 0),
-            "points": [
-                {
-                    "m": p.m,
-                    "n": p.n,
-                    "claimed": _fraction_fields(p.claimed),
-                    "oracle": _fraction_fields(p.oracle),
-                    "difference": _fraction_fields(p.difference),
-                }
-                for p in check.points
-            ],
+            "mismatches": sum(1 for p in check.points if p.difference),
+            "points": [],
         }
         for check in report.checks
     ]
@@ -224,9 +217,60 @@ def _report_fields(report: DiscrepancyReport) -> dict:
     }
 
 
+# One point of a verify report, laid out as json.dumps(indent=2) lays out
+# {"m", "n", "claimed", "oracle", "difference"} (each a num/den pair) at its
+# depth: report > "forms" > form > "points".
+_POINT_RECORD = """\
+        {
+          "m": %d,
+          "n": %d,
+          "claimed": {
+            "num": %d,
+            "den": %d
+          },
+          "oracle": {
+            "num": %d,
+            "den": %d
+          },
+          "difference": {
+            "num": %d,
+            "den": %d
+          }
+        }"""
+_EMPTY_POINTS = '"points": []'
+
+
+def _write_report(report: DiscrepancyReport) -> None:
+    """Write json.dumps(<report with every point>, indent=2) and a newline to stdout.
+
+    The pure-Python encoder that indent selects is slow for thousands of
+    points, so only the skeleton goes through json; each check's points
+    (never none, as a grid is never empty) are rendered from _POINT_RECORD
+    and spliced in where the skeleton has an empty list. A string value
+    cannot hold _EMPTY_POINTS, as json escapes its quotes.
+    """
+    out = sys.stdout
+    pieces = json.dumps(_report_fields(report), indent=2).split(_EMPTY_POINTS)
+    out.write(pieces[0])
+    for check, piece in zip(report.checks, pieces[1:]):
+        out.write('"points": [\n')
+        out.write(",\n".join([
+            _POINT_RECORD % (
+                p.m, p.n,
+                p.claimed.numerator, p.claimed.denominator,
+                p.oracle.numerator, p.oracle.denominator,
+                p.difference.numerator, p.difference.denominator,
+            )
+            for p in check.points
+        ]))
+        out.write("\n      ]")
+        out.write(piece)
+    out.write("\n")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_published_forms(args.m_range, args.n_range, _kinds(args.kind))
-    _emit(_report_fields(report))
+    _write_report(report)
     stated_ok = all(c.consistent for c in report.checks_for(Provenance.STATED))
     return 0 if stated_ok else 1
 
@@ -252,7 +296,7 @@ def _sweep_rows(
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     ms, ns = validate_ranges(args.m_range, args.n_range)
-    which = tuple(args.indices.split(",")) if args.indices else INDEX_NAMES
+    which = INDEX_NAMES if args.indices is None else tuple(args.indices.split(","))
     for name in which:
         if name not in INDEX_NAMES:
             raise InvalidSpecError(

@@ -50,9 +50,9 @@ __all__ = [
 # samples of one fit, summed over its tubes. Every tube of a large grid or a
 # long sample list passes build_nanotube's per-tube cap, so only this bound
 # keeps such a call from running for hours. The oracle builds and sums about
-# 1.3 million edges per second (verify --kind both on 2:26 x 1:25 builds
-# 735,000 edges in 0.57 s; 2-CPU Xeon VM, Python 3.11), so this allows about
-# 15 s.
+# 2.9 million edges per second (verify --kind both on 2:26 x 1:25 builds
+# 735,000 edges and prints its report in 0.25 s, best of 7 runs in one
+# process; 2-CPU Xeon VM, Python 3.11.7), so this allows about 7 s.
 MAX_VERIFY_EDGES = 20_000_000
 
 
@@ -204,8 +204,25 @@ def _check_edge_budget(edges: int, subject: str, caller: str) -> None:
         )
 
 
+# Built-graph AZI values by (kind, m, n). verify_published_forms passes one
+# to its fits and its grid check, so a tube both need is built once.
+OracleValues = dict[tuple[NanotubeKind, int, int], Fraction]
+
+
+def _oracle_value(built: OracleValues, kind: NanotubeKind, m: int, n: int) -> Fraction:
+    """Exact AZI of the built (kind, m, n) tube, built only if built holds no value for it yet."""
+    key = (kind, m, n)
+    if key not in built:
+        built[key] = azi(build_nanotube(NanotubeSpec(kind, m, n))).exact
+    return built[key]
+
+
 def fit_closed_form(
-    kind: NanotubeKind, index_name: str, samples: Sequence[tuple[int, int]]
+    kind: NanotubeKind,
+    index_name: str,
+    samples: Sequence[tuple[int, int]],
+    *,
+    built: OracleValues | None = None,
 ) -> ClosedForm:
     """Fit a*mn + b*m to brute-force index values of built graphs at the samples.
 
@@ -215,7 +232,8 @@ def fit_closed_form(
     tube is built, a sample outside the tube domain is refused with
     InvalidSpecError, samples that cannot determine (a, b) with
     SingularSystemError, and samples whose tubes would together have more
-    than MAX_VERIFY_EDGES edges with GridTooLargeError.
+    than MAX_VERIFY_EDGES edges with GridTooLargeError. A sample value that
+    built lacks is computed from a built tube and added to it.
     """
     if index_name not in EDGE_FUNCTIONS:
         raise ValueError(
@@ -229,7 +247,8 @@ def fit_closed_form(
     _check_samples(samples)
     specs = [NanotubeSpec(kind, m, n) for m, n in samples]
     _check_edge_budget(sum(map(tube_edge_count, specs)), "fit samples", "fit")
-    values = [azi(build_nanotube(spec)).exact for spec in specs]
+    built = {} if built is None else built
+    values = [_oracle_value(built, kind, m, n) for m, n in samples]
     a, b = fit_from_values(samples, values)
     return ClosedForm(kind, index_name, a, b, Provenance.FITTED)
 
@@ -281,6 +300,8 @@ def verify_forms(
     forms: Iterable[ClosedForm],
     m_range: tuple[int, int],
     n_range: tuple[int, int],
+    *,
+    built: OracleValues | None = None,
 ) -> DiscrepancyReport:
     """Evaluate each form against the built-graph oracle on the inclusive grid.
 
@@ -288,7 +309,8 @@ def verify_forms(
     is consistent iff all differences are zero. An item that is not a
     ClosedForm is refused with ValueError, and a grid whose tubes would
     together have more than MAX_VERIFY_EDGES edges with GridTooLargeError,
-    both before any tube is built.
+    both before any tube is built. A grid value that built lacks is computed
+    from a built tube and added to it.
     """
     forms = tuple(forms)
     for form in forms:
@@ -299,17 +321,26 @@ def verify_forms(
                 f"verification oracle is exact and covers 'azi' only, not {form.index_name!r}"
             )
     ms, ns = _check_grid(tuple(form.kind for form in forms), m_range, n_range)
+    built = {} if built is None else built
     grid = [(m, n) for m in ms for n in ns]
     oracles = {
-        kind: [azi(build_nanotube(NanotubeSpec(kind, m, n))).exact for m, n in grid]
+        kind: [_oracle_value(built, kind, m, n) for m, n in grid]
         for kind in dict.fromkeys(form.kind for form in forms)
     }
     checks = []
     for form in forms:
+        # a*m*n + b*m = (ca*n + cb)*m / den, with den the product of the two
+        # denominators, so each point needs integer arithmetic only; the grid
+        # was checked above, so no point is re-validated.
+        a, b = form.a, form.b
+        den = a.denominator * b.denominator
+        ca, cb = a.numerator * b.denominator, b.numerator * a.denominator
         points = []
-        for (m, n), oracle_value in zip(grid, oracles[form.kind]):
-            claimed = form.evaluate(m, n)
-            points.append(PointCheck(m, n, claimed, oracle_value, claimed - oracle_value))
+        for (m, n), oracle in zip(grid, oracles[form.kind]):
+            num = (ca * n + cb) * m
+            difference = Fraction(num * oracle.denominator - oracle.numerator * den,
+                                  den * oracle.denominator)
+            points.append(PointCheck(m, n, Fraction(num, den), oracle, difference))
         checks.append(FormCheck(form, tuple(points)))
     return DiscrepancyReport(m_range, n_range, tuple(checks))
 
@@ -322,12 +353,14 @@ def verify_published_forms(
     """Adjudicate the published forms plus a freshly fitted form per kind.
 
     The grid is checked (ranges and MAX_VERIFY_EDGES) before the fits build
-    their sample tubes.
+    their sample tubes. The fits and the grid share their oracle values, so
+    each distinct tube is built once per call.
     """
     selected = tuple(kinds) if kinds is not None else tuple(NanotubeKind)
     _check_grid(selected, m_range, n_range)
+    built: OracleValues = {}
     forms: list[ClosedForm] = []
     for kind in selected:
         forms.extend(f for f in published_forms() if f.kind is kind)
-        forms.append(fit_closed_form(kind, "azi", DEFAULT_FIT_SAMPLES))
-    return verify_forms(forms, m_range, n_range)
+        forms.append(fit_closed_form(kind, "azi", DEFAULT_FIT_SAMPLES, built=built))
+    return verify_forms(forms, m_range, n_range, built=built)

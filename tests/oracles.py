@@ -143,6 +143,43 @@ def exact_decimal_reference(q: Fraction) -> str:
     return format(value.normalize(context), "f")
 
 
+def verify_report_dict(report) -> dict:
+    """A DiscrepancyReport as the dict whose json.dumps(indent=2) verify prints,
+    built field by field with a dict for every point."""
+
+    def fraction(q: Fraction) -> dict[str, int]:
+        return {"num": q.numerator, "den": q.denominator}
+
+    forms = []
+    for check in report.checks:
+        mismatches = sum(1 for p in check.points if p.difference != 0)
+        forms.append({
+            "kind": check.form.kind.value,
+            "index": check.form.index_name,
+            "provenance": check.form.provenance.value,
+            "a": fraction(check.form.a),
+            "b": fraction(check.form.b),
+            "verdict": "inconsistent" if mismatches else "consistent",
+            "mismatches": mismatches,
+            "points": [
+                {
+                    "m": p.m,
+                    "n": p.n,
+                    "claimed": fraction(p.claimed),
+                    "oracle": fraction(p.oracle),
+                    "difference": fraction(p.difference),
+                }
+                for p in check.points
+            ],
+        })
+    return {
+        "index": "azi",
+        "m_range": list(report.m_range),
+        "n_range": list(report.n_range),
+        "forms": forms,
+    }
+
+
 def rel_close(value: float, reference, rel: float = 1e-12) -> bool:
     reference = mpmath.mpf(reference)
     if reference == 0:

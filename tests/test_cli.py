@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import hashlib
 import io
@@ -20,8 +21,19 @@ from hypothesis import strategies as st
 import polyhex.cli
 import polyhex.forms
 import polyhex.tubes
-from polyhex import Graph, edge_partition
-from polyhex.cli import MAX_SWEEP_ROWS, _exact_decimal, main
+from polyhex import (
+    ClosedForm,
+    Graph,
+    NanotubeKind,
+    NanotubeSpec,
+    Provenance,
+    build_nanotube,
+    edge_partition,
+    published_forms,
+    verify_forms,
+    verify_published_forms,
+)
+from polyhex.cli import MAX_SWEEP_ROWS, _exact_decimal, _write_report, main
 
 import oracles
 
@@ -85,6 +97,33 @@ class TestBuild:
         assert lines[-1] == "}"
         assert '  "0_0";' in lines
         assert sum(1 for line in lines if " -- " in line) == 14
+
+    # DOT lines are written as they are made, so beyond the graph itself the
+    # command holds a bounded amount (about 35 KB traced at both sizes here).
+    @pytest.mark.parametrize("m, n", [(60, 60), (120, 60)])
+    def test_dot_peak_traced_memory_is_the_graph_alone(self, m, n):
+        def traced_peak(call):
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+
+        argv = ["build", "--kind", "armchair", "--m", str(m), "--n", str(n), "--format", "dot"]
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            graph_peak = traced_peak(
+                lambda: build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, m, n))
+            )
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                codes = []
+                dot_peak = traced_peak(lambda: codes.append(main(argv)))
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert codes == [0]
+        assert dot_peak - graph_peak < 256 * 1024
 
     def test_rejects_small_m(self, capsys):
         code, _, err = run_cli(capsys, "build", "--kind", "armchair", "--m", "1", "--n", "3")
@@ -209,6 +248,23 @@ class TestFit:
         assert "fit failed: samples are linearly dependent" in err
 
 
+FITTED_FORMS = (
+    ClosedForm(NanotubeKind.ARMCHAIR, "azi", Fraction(2187, 64), Fraction(807, 32), Provenance.FITTED),
+    ClosedForm(NanotubeKind.ZIGZAG, "azi", Fraction(2187, 64), Fraction(295, 32), Provenance.FITTED),
+)
+# negative, zero and large coefficients, with small and large denominators
+COEFFICIENTS = st.one_of(
+    st.just(0),
+    st.integers(-(10**40), 10**40),
+    st.fractions(-(10**6), 10**6, max_denominator=10**9),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**20)),
+)
+RANDOM_FORMS = st.builds(
+    ClosedForm, st.sampled_from(list(NanotubeKind)), st.just("azi"),
+    COEFFICIENTS, COEFFICIENTS, st.sampled_from(list(Provenance)),
+)
+
+
 class TestVerify:
     def test_full_grid_flags_published_forms(self, capsys):
         code, out, _ = run_cli(
@@ -273,6 +329,29 @@ class TestVerify:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
+    def test_stdout_is_the_indented_json_of_the_report(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--m-range", "2:4", "--n-range", "1:3")
+        assert code == 1
+        report = verify_published_forms((2, 4), (1, 3))
+        assert out == json.dumps(oracles.verify_report_dict(report), indent=2) + "\n"
+
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([*published_forms(), *FITTED_FORMS]), RANDOM_FORMS),
+            max_size=4,
+        ),
+        st.integers(2, 5), st.integers(0, 2), st.integers(1, 4), st.integers(0, 2),
+    )
+    @example([], 2, 0, 1, 0)
+    @example(list(FITTED_FORMS), 3, 1, 2, 2)
+    @settings(max_examples=150, deadline=None)
+    def test_rendered_report_matches_json_dumps(self, forms, m_lo, m_span, n_lo, n_span):
+        report = verify_forms(forms, (m_lo, m_lo + m_span), (n_lo, n_lo + n_span))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _write_report(report)
+        assert out.getvalue() == json.dumps(oracles.verify_report_dict(report), indent=2) + "\n"
+
 
 class TestSweep:
     def test_rows_and_header(self, capsys, tmp_path):
@@ -318,6 +397,17 @@ class TestSweep:
         )
         assert code == 2
         assert "unknown index 'wiener'" in err
+
+    def test_empty_index_list_rejected(self, capsys, tmp_path):
+        out_path = tmp_path / "never.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--indices", "", "--m-range", "2:2", "--n-range", "1:1",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "unknown index ''" in err
+        assert not out_path.exists()
 
     def test_unwritable_path(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -514,6 +604,23 @@ class TestDeterminism:
     def test_stdout_matches_pinned_digest(self, capsys, argv, exit_code, digest):
         code, out, _ = run_cli(capsys, *argv)
         assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # SHA-256 of verify stdout from the implementation that encoded the whole
+    # report, every point a dict, with json.dumps(indent=2).
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            ("both", "280a3cc41ca5b5ee37f5cffcd8edd4e8c5708e8cb34bf2f13dd21533b83027ca"),
+            ("armchair", "6e3935aa65c7169387234e2be919de8396f30a61cec5198df18c92d341ed152a"),
+            ("zigzag", "7b5394587d4ddb0cf4c9385ec4a8dab87a300e98f5b29dc7cb6ce91db58ad9af"),
+        ],
+    )
+    def test_verify_stdout_matches_pinned_digest(self, capsys, kind, digest):
+        code, out, _ = run_cli(
+            capsys, "verify", "--kind", kind, "--m-range", "2:26", "--n-range", "1:25",
+        )
+        assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # SHA-256 of --help stdout at 80 columns, and of single-index stdout, from

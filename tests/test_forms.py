@@ -42,6 +42,11 @@ def oracle_value(kind: NanotubeKind, m: int, n: int) -> Fraction:
     assert value is not None
     return value
 
+ORACLE_VALUES = {
+    (kind, m, n): oracle_value(kind, m, n)
+    for kind in NanotubeKind for m in range(2, 6) for n in range(1, 5)
+}
+
 # exact coefficients, and values of the wrong type
 loose_coefficients = st.one_of(
     st.integers(-50, 50), st.fractions(-50, 50, max_denominator=64), st.booleans(),
@@ -279,6 +284,36 @@ class TestVerification:
             assert point.oracle == oracle_value(check.form.kind, 2, 1)
             assert point.claimed == check.form.evaluate(2, 1)
             assert point.difference == point.claimed - point.oracle
+
+    # Every grid point of a form whose coefficients are far from the oracle's,
+    # negative, zero or large, holds the same values ClosedForm.evaluate gives.
+    @given(
+        st.sampled_from(list(NanotubeKind)),
+        st.one_of(st.just(0), st.integers(-(10**40), 10**40), st.fractions(max_denominator=10**12)),
+        st.one_of(st.just(0), st.integers(-(10**40), 10**40), st.fractions(max_denominator=10**12)),
+        st.integers(2, 5), st.integers(1, 4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_point_values_match_evaluate(self, kind, a, b, m_hi, n_hi):
+        form = ClosedForm(kind, "azi", a, b, Provenance.STATED)
+        (check,) = verify_forms([form], (2, m_hi), (1, n_hi)).checks
+        for p in check.points:
+            assert type(p.claimed) is type(p.difference) is Fraction
+            assert p.claimed == form.evaluate(p.m, p.n)
+            assert p.oracle == ORACLE_VALUES[kind, p.m, p.n]
+            assert p.difference == p.claimed - p.oracle
+
+    def test_each_tube_built_once_per_call(self, monkeypatch):
+        built = []
+
+        def counting_build(spec):
+            built.append(spec)
+            return build_nanotube(spec)
+
+        monkeypatch.setattr(polyhex.forms, "build_nanotube", counting_build)
+        verify_published_forms((2, 9), (1, 8))
+        # the fit samples lie on the grid, so its 2 * 8 * 8 tubes are all there are
+        assert len(built) == len(set(built)) == 128
 
     def test_checks_for_filters_by_provenance(self):
         report = verify_published_forms((2, 2), (1, 2))
