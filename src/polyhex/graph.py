@@ -107,13 +107,16 @@ class Graph:
             # a non-pair edge fails to unpack, a non-int endpoint fails to
             # compare or to index the degree list
             raise GraphError(f"edges must be pairs of int vertex ids ({exc})") from exc
+        # The degree list goes before tuple(canonical) copies the edges, so
+        # the edge list is the only transient array alive at the peak.
+        degrees = tuple(degrees)
         canonical.sort()
         if any(map(eq, canonical, islice(canonical, 1, None))):
             duplicate = next(a for a, b in zip(canonical, islice(canonical, 1, None)) if a == b)
             raise DuplicateEdgeError(duplicate)
         self._vertex_count = vertex_count
         self._edges = tuple(canonical)
-        self._degrees = tuple(degrees)
+        self._degrees = degrees
         self._partition: EdgePartition | None = None
 
     @property

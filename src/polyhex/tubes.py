@@ -51,10 +51,11 @@ __all__ = [
 ]
 
 
-# Largest tube build_nanotube constructs. Building peaks near 105 traced bytes
-# per edge (28.4 MB for the 271,200-edge armchair [300, 300], tracemalloc,
-# Python 3.11), so this caps a build near 0.5 GB. Counts and indices of larger
-# tubes come from tube_edge_partition, which builds no graph.
+# Largest tube build_nanotube constructs. Building peaks near 99 traced bytes
+# per edge and keeps 90 (26.8 and 24.5 MB for the 271,200-edge armchair
+# [300, 300]: tracemalloc peak and current after the call, less current before
+# it, Python 3.11.7), so this caps a build near 0.5 GB. Counts and indices of
+# larger tubes come from tube_edge_partition, which builds no graph.
 MAX_BUILD_EDGES = 5_000_000
 
 

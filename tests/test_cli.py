@@ -58,6 +58,31 @@ def run_process(*argv: str, cwd=None):
     )
 
 
+def _build_peak_beyond_graph(m: int, n: int, fmt: str) -> int:
+    """Traced peak of `build` for armchair [m, n], stdout discarded, less that of the graph."""
+
+    def traced_peak(call):
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+
+    argv = ["build", "--kind", "armchair", "--m", str(m), "--n", str(n), "--format", fmt]
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        graph_peak = traced_peak(lambda: build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, m, n)))
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            codes = []
+            build_peak = traced_peak(lambda: codes.append(main(argv)))
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert codes == [0]
+    return build_peak - graph_peak
+
+
 class TestBuild:
     def test_json_single_line(self, capsys):
         code, out, _ = run_cli(capsys, "build", "--kind", "zigzag", "--m", "2", "--n", "1")
@@ -98,32 +123,41 @@ class TestBuild:
         assert '  "0_0";' in lines
         assert sum(1 for line in lines if " -- " in line) == 14
 
+    # Whatever the chunk size, the chunks join into the document json.dumps
+    # writes in one call. Chunks of 1, 5, 7 and 16 against tubes of 10, 14,
+    # 15 and 16 edges cover one edge per chunk, a tube below one chunk,
+    # exactly k chunks and k chunks plus one edge.
+    @pytest.mark.parametrize(
+        "kind, m, n", [("zigzag", 2, 1), ("armchair", 2, 1), ("zigzag", 3, 1), ("zigzag", 2, 2)]
+    )
+    @pytest.mark.parametrize("chunk", [1, 5, 7, 16])
+    def test_json_chunk_seams(self, capsys, monkeypatch, chunk, kind, m, n):
+        monkeypatch.setattr(polyhex.cli, "_JSON_EDGE_CHUNK", chunk)
+        code, out, _ = run_cli(capsys, "build", "--kind", kind, "--m", str(m), "--n", str(n))
+        assert code == 0
+        g = build_nanotube(NanotubeSpec(NanotubeKind.parse(kind), m, n))
+        document = {
+            "kind": kind,
+            "m": m,
+            "n": n,
+            "vertex_count": g.vertex_count,
+            "edge_count": g.edge_count,
+            "edges": g.edges,
+        }
+        assert out == json.dumps(document, separators=(",", ":")) + "\n"
+
     # DOT lines are written as they are made, so beyond the graph itself the
     # command holds a bounded amount (about 35 KB traced at both sizes here).
     @pytest.mark.parametrize("m, n", [(60, 60), (120, 60)])
     def test_dot_peak_traced_memory_is_the_graph_alone(self, m, n):
-        def traced_peak(call):
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            call()
-            return tracemalloc.get_traced_memory()[1] - before
+        assert _build_peak_beyond_graph(m, n, "dot") < 256 * 1024
 
-        argv = ["build", "--kind", "armchair", "--m", str(m), "--n", str(n), "--format", "dot"]
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            graph_peak = traced_peak(
-                lambda: build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, m, n))
-            )
-            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-                codes = []
-                dot_peak = traced_peak(lambda: codes.append(main(argv)))
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert codes == [0]
-        assert dot_peak - graph_peak < 256 * 1024
+    # JSON is encoded and written 1,024 edges at a time, so beyond the graph
+    # the command holds one chunk's text and strings (about 35 KB traced at
+    # both sizes here).
+    @pytest.mark.parametrize("m, n", [(120, 60), (200, 120)])
+    def test_json_peak_traced_memory_is_the_graph_alone(self, m, n):
+        assert _build_peak_beyond_graph(m, n, "json") < 256 * 1024
 
     def test_rejects_small_m(self, capsys):
         code, _, err = run_cli(capsys, "build", "--kind", "armchair", "--m", "1", "--n", "3")
@@ -554,6 +588,12 @@ class TestDeterminism:
              "8c35883cae459d961f6e564f81b1eb0e52782dbca666ca2e8dd4448acf0bc34d"),
             ("zigzag", 2, 3, "dot",
              "43bebfb2ea17a3f8039e270587854b78df0874658a1fe33a6bc2cd28563dd747"),
+            # From the implementation that encoded the whole JSON document in
+            # one json.dumps call; each spans several 1,024-edge chunks.
+            ("armchair", 40, 30, "json",
+             "275787d8d5e585cdd54bca59df547dfcf3d825dd3001fa7773df7eb9a36af429"),
+            ("zigzag", 33, 31, "json",
+             "f8898646af1b86fb1f3bf295d3cb113dbffb835f4ef941f07f6379c88c655517"),
         ],
     )
     def test_build_stdout_matches_pinned_digest(self, capsys, kind, m, n, fmt, digest):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +13,11 @@ from polyhex import (
     EdgePartition,
     Graph,
     GraphError,
+    NanotubeKind,
+    NanotubeSpec,
     SelfLoopError,
     VertexOutOfRangeError,
+    build_nanotube,
     edge_partition,
 )
 
@@ -158,6 +163,26 @@ class TestConstruction:
     def test_inequality(self):
         assert Graph(3, [(0, 1)]) != Graph(3, [(1, 2)])
         assert Graph(2, []) != Graph(3, [])
+
+    # At its peak, construction holds one array beside the stored graph: the
+    # canonical edge list, a pointer per edge plus the list's over-allocation
+    # (8.5-8.8 traced bytes per edge at these sizes). A degree list still
+    # alive beside its tuple would add about 5 more (14 measured).
+    @pytest.mark.parametrize("m, n", [(60, 60), (120, 60)])
+    def test_transient_memory_is_one_pointer_array(self, m, n):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            g = build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, m, n))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert retained - before >= 8 * g.edge_count  # the stored edge tuple alone
+        assert peak - retained <= 10 * g.edge_count
 
 
 class TestAccessors:
