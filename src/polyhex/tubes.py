@@ -44,6 +44,7 @@ __all__ = [
     "TubeTooLargeError",
     "build_nanotube",
     "grid_edge_count",
+    "grid_tubes",
     "tube_edge_count",
     "tube_edge_partition",
     "tube_vertex_count",
@@ -155,16 +156,50 @@ def grid_edge_count(
     )
 
 
+def grid_tubes(
+    kind: NanotubeKind, m_range: tuple[int, int], n_range: tuple[int, int]
+) -> Iterator[tuple[int, int, int, int, EdgePartition]]:
+    """(m, n, vertex count, edge count, edge partition) of each tube of kind over a grid.
+
+    Tubes come in m-major order over the inclusive ranges, each count equal
+    to what tube_vertex_count, tube_edge_count and tube_edge_partition give
+    for NanotubeSpec(kind, m, n). The ranges are checked with
+    validate_ranges, and a kind that is not a NanotubeKind is refused with
+    InvalidSpecError, when this is called rather than at the first next();
+    the kind's coefficients are read once, and no NanotubeSpec is made.
+    """
+    ms, ns = validate_ranges(m_range, n_range)
+    if not isinstance(kind, NanotubeKind):
+        raise InvalidSpecError(f"kind must be a NanotubeKind (got {kind!r})")
+    (v_mn, v_m), classes = _COUNTS[kind]
+    e_mn, e_m = _EDGE_COEFFICIENTS[kind]
+    class_coefficients = tuple(classes.items())
+
+    def tubes() -> Iterator[tuple[int, int, int, int, EdgePartition]]:
+        for m in ms:
+            for n in ns:
+                partition = _partition(class_coefficients, m, n)
+                yield m, n, (v_mn * n + v_m) * m, (e_mn * n + e_m) * m, partition
+
+    return tubes()
+
+
+def _partition(
+    classes: Iterable[tuple[DegreePair, tuple[int, int]]], m: int, n: int
+) -> EdgePartition:
+    # Each kind's classes are in sorted order in _COUNTS, and every count is
+    # positive for m >= 2 and n >= 1, as c_mn >= 0 and c_mn + c_m >= 1 (both
+    # checked by the tests), so the partition needs no check of its own.
+    return EdgePartition._unchecked({pair: (c_mn * n + c_m) * m for pair, (c_mn, c_m) in classes})
+
+
 def tube_edge_partition(spec: NanotubeSpec) -> EdgePartition:
     """Degree-class edge counts from _COUNTS, no graph built.
 
     This is the O(1) fast path for index computation on large tubes; it is
     held equal to edge_partition(build_nanotube(spec)) by the test grid.
     """
-    m, n = spec.m, spec.n
-    return EdgePartition(
-        {pair: (c_mn * n + c_m) * m for pair, (c_mn, c_m) in _COUNTS[spec.kind][1].items()}
-    )
+    return _partition(_COUNTS[spec.kind][1].items(), spec.m, spec.n)
 
 
 # The generators chain runs of zip(ids slice, ids slice) per row, so the

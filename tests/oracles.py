@@ -4,18 +4,30 @@ Everything here works from a raw edge list, on purpose: degrees,
 connectivity, components and girth are recomputed from scratch rather than
 read off the Graph object under test. Extended-precision references use
 mpmath at 50 digits; the CLI's decimal strings are checked against the
-decimal module.
+decimal module. The reference sweep CSV is rendered by csv.writer, one
+NanotubeSpec and tube_edge_partition per row.
 """
 
 from __future__ import annotations
 
+import csv
 import decimal
+import io
 from collections import Counter, deque
 from fractions import Fraction
 
 import mpmath
 
-from polyhex import Graph
+from polyhex import (
+    EDGE_FUNCTIONS,
+    Graph,
+    NanotubeKind,
+    NanotubeSpec,
+    tube_edge_count,
+    tube_edge_partition,
+    tube_vertex_count,
+)
+from polyhex.cli import _cell_names, _index_cells
 
 mpmath.mp.dps = 50
 
@@ -178,6 +190,33 @@ def verify_report_dict(report) -> dict:
         "n_range": list(report.n_range),
         "forms": forms,
     }
+
+
+def sweep_csv_reference(
+    kind: str, m_range: tuple[int, int], n_range: tuple[int, int], indices: list[str]
+) -> bytes:
+    """The CSV that `sweep --kind kind --indices <indices>` writes, from csv.writer
+    over a NanotubeSpec and tube_edge_partition per row, and the CLI's index cells."""
+    kinds = list(NanotubeKind) if kind == "both" else [NanotubeKind(kind)]
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    header = ["kind", "m", "n", "vertices", "edges"]
+    for f in EDGE_FUNCTIONS.values():
+        header += [f.name if c == "decimal" else f"{f.name}_{c}" for c in _cell_names(f)]
+    writer.writerow(header)
+    for k in sorted(kinds, key=lambda k: k.value):
+        for m in range(m_range[0], m_range[1] + 1):
+            for n in range(n_range[0], n_range[1] + 1):
+                spec = NanotubeSpec(k, m, n)
+                partition = tube_edge_partition(spec)
+                row = [k.value, m, n, tube_vertex_count(spec), tube_edge_count(spec)]
+                for f in EDGE_FUNCTIONS.values():
+                    if f.name in indices:
+                        row.extend(_index_cells(partition, f))
+                    else:
+                        row.extend([""] * len(_cell_names(f)))
+                writer.writerow(row)
+    return out.getvalue().encode()
 
 
 def rel_close(value: float, reference, rel: float = 1e-12) -> bool:

@@ -33,7 +33,7 @@ from polyhex import (
     verify_forms,
     verify_published_forms,
 )
-from polyhex.cli import MAX_SWEEP_ROWS, _exact_decimal, _write_report, main
+from polyhex.cli import INDEX_NAMES, MAX_SWEEP_ROWS, _exact_decimal, _write_report, main
 
 import oracles
 
@@ -423,6 +423,28 @@ class TestSweep:
         assert code == 0
         assert out_path.read_text().splitlines()[1] == "zigzag,7,5,84,119,80675,64,1260.546875,,"
 
+    @given(
+        st.sampled_from(["armchair", "zigzag", "both"]),
+        st.integers(2, 40), st.integers(0, 5), st.integers(1, 40), st.integers(0, 5),
+        st.lists(st.sampled_from(INDEX_NAMES), min_size=1, max_size=5),
+    )
+    @example("both", 2, 0, 1, 0, ["azi"])
+    @example("both", 38, 5, 35, 5, ["abc", "randic", "abc", "azi"])
+    @settings(max_examples=150, deadline=None)
+    def test_csv_matches_reference_bytes(
+        self, tmp_path_factory, kind, m_lo, m_span, n_lo, n_span, indices
+    ):
+        m_range, n_range = (m_lo, m_lo + m_span), (n_lo, n_lo + n_span)
+        out_path = tmp_path_factory.mktemp("sweep") / "grid.csv"
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main([
+                "sweep", "--kind", kind, "--indices", ",".join(indices),
+                "--m-range", "%d:%d" % m_range, "--n-range", "%d:%d" % n_range,
+                "--out", str(out_path),
+            ])
+        assert code == 0
+        assert out_path.read_bytes() == oracles.sweep_csv_reference(kind, m_range, n_range, indices)
+
     def test_unknown_index_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "--indices", "azi,wiener",
@@ -452,10 +474,11 @@ class TestSweep:
         assert "cannot write" in err
 
     def test_unwritable_path_refused_before_any_row(self, capsys, tmp_path, monkeypatch):
-        def no_rows(spec):
+        def no_rows(*args):
             raise AssertionError("row computed for an unwritable sweep")
 
         monkeypatch.setattr(polyhex.cli, "tube_edge_partition", no_rows)
+        monkeypatch.setattr(polyhex.cli, "grid_tubes", no_rows)
         code, _, err = run_cli(
             capsys, "sweep", "--m-range", "2:50", "--n-range", "1:50",
             "--out", str(tmp_path / "missing" / "x.csv"),
@@ -481,10 +504,11 @@ class TestSweep:
         assert "wrote" not in err
 
     def test_huge_grid_refused_before_any_row(self, capsys, tmp_path, monkeypatch):
-        def no_rows(spec):
+        def no_rows(*args):
             raise AssertionError("row computed for a refused sweep")
 
         monkeypatch.setattr(polyhex.cli, "tube_edge_partition", no_rows)
+        monkeypatch.setattr(polyhex.cli, "grid_tubes", no_rows)
         out_path = tmp_path / "huge.csv"
         code, _, err = run_cli(
             capsys, "sweep", "--m-range", "2:100000", "--n-range", "1:100000",

@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "PointCheck", "Provenance", "RANDIC", "SelfLoopError", "SingularSystemError",
     "TubeTooLargeError", "UndefinedTermError", "VertexOutOfRangeError", "abc",
     "abc_term", "azi", "azi_term", "build_nanotube", "edge_partition",
-    "fit_closed_form", "fit_from_values", "grid_edge_count",
+    "fit_closed_form", "fit_from_values", "grid_edge_count", "grid_tubes",
     "index_from_partition", "published_forms", "randic", "randic_term",
     "tube_edge_count", "tube_edge_partition", "tube_vertex_count",
     "validate_ranges", "verify_forms", "verify_published_forms",
@@ -23,7 +23,7 @@ MODULES = (forms, graph, indices, tubes)
 
 
 def test_exports_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 48
     assert sorted(polyhex.__all__) == PUBLIC_NAMES
 
 

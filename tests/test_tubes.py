@@ -14,6 +14,7 @@ import polyhex.tubes
 from polyhex import (
     MAX_BUILD_EDGES,
     ClosedForm,
+    EdgePartition,
     InvalidSpecError,
     NanotubeKind,
     NanotubeSpec,
@@ -21,6 +22,7 @@ from polyhex import (
     TubeTooLargeError,
     build_nanotube,
     edge_partition,
+    grid_tubes,
     tube_edge_count,
     tube_edge_partition,
     tube_vertex_count,
@@ -257,6 +259,65 @@ class TestPartition:
             assert counts == {(2, 2): 2 * m, (2, 3): 4 * m, (3, 3): 3 * m * n - 2 * m}
         else:
             assert counts == {(2, 3): 4 * m, (3, 3): 3 * m * n - 2 * m}
+
+
+class TestGridTubes:
+    @pytest.mark.parametrize(
+        "m_range, n_range", [((2, 2), (1, 1)), ((2, 6), (1, 5)), ((7, 9), (4, 11))]
+    )
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_the_per_tube_functions_in_m_major_order(self, kind, m_range, n_range):
+        expected = []
+        for m in range(m_range[0], m_range[1] + 1):
+            for n in range(n_range[0], n_range[1] + 1):
+                spec = NanotubeSpec(kind, m, n)
+                expected.append((m, n, tube_vertex_count(spec), tube_edge_count(spec),
+                                 tube_edge_partition(spec)))
+        tubes = list(grid_tubes(kind, m_range, n_range))
+        assert tubes == expected
+        for got, want in zip(tubes, expected):
+            assert list(got[4].classes.items()) == list(want[4].classes.items())
+
+    # Both count paths build their partitions without EdgePartition's checks;
+    # these hold them to what the checked constructor makes of the same counts.
+    def test_count_table_needs_no_partition_check(self):
+        for kind, (_, classes) in polyhex.tubes._COUNTS.items():
+            pairs = list(classes)
+            assert pairs == sorted(pairs), kind
+            for (lo, hi), (c_mn, c_m) in classes.items():
+                assert type(lo) is type(hi) is int and 1 <= lo <= hi
+                # with n >= 1 and m >= 2, (c_mn*n + c_m)*m >= (c_mn + c_m)*m > 0
+                assert type(c_mn) is type(c_m) is int and c_mn >= 0 and c_mn + c_m >= 1
+
+    @given(st.sampled_from(KINDS), st.integers(2, 10**6), st.integers(1, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_partitions_equal_the_checked_constructor(self, kind, m, n):
+        from_spec = tube_edge_partition(NanotubeSpec(kind, m, n))
+        from_grid = next(grid_tubes(kind, (m, m), (n, n)))[4]
+        checked = EdgePartition(dict(from_spec.classes))
+        for made in (from_spec, from_grid):
+            assert made == checked
+            assert list(made.classes.items()) == list(checked.classes.items())
+
+    @pytest.mark.parametrize(
+        "kind, m_range, n_range, message",
+        [
+            ("armchair", (2, 3), (1, 2), "kind must be a NanotubeKind"),
+            (None, (2, 3), (1, 2), "kind must be a NanotubeKind"),
+            (NanotubeKind.ZIGZAG, (False, 3), (1, 2), "m range must be a pair of ints"),
+            (NanotubeKind.ZIGZAG, (2, 3), (1, True), "n range must be a pair of ints"),
+            (NanotubeKind.ZIGZAG, (2, 3.0), (1, 2), "m range must be a pair of ints"),
+            (NanotubeKind.ZIGZAG, (2, 3), ("1", 2), "n range must be a pair of ints"),
+            (NanotubeKind.ARMCHAIR, (2, 3), (5, 4), "empty range 5:4 for n"),
+            (NanotubeKind.ARMCHAIR, (1, 3), (1, 2), "m must be >= 2"),
+            (NanotubeKind.ARMCHAIR, (2, 3), (0, 2), "n must be >= 1"),
+        ],
+        ids=["kind-name", "none", "bool-m", "bool-n", "float-m", "str-n", "empty", "m-below",
+             "n-below"],
+    )
+    def test_refuses_when_called(self, kind, m_range, n_range, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            grid_tubes(kind, m_range, n_range)
 
 
 class TestStructure:
