@@ -66,24 +66,18 @@ def _float_decimal(x: float) -> str:
 def _exact_decimal(q: Fraction) -> str:
     """Decimal string of q: exact when the expansion terminates, else 15 digits."""
     den = q.denominator
-    twos = (den & -den).bit_length() - 1  # the lowest set bit is den's power of two
-    rest = den >> twos
-    fives = 0
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
+    # den = 2**a * 5**b has 2**a <= den and 2**b <= 5**b <= den, so a and b are
+    # at most places and den divides 10**places; any other prime factor of den
+    # leaves a remainder.
+    places = den.bit_length() - 1
+    scale, remainder = divmod(10**places, den)
+    if remainder:
         return _float_decimal(float(q))
-    places = max(twos, fives)
-    # den = 2**twos * 5**fives divides 10**places, so the quotient is exact.
-    scaled = abs(q.numerator) * (10**places // den)
-    digits = str(scaled).rjust(places + 1, "0")
+    digits = str(abs(q.numerator) * scale).rjust(places + 1, "0")
+    split = len(digits) - places
+    fractional = digits[split:].rstrip("0")
     sign = "-" if q.numerator < 0 else ""
-    if places == 0:
-        return sign + digits
-    fractional = digits[len(digits) - places :].rstrip("0")
-    whole = digits[: len(digits) - places]
-    return sign + whole + ("." + fractional if fractional else "")
+    return sign + digits[:split] + ("." + fractional if fractional else "")
 
 
 def _int_pair(what: str, sep: str, metavar: str) -> dict:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .indices import EDGE_FUNCTIONS, azi
 from .tubes import (
@@ -139,7 +139,7 @@ def published_forms() -> tuple[ClosedForm, ...]:
 DEFAULT_FIT_SAMPLES: tuple[tuple[int, int], ...] = ((2, 1), (2, 2), (3, 1), (3, 2))
 
 
-def _check_samples(samples: Sequence[tuple[int, int]]) -> tuple[int, int]:
+def _check_samples(samples: tuple[tuple[int, int], ...]) -> tuple[int, int]:
     """Check the fit samples; return the first two whose rows (mn, m) are independent.
 
     Every sample must be a tube's (m, n): a pair that NanotubeSpec of either
@@ -162,7 +162,7 @@ def _check_samples(samples: Sequence[tuple[int, int]]) -> tuple[int, int]:
 
 
 def fit_from_values(
-    samples: Sequence[tuple[int, int]], values: Sequence[Fraction]
+    samples: Iterable[tuple[int, int]], values: Iterable[Fraction]
 ) -> tuple[Fraction, Fraction]:
     """Solve a*mn + b*m = value exactly over all samples.
 
@@ -170,8 +170,10 @@ def fit_from_values(
     exact consistency check on the ansatz. Raises InvalidSpecError or
     SingularSystemError as _check_samples does, ValueError for a value that
     is not an int or a Fraction, InconsistentSamplesError when the
-    over-determined system has no exact solution.
+    over-determined system has no exact solution. Samples and values may be
+    any iterables; each is read once.
     """
+    samples, values = tuple(samples), tuple(values)
     if len(samples) != len(values):
         raise ValueError("samples and values must have equal length")
     i, j = _check_samples(samples)
@@ -220,7 +222,7 @@ def _oracle_value(built: OracleValues, kind: NanotubeKind, m: int, n: int) -> Fr
 def fit_closed_form(
     kind: NanotubeKind,
     index_name: str,
-    samples: Sequence[tuple[int, int]],
+    samples: Iterable[tuple[int, int]],
     *,
     built: OracleValues | None = None,
 ) -> ClosedForm:
@@ -233,7 +235,8 @@ def fit_closed_form(
     InvalidSpecError, samples that cannot determine (a, b) with
     SingularSystemError, and samples whose tubes would together have more
     than MAX_VERIFY_EDGES edges with GridTooLargeError. A sample value that
-    built lacks is computed from a built tube and added to it.
+    built lacks is computed from a built tube and added to it. The samples may
+    be any iterable; it is read once.
     """
     if index_name not in EDGE_FUNCTIONS:
         raise ValueError(
@@ -244,6 +247,7 @@ def fit_closed_form(
             f"index {index_name!r} has irrational edge terms; no exact rational "
             "a*mn + b*m exists, and approximate fitting is not supported"
         )
+    samples = tuple(samples)
     _check_samples(samples)
     specs = [NanotubeSpec(kind, m, n) for m, n in samples]
     _check_edge_budget(sum(map(tube_edge_count, specs)), "fit samples", "fit")

@@ -45,11 +45,10 @@ class DuplicateEdgeError(GraphError):
 
 
 class VertexOutOfRangeError(GraphError):
-    def __init__(self, offender: Edge | int, vertex_count: int):
-        self.offender = offender
-        what = f"edge {offender}" if isinstance(offender, tuple) else f"vertex {offender}"
+    def __init__(self, edge: Edge, vertex_count: int):
+        self.edge = edge
         super().__init__(
-            f"{what} is out of range for a graph on vertices 0..{vertex_count - 1}"
+            f"edge {edge} is out of range for a graph on vertices 0..{vertex_count - 1}"
         )
 
 
@@ -137,19 +136,6 @@ class Graph:
         """Degree of every vertex, indexed by vertex id."""
         return self._degrees
 
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self._vertex_count:
-            raise VertexOutOfRangeError(v, self._vertex_count)
-        return self._degrees[v]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self._vertex_count == other._vertex_count and self._edges == other._edges
-
-    def __hash__(self) -> int:
-        return hash((self._vertex_count, self._edges))
-
     def __repr__(self) -> str:
         return f"Graph(vertex_count={self._vertex_count}, edge_count={self.edge_count})"
 
@@ -165,6 +151,10 @@ class EdgePartition:
     classes: Mapping[DegreePair, int]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.classes, Mapping):
+            raise ValueError(
+                f"classes must map degree pairs to counts (got {type(self.classes).__name__})"
+            )
         # Exact type checks, before sorting compares the keys: bool is an int
         # subclass, and index sums accumulate counts as exact integers.
         for pair, count in self.classes.items():
@@ -195,18 +185,16 @@ class EdgePartition:
         object.__setattr__(partition, "classes", MappingProxyType(classes))
         return partition
 
-    @property
-    def total(self) -> int:
-        """Number of edges covered; equals the source graph's edge count."""
-        return sum(self.classes.values())
-
 
 def edge_partition(g: Graph) -> EdgePartition:
     """Count g's edges per unordered endpoint-degree pair.
 
     The first call on g counts its edges and stores the partition on g;
-    later calls return that same object.
+    later calls return that same object. A g that is not a Graph raises
+    GraphError.
     """
+    if not isinstance(g, Graph):
+        raise GraphError(f"can only partition a Graph (got {type(g).__name__})")
     if g._partition is None:
         # Each edge is counted as the int d_low * base + d_high, so no tuple
         # is made per edge; base exceeds every degree, so divmod decodes it.

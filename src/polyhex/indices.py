@@ -55,6 +55,8 @@ class UndefinedTermError(ValueError):
 
 
 def _check_degrees(d_u: int, d_v: int) -> None:
+    if type(d_u) is not int or type(d_v) is not int:
+        raise ValueError(f"edge endpoint degrees must be ints (got ({d_u!r}, {d_v!r}))")
     if d_u < 1 or d_v < 1:
         raise ValueError(f"edge endpoint degrees must be >= 1 (got ({d_u}, {d_v}))")
 
@@ -133,8 +135,13 @@ def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValu
     lcm of the term denominators and reduce once; the float approximation
     is num / den, which int true division rounds correctly. The others sum
     with math.fsum in sorted degree-class order, so the result is
-    deterministic.
+    deterministic. A partition that is not an EdgePartition, or an f that is
+    not an EdgeFunction, raises ValueError.
     """
+    if not isinstance(partition, EdgePartition):
+        raise ValueError(f"partition must be an EdgePartition (got {type(partition).__name__})")
+    if not isinstance(f, EdgeFunction):
+        raise ValueError(f"f must be an EdgeFunction such as AZI (got {f!r})")
     classes = partition.classes
     if f.exact:
         num, den = 0, 1

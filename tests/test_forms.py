@@ -247,6 +247,21 @@ class TestFitting:
         with pytest.raises(InvalidSpecError, match="must be an"):
             fit_closed_form(NanotubeKind.ARMCHAIR, "azi", samples)
 
+    # Each once failed with TypeError: ... has no len().
+    def test_fits_read_one_shot_iterables(self, monkeypatch):
+        kind = NanotubeKind.ZIGZAG
+        form = fit_closed_form(kind, "azi", iter(DEFAULT_FIT_SAMPLES))
+        assert (form.a, form.b) == (A, FITTED_B[kind])
+        values = (ORACLE_VALUES[kind, m, n] for m, n in DEFAULT_FIT_SAMPLES)
+        assert fit_from_values(iter(DEFAULT_FIT_SAMPLES), values) == (A, FITTED_B[kind])
+
+        def no_build(spec):
+            raise AssertionError("tube built for refused samples")
+
+        monkeypatch.setattr(polyhex.forms, "build_nanotube", no_build)
+        with pytest.raises(SingularSystemError):
+            fit_closed_form(kind, "azi", ((2, n) for n in (1, 1)))
+
     @given(
         a=st.fractions(min_value=-50, max_value=50, max_denominator=64),
         b=st.fractions(min_value=-50, max_value=50, max_denominator=64),

@@ -16,6 +16,7 @@ from polyhex import (
     RANDIC,
     EdgePartition,
     Graph,
+    GraphError,
     NanotubeKind,
     NanotubeSpec,
     UndefinedTermError,
@@ -69,8 +70,20 @@ class TestTerms:
 
     def test_float_degrees_not_answered_from_int_entries(self):
         assert azi_term(2, 3) == 8
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             azi_term(2.0, 3.0)
+
+    # abc and randic once answered a float degree; azi answered True as 1 and
+    # failed on a float with a bare TypeError.
+    @pytest.mark.parametrize(
+        "term, d_u, d_v",
+        [(abc_term, 2.5, 3), (randic_term, 2.0, 3), (azi_term, True, 3), (azi_term, 2.0, 3)],
+        ids=["abc-float", "randic-float", "azi-bool", "azi-float"],
+    )
+    def test_non_int_degree_rejected(self, term, d_u, d_v):
+        term(1, 3)  # an int entry in the cache, which must not answer
+        with pytest.raises(ValueError, match="must be ints"):
+            term(d_u, d_v)
 
     def test_randic_term_values(self):
         assert randic_term(2, 2) == 0.5
@@ -204,6 +217,17 @@ class TestPartitionEvaluation:
     def test_known_zigzag_partition(self):
         part = EdgePartition({(2, 3): 28, (3, 3): 91})
         assert index_from_partition(part, AZI).exact == Fraction(80675, 64)
+
+    # Each once failed with AttributeError.
+    def test_wrong_argument_types_rejected(self):
+        part = EdgePartition({(2, 2): 10, (2, 3): 20, (3, 3): 125})
+        with pytest.raises(ValueError, match="must be an EdgeFunction"):
+            index_from_partition(part, "azi")
+        with pytest.raises(ValueError, match="must be an EdgePartition"):
+            index_from_partition(build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, 5, 9)), AZI)
+        for index in (azi, randic, abc):
+            with pytest.raises(GraphError, match="can only partition a Graph"):
+                index(part)
 
     def test_undefined_class_named(self):
         part = EdgePartition({(1, 1): 3})

@@ -342,8 +342,8 @@ class TestStructure:
         width = 2 * spec.m
         rows = g.vertex_count // width
         for c in range(width):
-            assert g.degree(c) == 2
-            assert g.degree((rows - 1) * width + c) == 2
+            assert g.degrees[c] == 2
+            assert g.degrees[(rows - 1) * width + c] == 2
 
     def test_zigzag_interior_rows_have_degree_three(self):
         spec = NanotubeSpec(NanotubeKind.ZIGZAG, 4, 3)
@@ -351,7 +351,7 @@ class TestStructure:
         width = 2 * spec.m
         for r in range(1, spec.n):
             for c in range(width):
-                assert g.degree(r * width + c) == 3
+                assert g.degrees[r * width + c] == 3
 
     def test_zigzag_row_cycles_and_vertical_parity(self):
         spec = NanotubeSpec(NanotubeKind.ZIGZAG, 3, 2)
@@ -393,4 +393,5 @@ class TestStructure:
     @given(specs)
     @settings(max_examples=20, deadline=None)
     def test_build_is_deterministic(self, spec: NanotubeSpec):
-        assert build_nanotube(spec) == build_nanotube(spec)
+        a, b = build_nanotube(spec), build_nanotube(spec)
+        assert (a.vertex_count, a.edges) == (b.vertex_count, b.edges)
