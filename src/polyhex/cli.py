@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .forms import (
     DEFAULT_FIT_SAMPLES,

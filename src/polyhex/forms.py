@@ -12,15 +12,16 @@ reports every variant against the oracle point by point.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
+from .graph import _Value
 from .indices import EDGE_FUNCTIONS, azi
 from .tubes import (
     InvalidSpecError,
     NanotubeKind,
     NanotubeSpec,
+    _as_tuple,
     build_nanotube,
     grid_edge_count,
     tube_edge_count,
@@ -84,8 +85,7 @@ class Provenance(enum.Enum):
     FITTED = "fitted"    # solved exactly from the brute-force oracle
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(_Value):
     """Exact linear form value(m, n) = a*m*n + b*m for one (kind, index).
 
     Construction raises ValueError for a kind that is not a NanotubeKind, an
@@ -95,26 +95,25 @@ class ClosedForm:
     always returns a Fraction.
     """
 
-    kind: NanotubeKind
-    index_name: str
-    a: Fraction
-    b: Fraction
-    provenance: Provenance
+    __slots__ = __match_args__ = ("kind", "index_name", "a", "b", "provenance")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, NanotubeKind):
-            raise ValueError(f"kind must be a NanotubeKind (got {self.kind!r})")
-        if not isinstance(self.index_name, str) or self.index_name not in EDGE_FUNCTIONS:
+    def __init__(self, kind: NanotubeKind, index_name: str, a: Fraction, b: Fraction,
+                 provenance: Provenance) -> None:
+        if not isinstance(kind, NanotubeKind):
+            raise ValueError(f"kind must be a NanotubeKind (got {kind!r})")
+        if not isinstance(index_name, str) or index_name not in EDGE_FUNCTIONS:
             raise ValueError(
-                f"unknown index {self.index_name!r} (choose from {sorted(EDGE_FUNCTIONS)})"
+                f"unknown index {index_name!r} (choose from {sorted(EDGE_FUNCTIONS)})"
             )
-        for name in ("a", "b"):
-            value = getattr(self, name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index_name", index_name)
+        for name, value in (("a", a), ("b", b)):
             if not _is_exact_number(value):
                 raise ValueError(f"coefficient {name} must be an int or a Fraction (got {value!r})")
             object.__setattr__(self, name, Fraction(value))
-        if not isinstance(self.provenance, Provenance):
-            raise ValueError(f"provenance must be a Provenance (got {self.provenance!r})")
+        if not isinstance(provenance, Provenance):
+            raise ValueError(f"provenance must be a Provenance (got {provenance!r})")
+        object.__setattr__(self, "provenance", provenance)
 
     def evaluate(self, m: int, n: int) -> Fraction:
         NanotubeSpec(self.kind, m, n)  # domain check: m >= 2, n >= 1
@@ -173,7 +172,7 @@ def fit_from_values(
     over-determined system has no exact solution. Samples and values may be
     any iterables; each is read once.
     """
-    samples, values = tuple(samples), tuple(values)
+    samples, values = _as_tuple(samples, "samples"), _as_tuple(values, "values")
     if len(samples) != len(values):
         raise ValueError("samples and values must have equal length")
     i, j = _check_samples(samples)
@@ -238,7 +237,7 @@ def fit_closed_form(
     built lacks is computed from a built tube and added to it. The samples may
     be any iterable; it is read once.
     """
-    if index_name not in EDGE_FUNCTIONS:
+    if not isinstance(index_name, str) or index_name not in EDGE_FUNCTIONS:
         raise ValueError(
             f"unknown index {index_name!r} (choose from {sorted(EDGE_FUNCTIONS)})"
         )
@@ -247,7 +246,7 @@ def fit_closed_form(
             f"index {index_name!r} has irrational edge terms; no exact rational "
             "a*mn + b*m exists, and approximate fitting is not supported"
         )
-    samples = tuple(samples)
+    samples = _as_tuple(samples, "samples")
     _check_samples(samples)
     specs = [NanotubeSpec(kind, m, n) for m, n in samples]
     _check_edge_budget(sum(map(tube_edge_count, specs)), "fit samples", "fit")
@@ -257,32 +256,40 @@ def fit_closed_form(
     return ClosedForm(kind, index_name, a, b, Provenance.FITTED)
 
 
-@dataclass(frozen=True)
-class PointCheck:
+class PointCheck(_Value):
     """One grid point: the form's claim against the built-graph oracle."""
 
-    m: int
-    n: int
-    claimed: Fraction
-    oracle: Fraction
-    difference: Fraction
+    __slots__ = __match_args__ = ("m", "n", "claimed", "oracle", "difference")
+
+    def __init__(self, m: int, n: int, claimed: Fraction, oracle: Fraction,
+                 difference: Fraction) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "claimed", claimed)
+        object.__setattr__(self, "oracle", oracle)
+        object.__setattr__(self, "difference", difference)
 
 
-@dataclass(frozen=True)
-class FormCheck:
-    form: ClosedForm
-    points: tuple[PointCheck, ...]
+class FormCheck(_Value):
+    __slots__ = __match_args__ = ("form", "points")
+
+    def __init__(self, form: ClosedForm, points: tuple[PointCheck, ...]) -> None:
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "points", points)
 
     @property
     def consistent(self) -> bool:
         return all(p.difference == 0 for p in self.points)
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    m_range: tuple[int, int]
-    n_range: tuple[int, int]
-    checks: tuple[FormCheck, ...]
+class DiscrepancyReport(_Value):
+    __slots__ = __match_args__ = ("m_range", "n_range", "checks")
+
+    def __init__(self, m_range: tuple[int, int], n_range: tuple[int, int],
+                 checks: tuple[FormCheck, ...]) -> None:
+        object.__setattr__(self, "m_range", m_range)
+        object.__setattr__(self, "n_range", n_range)
+        object.__setattr__(self, "checks", checks)
 
     def checks_for(self, provenance: Provenance) -> tuple[FormCheck, ...]:
         return tuple(c for c in self.checks if c.form.provenance is provenance)
@@ -316,7 +323,7 @@ def verify_forms(
     both before any tube is built. A grid value that built lacks is computed
     from a built tube and added to it.
     """
-    forms = tuple(forms)
+    forms = _as_tuple(forms, "forms")
     for form in forms:
         if not isinstance(form, ClosedForm):
             raise ValueError(f"can only verify a ClosedForm (got {form!r})")
@@ -360,7 +367,7 @@ def verify_published_forms(
     their sample tubes. The fits and the grid share their oracle values, so
     each distinct tube is built once per call.
     """
-    selected = tuple(kinds) if kinds is not None else tuple(NanotubeKind)
+    selected = tuple(NanotubeKind) if kinds is None else _as_tuple(kinds, "kinds")
     _check_grid(selected, m_range, n_range)
     built: OracleValues = {}
     forms: list[ClosedForm] = []

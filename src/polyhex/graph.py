@@ -8,11 +8,10 @@ everything downstream (index sums, serialized output) is deterministic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from itertools import islice
 from operator import add, eq, itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 Edge = tuple[int, int]
 DegreePair = tuple[int, int]
@@ -140,31 +139,63 @@ class Graph:
         return f"Graph(vertex_count={self._vertex_count}, edge_count={self.edge_count})"
 
 
-@dataclass(frozen=True)
-class EdgePartition:
+class _Value:
+    """Base of the immutable value classes, compared, hashed and printed by field.
+
+    A subclass's __match_args__ names its fields in argument order, and its
+    __init__ sets each one with object.__setattr__.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __reduce__(self) -> tuple:  # pickle and copy rebuild through __init__
+        return type(self), self._astuple()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class EdgePartition(_Value):
     """Edges of a graph grouped by the unordered degree pair of their endpoints.
 
     Keys are (d_min, d_max) with 1 <= d_min <= d_max; counts are positive.
     Iteration order is sorted by degree pair.
     """
 
-    classes: Mapping[DegreePair, int]
+    __slots__ = __match_args__ = ("classes",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.classes, Mapping):
+    def __init__(self, classes: Mapping[DegreePair, int]) -> None:
+        if not isinstance(classes, Mapping):
             raise ValueError(
-                f"classes must map degree pairs to counts (got {type(self.classes).__name__})"
+                f"classes must map degree pairs to counts (got {type(classes).__name__})"
             )
         # Exact type checks, before sorting compares the keys: bool is an int
         # subclass, and index sums accumulate counts as exact integers.
-        for pair, count in self.classes.items():
+        for pair, count in classes.items():
             if not (isinstance(pair, tuple) and len(pair) == 2
                     and type(pair[0]) is int and type(pair[1]) is int):
                 raise ValueError(f"degree class {pair!r} must be a pair of ints")
             if type(count) is not int:
                 raise ValueError(f"degree class {pair} has non-int count {count!r}")
         cleaned: dict[DegreePair, int] = {}
-        for pair, count in sorted(self.classes.items()):
+        for pair, count in sorted(classes.items()):
             lo, hi = pair
             if not 1 <= lo <= hi:
                 raise ValueError(f"degree class {pair} must satisfy 1 <= d_min <= d_max")

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import starmap
 from operator import mul
-from typing import Callable
 
-from .graph import EdgePartition, Graph, edge_partition
+from .graph import EdgePartition, Graph, _Value, edge_partition
 
 __all__ = [
     "ABC",
@@ -89,21 +88,27 @@ def abc_term(d_u: int, d_v: int) -> float:
     return math.sqrt((d_u + d_v - 2) / (d_u * d_v))
 
 
-@dataclass(frozen=True)
-class IndexValue:
+class IndexValue(_Value):
     """An index result: float always, exact rational when the index has one."""
 
-    exact: Fraction | None
-    approx: float
+    __slots__ = __match_args__ = ("exact", "approx")
+
+    def __init__(self, exact: Fraction | None, approx: float) -> None:
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "approx", approx)
 
 
-@dataclass(frozen=True)
-class EdgeFunction:
+class EdgeFunction(_Value):
     """A symmetric per-edge term f(d_u, d_v) plus how to accumulate it."""
 
-    name: str
-    term: Callable[[int, int], Fraction | float]
-    exact: bool
+    # No __slots__: benchmarks/tracing.py finds .term in the instance __dict__.
+    __match_args__ = ("name", "term", "exact")
+
+    def __init__(self, name: str, term: Callable[[int, int], Fraction | float],
+                 exact: bool) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "exact", exact)
 
 
 AZI = EdgeFunction("azi", azi_term, exact=True)

@@ -30,11 +30,10 @@ as it does for m >= 3.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import chain
-from typing import Iterable, Iterator
 
-from .graph import DegreePair, Edge, EdgePartition, Graph
+from .graph import DegreePair, Edge, EdgePartition, Graph, _Value
 
 __all__ = [
     "MAX_BUILD_EDGES",
@@ -82,29 +81,43 @@ class NanotubeKind(enum.Enum):
             ) from None
 
 
-@dataclass(frozen=True)
-class NanotubeSpec:
+class NanotubeSpec(_Value):
     """Tube parameters: kind plus circumference m and row count n.
 
     m = 1 would duplicate circumference edges (a multigraph), n = 0 would
     make the (3,3) degree class negative, so both are rejected.
     """
 
-    kind: NanotubeKind
-    m: int
-    n: int
+    __slots__ = __match_args__ = ("kind", "m", "n")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, NanotubeKind):
-            raise InvalidSpecError(f"kind must be a NanotubeKind (got {self.kind!r})")
-        if not isinstance(self.m, int) or isinstance(self.m, bool):
-            raise InvalidSpecError(f"m must be an int (got {self.m!r})")
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise InvalidSpecError(f"n must be an int (got {self.n!r})")
-        if self.m < 2:
-            raise InvalidSpecError(f"m must be >= 2 (got {self.m})")
-        if self.n < 1:
-            raise InvalidSpecError(f"n must be >= 1 (got {self.n})")
+    def __init__(self, kind: NanotubeKind, m: int, n: int) -> None:
+        if not isinstance(kind, NanotubeKind):
+            raise InvalidSpecError(f"kind must be a NanotubeKind (got {kind!r})")
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise InvalidSpecError(f"m must be an int (got {m!r})")
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise InvalidSpecError(f"n must be an int (got {n!r})")
+        if m < 2:
+            raise InvalidSpecError(f"m must be >= 2 (got {m})")
+        if n < 1:
+            raise InvalidSpecError(f"n must be >= 1 (got {n})")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+
+
+def _spec_kind(spec: NanotubeSpec) -> NanotubeKind:
+    if not isinstance(spec, NanotubeSpec):
+        raise InvalidSpecError(f"spec must be a NanotubeSpec (got {type(spec).__name__})")
+    return spec.kind
+
+
+def _as_tuple(items: Iterable, what: str) -> tuple:
+    try:
+        iterator = iter(items)
+    except TypeError:
+        raise InvalidSpecError(f"{what} must be an iterable (got {type(items).__name__})") from None
+    return tuple(iterator)
 
 
 # Per kind: the vertex count's (c_mn, c_m), then each degree class's edge
@@ -120,12 +133,12 @@ _EDGE_COEFFICIENTS = {
 
 
 def tube_vertex_count(spec: NanotubeSpec) -> int:
-    c_mn, c_m = _COUNTS[spec.kind][0]
+    c_mn, c_m = _COUNTS[_spec_kind(spec)][0]
     return (c_mn * spec.n + c_m) * spec.m
 
 
 def tube_edge_count(spec: NanotubeSpec) -> int:
-    c_mn, c_m = _EDGE_COEFFICIENTS[spec.kind]
+    c_mn, c_m = _EDGE_COEFFICIENTS[_spec_kind(spec)]
     return (c_mn * spec.n + c_m) * spec.m
 
 
@@ -142,7 +155,7 @@ def grid_edge_count(
     """
     ms, ns = validate_ranges(m_range, n_range)
     distinct: set[NanotubeKind] = set()
-    for kind in kinds:
+    for kind in _as_tuple(kinds, "kinds"):
         if not isinstance(kind, NanotubeKind):
             raise InvalidSpecError(f"kind must be a NanotubeKind (got {kind!r})")
         distinct.add(kind)
@@ -199,7 +212,7 @@ def tube_edge_partition(spec: NanotubeSpec) -> EdgePartition:
     This is the O(1) fast path for index computation on large tubes; it is
     held equal to edge_partition(build_nanotube(spec)) by the test grid.
     """
-    return _partition(_COUNTS[spec.kind][1].items(), spec.m, spec.n)
+    return _partition(_COUNTS[_spec_kind(spec)][1].items(), spec.m, spec.n)
 
 
 # The generators chain runs of zip(ids slice, ids slice) per row, so the
@@ -246,7 +259,8 @@ def build_nanotube(spec: NanotubeSpec) -> Graph:
     """Construct the tube graph for spec; connected, all degrees in {2, 3}.
 
     Refuses, before generating any edge, a tube with more than
-    MAX_BUILD_EDGES edges.
+    MAX_BUILD_EDGES edges. Like each count function here, it refuses a spec
+    that is not a NanotubeSpec with InvalidSpecError.
     """
     edge_count = tube_edge_count(spec)
     if edge_count > MAX_BUILD_EDGES:

@@ -379,6 +379,43 @@ class TestVerification:
             verify_published_forms((1, 3), (1, 3))
 
 
+class TestArgumentShapes:
+    # Each once raised TypeError: "... is not iterable", or for the index
+    # name "unhashable type: 'list'".
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: grid_edge_count(None, (2, 3), (1, 2)), r"kinds .* \(got NoneType\)"),
+            (lambda: verify_forms(None, (2, 3), (1, 2)), r"forms .* \(got NoneType\)"),
+            (lambda: fit_from_values(None, None), r"samples .* \(got NoneType\)"),
+            (lambda: fit_from_values(DEFAULT_FIT_SAMPLES, 7), r"values .* \(got int\)"),
+            (
+                lambda: verify_published_forms((2, 3), (1, 2), NanotubeKind.ZIGZAG),
+                r"kinds must be an iterable \(got NanotubeKind\)",
+            ),
+            (
+                lambda: fit_closed_form(NanotubeKind.ZIGZAG, ["azi"], DEFAULT_FIT_SAMPLES),
+                r"unknown index \['azi'\]",
+            ),
+            (
+                lambda: fit_closed_form(NanotubeKind.ZIGZAG, "azi", None),
+                r"samples must be an iterable \(got NoneType\)",
+            ),
+        ],
+        ids=[
+            "grid-kinds-none", "verify-forms-none", "fit-samples-none", "fit-values-int",
+            "verify-one-kind", "fit-index-list", "fit-closed-form-samples-none",
+        ],
+    )
+    def test_refused_with_value_error_before_any_build(self, monkeypatch, call, message):
+        def no_build(spec):
+            raise AssertionError("tube built for refused arguments")
+
+        monkeypatch.setattr(polyhex.forms, "build_nanotube", no_build)
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestGridBudget:
     """Grid sizes are computed, never built: the refused grids allocate nothing."""
 

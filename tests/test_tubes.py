@@ -73,6 +73,21 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError, match=message):
             make()
 
+    # Each once raised AttributeError: ... has no attribute 'kind'.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: tube_vertex_count(None),
+            lambda: tube_edge_count((NanotubeKind.ZIGZAG, 2, 1)),
+            lambda: tube_edge_partition("zigzag"),
+            lambda: build_nanotube(None),
+        ],
+        ids=["vertex-count-none", "edge-count-tuple", "partition-str", "build-none"],
+    )
+    def test_spec_functions_refuse_a_non_spec(self, call):
+        with pytest.raises(InvalidSpecError, match="spec must be a NanotubeSpec"):
+            call()
+
     def test_invalid_spec_is_value_error(self):
         assert issubclass(InvalidSpecError, ValueError)
 
