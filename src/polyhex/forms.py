@@ -22,6 +22,7 @@ from .tubes import (
     NanotubeKind,
     NanotubeSpec,
     _as_tuple,
+    _check_kind,
     build_nanotube,
     grid_edge_count,
     tube_edge_count,
@@ -79,6 +80,12 @@ def _is_exact_number(value: object) -> bool:
     return type(value) is int or isinstance(value, Fraction)
 
 
+def _check_index_name(index_name: str) -> None:
+    """Refuse, with ValueError, an index_name that is not a key of EDGE_FUNCTIONS."""
+    if not isinstance(index_name, str) or index_name not in EDGE_FUNCTIONS:
+        raise ValueError(f"unknown index {index_name!r} (choose from {sorted(EDGE_FUNCTIONS)})")
+
+
 class Provenance(enum.Enum):
     STATED = "stated"    # coefficient pair as printed in the published theorem
     PROOF = "proof"      # final line of the published derivation
@@ -88,24 +95,20 @@ class Provenance(enum.Enum):
 class ClosedForm(_Value):
     """Exact linear form value(m, n) = a*m*n + b*m for one (kind, index).
 
-    Construction raises ValueError for a kind that is not a NanotubeKind, an
-    index_name not in EDGE_FUNCTIONS, an a or b that is not an int or a
-    Fraction (bool and float included), or a provenance that is not a
-    Provenance. An int coefficient is stored as a Fraction, so evaluate
-    always returns a Fraction.
+    Construction raises InvalidSpecError (a ValueError) for a kind that is
+    not a NanotubeKind, and ValueError for an index_name not in
+    EDGE_FUNCTIONS, an a or b that is not an int or a Fraction (bool and
+    float included), or a provenance that is not a Provenance. An int
+    coefficient is stored as a Fraction, so evaluate always returns a
+    Fraction.
     """
 
     __slots__ = __match_args__ = ("kind", "index_name", "a", "b", "provenance")
 
     def __init__(self, kind: NanotubeKind, index_name: str, a: Fraction, b: Fraction,
                  provenance: Provenance) -> None:
-        if not isinstance(kind, NanotubeKind):
-            raise ValueError(f"kind must be a NanotubeKind (got {kind!r})")
-        if not isinstance(index_name, str) or index_name not in EDGE_FUNCTIONS:
-            raise ValueError(
-                f"unknown index {index_name!r} (choose from {sorted(EDGE_FUNCTIONS)})"
-            )
-        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "kind", _check_kind(kind))
+        _check_index_name(index_name)
         object.__setattr__(self, "index_name", index_name)
         for name, value in (("a", a), ("b", b)):
             if not _is_exact_number(value):
@@ -138,15 +141,15 @@ def published_forms() -> tuple[ClosedForm, ...]:
 DEFAULT_FIT_SAMPLES: tuple[tuple[int, int], ...] = ((2, 1), (2, 2), (3, 1), (3, 2))
 
 
-def _check_samples(samples: tuple[tuple[int, int], ...]) -> tuple[int, int]:
-    """Check the fit samples; return the first two whose rows (mn, m) are independent.
+def _check_samples(samples: tuple[tuple[int, int], ...]) -> int:
+    """Check the fit samples; return the index of the first whose n differs from the first's.
 
     Every sample must be a tube's (m, n): a pair that NanotubeSpec of either
     kind accepts (both kinds share one domain: ints, m >= 2, n >= 1), else
-    InvalidSpecError. The rows of (m1, n1) and (m2, n2) have determinant
-    m1*m2*(n1 - n2), so with m >= 2 they are independent exactly when their
-    n differ. Only the samples are read, so fit_closed_form runs this before
-    it builds any tube. Raises SingularSystemError when no pair is.
+    InvalidSpecError. Dividing a*mn + b*m = value by m leaves the line
+    a*n + b = value/m, which two samples fix exactly when their n differ.
+    Only the samples are read, so fit_closed_form runs this before it builds
+    any tube. Raises SingularSystemError when no two n differ.
     """
     for sample in samples:
         if not (isinstance(sample, tuple) and len(sample) == 2):
@@ -154,7 +157,7 @@ def _check_samples(samples: tuple[tuple[int, int], ...]) -> tuple[int, int]:
         NanotubeSpec(NanotubeKind.ZIGZAG, *sample)
     for j in range(1, len(samples)):
         if samples[j][1] != samples[0][1]:
-            return 0, j
+            return j
     raise SingularSystemError(
         "samples are linearly dependent (need two samples with different n)"
     )
@@ -175,23 +178,20 @@ def fit_from_values(
     samples, values = _as_tuple(samples, "samples"), _as_tuple(values, "values")
     if len(samples) != len(values):
         raise ValueError("samples and values must have equal length")
-    i, j = _check_samples(samples)
+    j = _check_samples(samples)
     for value in values:
         if not _is_exact_number(value):
             raise ValueError(f"value must be an int or a Fraction (got {value!r})")
-    rows = [
-        (Fraction(m * n), Fraction(m), Fraction(value))
-        for (m, n), value in zip(samples, values)
-    ]
-    (mn_i, m_i, value_i), (mn_j, m_j, value_j) = rows[i], rows[j]
-    det = mn_i * m_j - mn_j * m_i
-    a = (value_i * m_j - value_j * m_i) / det
-    b = (mn_i * value_j - mn_j * value_i) / det
-    for (m, n), (mn_coeff, m_coeff, value) in zip(samples, rows):
-        if a * mn_coeff + b * m_coeff != value:
+    # a*n + b = y, with y = value/m, is a line through the points (n, y)
+    ys = [Fraction(value, m) for (m, _), value in zip(samples, values)]
+    n_0, n_j = samples[0][1], samples[j][1]
+    a = (ys[j] - ys[0]) / (n_j - n_0)
+    b = ys[0] - a * n_0
+    for (m, n), y in zip(samples, ys):
+        if a * n + b != y:
             raise InconsistentSamplesError(
                 f"no exact a*mn + b*m fits the samples: at (m={m}, n={n}) the "
-                f"solved form gives {a * mn_coeff + b * m_coeff}, the value is {value}"
+                f"solved form gives {(a * n + b) * m}, the value is {y * m}"
             )
     return a, b
 
@@ -205,25 +205,8 @@ def _check_edge_budget(edges: int, subject: str, caller: str) -> None:
         )
 
 
-# Built-graph AZI values by (kind, m, n). verify_published_forms passes one
-# to its fits and its grid check, so a tube both need is built once.
-OracleValues = dict[tuple[NanotubeKind, int, int], Fraction]
-
-
-def _oracle_value(built: OracleValues, kind: NanotubeKind, m: int, n: int) -> Fraction:
-    """Exact AZI of the built (kind, m, n) tube, built only if built holds no value for it yet."""
-    key = (kind, m, n)
-    if key not in built:
-        built[key] = azi(build_nanotube(NanotubeSpec(kind, m, n))).exact
-    return built[key]
-
-
 def fit_closed_form(
-    kind: NanotubeKind,
-    index_name: str,
-    samples: Iterable[tuple[int, int]],
-    *,
-    built: OracleValues | None = None,
+    kind: NanotubeKind, index_name: str, samples: Iterable[tuple[int, int]]
 ) -> ClosedForm:
     """Fit a*mn + b*m to brute-force index values of built graphs at the samples.
 
@@ -233,14 +216,10 @@ def fit_closed_form(
     tube is built, a sample outside the tube domain is refused with
     InvalidSpecError, samples that cannot determine (a, b) with
     SingularSystemError, and samples whose tubes would together have more
-    than MAX_VERIFY_EDGES edges with GridTooLargeError. A sample value that
-    built lacks is computed from a built tube and added to it. The samples may
-    be any iterable; it is read once.
+    than MAX_VERIFY_EDGES edges with GridTooLargeError. The samples may be
+    any iterable; it is read once.
     """
-    if not isinstance(index_name, str) or index_name not in EDGE_FUNCTIONS:
-        raise ValueError(
-            f"unknown index {index_name!r} (choose from {sorted(EDGE_FUNCTIONS)})"
-        )
+    _check_index_name(index_name)
     if index_name != "azi":
         raise InconsistentSamplesError(
             f"index {index_name!r} has irrational edge terms; no exact rational "
@@ -250,9 +229,7 @@ def fit_closed_form(
     _check_samples(samples)
     specs = [NanotubeSpec(kind, m, n) for m, n in samples]
     _check_edge_budget(sum(map(tube_edge_count, specs)), "fit samples", "fit")
-    built = {} if built is None else built
-    values = [_oracle_value(built, kind, m, n) for m, n in samples]
-    a, b = fit_from_values(samples, values)
+    a, b = fit_from_values(samples, [azi(build_nanotube(spec)).exact for spec in specs])
     return ClosedForm(kind, index_name, a, b, Provenance.FITTED)
 
 
@@ -292,6 +269,8 @@ class DiscrepancyReport(_Value):
         object.__setattr__(self, "checks", checks)
 
     def checks_for(self, provenance: Provenance) -> tuple[FormCheck, ...]:
+        if not isinstance(provenance, Provenance):
+            raise ValueError(f"provenance must be a Provenance (got {type(provenance).__name__})")
         return tuple(c for c in self.checks if c.form.provenance is provenance)
 
 
@@ -308,11 +287,7 @@ def _check_grid(
 
 
 def verify_forms(
-    forms: Iterable[ClosedForm],
-    m_range: tuple[int, int],
-    n_range: tuple[int, int],
-    *,
-    built: OracleValues | None = None,
+    forms: Iterable[ClosedForm], m_range: tuple[int, int], n_range: tuple[int, int]
 ) -> DiscrepancyReport:
     """Evaluate each form against the built-graph oracle on the inclusive grid.
 
@@ -320,8 +295,7 @@ def verify_forms(
     is consistent iff all differences are zero. An item that is not a
     ClosedForm is refused with ValueError, and a grid whose tubes would
     together have more than MAX_VERIFY_EDGES edges with GridTooLargeError,
-    both before any tube is built. A grid value that built lacks is computed
-    from a built tube and added to it.
+    both before any tube is built. Each grid tube is built once per kind.
     """
     forms = _as_tuple(forms, "forms")
     for form in forms:
@@ -332,10 +306,9 @@ def verify_forms(
                 f"verification oracle is exact and covers 'azi' only, not {form.index_name!r}"
             )
     ms, ns = _check_grid(tuple(form.kind for form in forms), m_range, n_range)
-    built = {} if built is None else built
     grid = [(m, n) for m in ms for n in ns]
     oracles = {
-        kind: [_oracle_value(built, kind, m, n) for m, n in grid]
+        kind: [azi(build_nanotube(NanotubeSpec(kind, m, n))).exact for m, n in grid]
         for kind in dict.fromkeys(form.kind for form in forms)
     }
     checks = []
@@ -364,14 +337,13 @@ def verify_published_forms(
     """Adjudicate the published forms plus a freshly fitted form per kind.
 
     The grid is checked (ranges and MAX_VERIFY_EDGES) before the fits build
-    their sample tubes. The fits and the grid share their oracle values, so
-    each distinct tube is built once per call.
+    their sample tubes. Each fit builds its own samples, even where the grid
+    holds them too: the 8 default sample tubes have at most 30 edges.
     """
     selected = tuple(NanotubeKind) if kinds is None else _as_tuple(kinds, "kinds")
     _check_grid(selected, m_range, n_range)
-    built: OracleValues = {}
     forms: list[ClosedForm] = []
     for kind in selected:
         forms.extend(f for f in published_forms() if f.kind is kind)
-        forms.append(fit_closed_form(kind, "azi", DEFAULT_FIT_SAMPLES, built=built))
-    return verify_forms(forms, m_range, n_range, built=built)
+        forms.append(fit_closed_form(kind, "azi", DEFAULT_FIT_SAMPLES))
+    return verify_forms(forms, m_range, n_range)

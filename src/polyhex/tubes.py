@@ -81,6 +81,13 @@ class NanotubeKind(enum.Enum):
             ) from None
 
 
+def _check_kind(kind: NanotubeKind) -> NanotubeKind:
+    """Return kind; refuse anything that is not a NanotubeKind with InvalidSpecError."""
+    if not isinstance(kind, NanotubeKind):
+        raise InvalidSpecError(f"kind must be a NanotubeKind (got {kind!r})")
+    return kind
+
+
 class NanotubeSpec(_Value):
     """Tube parameters: kind plus circumference m and row count n.
 
@@ -91,8 +98,7 @@ class NanotubeSpec(_Value):
     __slots__ = __match_args__ = ("kind", "m", "n")
 
     def __init__(self, kind: NanotubeKind, m: int, n: int) -> None:
-        if not isinstance(kind, NanotubeKind):
-            raise InvalidSpecError(f"kind must be a NanotubeKind (got {kind!r})")
+        _check_kind(kind)
         if not isinstance(m, int) or isinstance(m, bool):
             raise InvalidSpecError(f"m must be an int (got {m!r})")
         if not isinstance(n, int) or isinstance(n, bool):
@@ -154,11 +160,7 @@ def grid_edge_count(
     with InvalidSpecError.
     """
     ms, ns = validate_ranges(m_range, n_range)
-    distinct: set[NanotubeKind] = set()
-    for kind in _as_tuple(kinds, "kinds"):
-        if not isinstance(kind, NanotubeKind):
-            raise InvalidSpecError(f"kind must be a NanotubeKind (got {kind!r})")
-        distinct.add(kind)
+    distinct = {_check_kind(kind) for kind in _as_tuple(kinds, "kinds")}
     # stop - start rather than len(), which overflows past sys.maxsize items
     m_count, n_count = ms.stop - ms.start, ns.stop - ns.start
     m_sum = (ms[0] + ms[-1]) * m_count // 2
@@ -182,9 +184,7 @@ def grid_tubes(
     the kind's coefficients are read once, and no NanotubeSpec is made.
     """
     ms, ns = validate_ranges(m_range, n_range)
-    if not isinstance(kind, NanotubeKind):
-        raise InvalidSpecError(f"kind must be a NanotubeKind (got {kind!r})")
-    (v_mn, v_m), classes = _COUNTS[kind]
+    (v_mn, v_m), classes = _COUNTS[_check_kind(kind)]
     e_mn, e_m = _EDGE_COEFFICIENTS[kind]
     class_coefficients = tuple(classes.items())
 

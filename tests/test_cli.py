@@ -648,7 +648,9 @@ class TestDeterminism:
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
     # SHA-256 of stdout from the implementation whose count functions each
-    # branched on the kind and whose verify cached oracle values per point.
+    # branched on the kind and whose verify cached oracle values per point;
+    # the verify-off-samples grid, from the implementation whose fits and grid
+    # shared their oracle values, holds none of the default fit samples.
     @pytest.mark.parametrize(
         "argv, exit_code, digest",
         [
@@ -662,8 +664,11 @@ class TestDeterminism:
              "e359c95ba0aff4c5f8b88b59a29a33a56800dcb717a58dc0d6b7f5c9794d59f1"),
             (("fit", "--kind", "armchair", "--samples", "4,2", "5,3", "6,7"), 0,
              "fd190427203c02902cf883295c9f7feaf39ef270f489163b3490cfb611033a42"),
+            (("verify", "--kind", "both", "--m-range", "5:9", "--n-range", "3:7"), 1,
+             "316e6735639943f83ec58aa8fd2cddd6bf47a89307c94cd4dd8626342965067c"),
         ],
-        ids=["verify", "partition-armchair", "partition-zigzag", "fit-zigzag", "fit-armchair"],
+        ids=["verify", "partition-armchair", "partition-zigzag", "fit-zigzag", "fit-armchair",
+             "verify-off-samples"],
     )
     def test_stdout_matches_pinned_digest(self, capsys, argv, exit_code, digest):
         code, out, _ = run_cli(capsys, *argv)

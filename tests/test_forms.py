@@ -262,13 +262,22 @@ class TestFitting:
         with pytest.raises(SingularSystemError):
             fit_closed_form(kind, "azi", ((2, n) for n in (1, 1)))
 
+    # Besides a fixed list, samples whose leading ones share one n, so the
+    # first sample with another n, which fixes the fit, lies past index 1.
     @given(
         a=st.fractions(min_value=-50, max_value=50, max_denominator=64),
         b=st.fractions(min_value=-50, max_value=50, max_denominator=64),
+        samples=st.one_of(
+            st.just(((2, 1), (3, 2), (4, 5), (7, 3))),
+            st.integers(1, 50).flatmap(lambda lead: st.tuples(
+                st.lists(st.tuples(st.integers(2, 10**6), st.just(lead)), min_size=2, max_size=4),
+                st.lists(st.tuples(st.integers(2, 10**6), st.integers(1, 50).filter(
+                    lambda n: n != lead)), min_size=1, max_size=3),
+            )).map(lambda parts: (*parts[0], *parts[1])),
+        ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_fit_from_values_round_trips(self, a, b):
-        samples = ((2, 1), (3, 2), (4, 5), (7, 3))
+    def test_fit_from_values_round_trips(self, a, b, samples):
         values = tuple(a * m * n + b * m for m, n in samples)
         assert fit_from_values(samples, values) == (a, b)
 
@@ -327,14 +336,26 @@ class TestVerification:
 
         monkeypatch.setattr(polyhex.forms, "build_nanotube", counting_build)
         verify_published_forms((2, 9), (1, 8))
-        # the fit samples lie on the grid, so its 2 * 8 * 8 tubes are all there are
-        assert len(built) == len(set(built)) == 128
+        # each grid tube is built once per kind, and each fit builds its own samples
+        assert set(built) == {
+            NanotubeSpec(kind, m, n)
+            for kind in NanotubeKind for m in range(2, 10) for n in range(1, 9)
+        }
+        assert len(built) == 128 + 2 * len(DEFAULT_FIT_SAMPLES)
 
     def test_checks_for_filters_by_provenance(self):
         report = verify_published_forms((2, 2), (1, 2))
         stated = report.checks_for(Provenance.STATED)
         assert len(stated) == 2
         assert all(c.form.provenance is Provenance.STATED for c in stated)
+
+    # Each once returned () for a provenance given by name or as None.
+    @pytest.mark.parametrize("provenance", ["stated", None], ids=["str", "none"])
+    def test_checks_for_refuses_non_provenance(self, provenance):
+        report = verify_published_forms((2, 2), (1, 1))
+        name = type(provenance).__name__
+        with pytest.raises(ValueError, match=rf"must be a Provenance \(got {name}\)"):
+            report.checks_for(provenance)
 
     def test_kind_filter(self):
         report = verify_published_forms(
