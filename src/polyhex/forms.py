@@ -15,8 +15,8 @@ import enum
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .graph import _Value
-from .indices import EDGE_FUNCTIONS, azi
+from .graph import _prefix_partitions, _Value, edge_partition
+from .indices import AZI, EDGE_FUNCTIONS, azi, index_from_partition
 from .tubes import (
     InvalidSpecError,
     NanotubeKind,
@@ -26,6 +26,7 @@ from .tubes import (
     build_nanotube,
     grid_edge_count,
     tube_edge_count,
+    tube_vertex_count,
     validate_ranges,
 )
 
@@ -48,13 +49,16 @@ __all__ = [
 ]
 
 
-# Most edges the oracle may build for one verification grid, or for the
-# samples of one fit, summed over its tubes. Every tube of a large grid or a
-# long sample list passes build_nanotube's per-tube cap, so only this bound
-# keeps such a call from running for hours. The oracle builds and sums about
-# 2.9 million edges per second (verify --kind both on 2:26 x 1:25 builds
-# 735,000 edges and prints its report in 0.25 s, best of 7 runs in one
-# process; 2-CPU Xeon VM, Python 3.11.7), so this allows about 7 s.
+# Most edges one verification grid, or the samples of one fit, may have,
+# summed over its tubes (grid_edge_count, in O(1)), however few of them the
+# oracle builds. Every tube of a large grid or a long sample list passes
+# build_nanotube's per-tube cap, so only this bound keeps such a call from
+# running for hours. The slowest grids per edge hold one or two n values,
+# where the oracle builds every tube: verify --kind both on 2:80 x 39:40
+# (1,574,154 edges) took 0.78 to 1.2 s, 1.3 to 2.0 million edges per second,
+# so this allows 10 to 15 s. With many n values the oracle builds two tubes
+# per m: 2:26 x 1:25 (735,000 edges) took 0.17 to 0.25 s (each the best of
+# 7 runs in one process, in runs minutes apart; 2-CPU Xeon VM, Python 3.11.7).
 MAX_VERIFY_EDGES = 20_000_000
 
 
@@ -286,6 +290,39 @@ def _check_grid(
     return validate_ranges(m_range, n_range)
 
 
+def _oracle_values(kind: NanotubeKind, m: int, ns: range) -> list[Fraction]:
+    """Brute-force AZI of tube (kind, m, n) for each n in ns, from at most two builds.
+
+    Only h = tube (m, ns[0]) and g = tube (m, ns[-1]) are built, and azi is
+    called once on each. By the prefix property (polyhex.tubes), every tube
+    between is g's subgraph induced on its first tube_vertex_count vertices,
+    so its partition is read off one walk up g's edges that starts from h's
+    degrees and partition. The walk goes on through all of g and must end at
+    edge_partition(g), so each call checks the property. h is dropped before
+    g is built: a graph kept alive through another build has its edge tuples
+    rescanned by the cyclic garbage collector.
+    """
+    h = build_nanotube(NanotubeSpec(kind, m, ns[0]))
+    values = [azi(h).exact]
+    if len(ns) == 1:
+        return values
+    degrees, partition = h.degrees, edge_partition(h)
+    del h
+    g = build_nanotube(NanotubeSpec(kind, m, ns[-1]))
+    last = azi(g).exact
+    if len(ns) > 2:
+        cuts = [tube_vertex_count(NanotubeSpec(kind, m, n)) for n in ns[1:-1]]
+        *middle, end = _prefix_partitions(g, degrees, partition, [*cuts, g.vertex_count])
+        if end != edge_partition(g):
+            raise RuntimeError(
+                f"{kind.value} tube m={m}, n={ns[0]} is not the subgraph of tube "
+                f"n={ns[-1]} on its first {len(degrees)} vertices"
+            )
+        values.extend(index_from_partition(p, AZI).exact for p in middle)
+    values.append(last)
+    return values
+
+
 def verify_forms(
     forms: Iterable[ClosedForm], m_range: tuple[int, int], n_range: tuple[int, int]
 ) -> DiscrepancyReport:
@@ -295,7 +332,10 @@ def verify_forms(
     is consistent iff all differences are zero. An item that is not a
     ClosedForm is refused with ValueError, and a grid whose tubes would
     together have more than MAX_VERIFY_EDGES edges with GridTooLargeError,
-    both before any tube is built. Each grid tube is built once per kind.
+    both before any tube is built. For each kind and m, only the tubes at
+    the grid's first and last n are built (one tube when the n-range holds
+    one value), and the values between come from a walk up the last tube's
+    edges (_oracle_values).
     """
     forms = _as_tuple(forms, "forms")
     for form in forms:
@@ -308,7 +348,7 @@ def verify_forms(
     ms, ns = _check_grid(tuple(form.kind for form in forms), m_range, n_range)
     grid = [(m, n) for m in ms for n in ns]
     oracles = {
-        kind: [azi(build_nanotube(NanotubeSpec(kind, m, n))).exact for m, n in grid]
+        kind: [value for m in ms for value in _oracle_values(kind, m, ns)]
         for kind in dict.fromkeys(form.kind for form in forms)
     }
     checks = []
@@ -338,7 +378,9 @@ def verify_published_forms(
 
     The grid is checked (ranges and MAX_VERIFY_EDGES) before the fits build
     their sample tubes. Each fit builds its own samples, even where the grid
-    holds them too: the 8 default sample tubes have at most 30 edges.
+    holds them too: the 8 default sample tubes have at most 30 edges. Then
+    verify_forms builds, for each kind and m, the tubes at the grid's first
+    and last n only.
     """
     selected = tuple(NanotubeKind) if kinds is None else _as_tuple(kinds, "kinds")
     _check_grid(selected, m_range, n_range)

@@ -7,9 +7,9 @@ everything downstream (index sums, serialized output) is deterministic.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterable, Mapping
-from itertools import islice
+from collections import Counter, defaultdict
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from itertools import chain, islice
 from operator import add, eq, itemgetter
 from types import MappingProxyType
 
@@ -217,6 +217,33 @@ class EdgePartition(_Value):
         return partition
 
 
+def _degree_codes(
+    edges: Collection[Edge], scaled: Sequence[int], degrees: Sequence[int]
+) -> Counter[int]:
+    """Count edges by the int scaled[low] + degrees[high], making no tuple per edge.
+
+    scaled[v] is degrees[v] * base for a base above every degree, so
+    _partition_from_codes can decode each count to its degree pair. edges is
+    read twice, once per endpoint.
+    """
+    return Counter(
+        map(
+            add,
+            map(scaled.__getitem__, map(itemgetter(0), edges)),
+            map(degrees.__getitem__, map(itemgetter(1), edges)),
+        )
+    )
+
+
+def _partition_from_codes(codes: Mapping[int, int], base: int) -> EdgePartition:
+    """Sum counts of _degree_codes codes, in either endpoint order, per unordered pair."""
+    classes: Counter[DegreePair] = Counter()
+    for code, count in codes.items():
+        du, dv = divmod(code, base)
+        classes[(du, dv) if du <= dv else (dv, du)] += count
+    return EdgePartition(classes)
+
+
 def edge_partition(g: Graph) -> EdgePartition:
     """Count g's edges per unordered endpoint-degree pair.
 
@@ -227,22 +254,63 @@ def edge_partition(g: Graph) -> EdgePartition:
     if not isinstance(g, Graph):
         raise GraphError(f"can only partition a Graph (got {type(g).__name__})")
     if g._partition is None:
-        # Each edge is counted as the int d_low * base + d_high, so no tuple
-        # is made per edge; base exceeds every degree, so divmod decodes it.
         degrees = g.degrees
         base = max(degrees, default=0) + 1
         scaled = [d * base for d in degrees]
-        edges = g.edges
-        codes = Counter(
-            map(
-                add,
-                map(scaled.__getitem__, map(itemgetter(0), edges)),
-                map(degrees.__getitem__, map(itemgetter(1), edges)),
-            )
-        )
-        classes: Counter[DegreePair] = Counter()
-        for code, count in codes.items():
-            du, dv = divmod(code, base)
-            classes[(du, dv) if du <= dv else (dv, du)] += count
-        g._partition = EdgePartition(classes)
+        g._partition = _partition_from_codes(_degree_codes(g.edges, scaled, degrees), base)
     return g._partition
+
+
+def _prefix_partitions(
+    g: Graph, degrees: Sequence[int], partition: EdgePartition, cuts: Iterable[int]
+) -> Iterator[EdgePartition]:
+    """Edge partition of g's subgraph induced on vertices 0..c-1, for each cut c.
+
+    degrees and partition describe that subgraph for c = len(degrees), the
+    start; the cuts must not decrease and lie from the start through
+    g.vertex_count. g's other edges are added in order of their larger
+    endpoint, one cut at a time: the edges already at a vertex that gains
+    one are counted out under the old degrees and back in under the new, so
+    the walk costs the edges added, not the edges below the start.
+    """
+    start = len(degrees)
+    # Ordered by larger endpoint, the edges below any cut come first; each
+    # index is found by stepping over the edges the walk handles anyway.
+    edges = sorted(g.edges, key=itemgetter(1))
+    i = len(edges)
+    while i and edges[i - 1][1] >= start:
+        i -= 1
+    # Each edge at a vertex below the start that gains an edge has its larger
+    # endpoint at or above the smallest such vertex.
+    first = min((u for u, _ in edges[i:] if u < start), default=start)
+    j = i
+    while j and edges[j - 1][1] >= first:
+        j -= 1
+    incident = defaultdict(list)
+    for edge in edges[j:i]:
+        incident[edge[0]].append(edge)
+        incident[edge[1]].append(edge)
+    base = max(chain(degrees, g.degrees), default=0) + 1
+    degrees = list(degrees) + [0] * (g.vertex_count - start)
+    scaled = [d * base for d in degrees]
+    codes = Counter({lo * base + hi: count for (lo, hi), count in partition.classes.items()})
+    for cut in cuts:
+        stop = i
+        while stop < len(edges) and edges[stop][1] < cut:
+            stop += 1
+        added = edges[i:stop]
+        touched = set(chain.from_iterable(added))
+        around = set(chain.from_iterable(map(incident.__getitem__, touched)))
+        codes.subtract(_degree_codes(around, scaled, degrees))
+        for edge in added:
+            u, v = edge
+            degrees[u] += 1
+            degrees[v] += 1
+            scaled[u] += base
+            scaled[v] += base
+            incident[u].append(edge)
+            incident[v].append(edge)
+        around.update(added)
+        codes.update(_degree_codes(around, scaled, degrees))
+        i = stop
+        yield _partition_from_codes(codes, base)

@@ -20,6 +20,14 @@ coefficients that depend on the kind alone; _COUNTS below holds them, and
 every count function here reads them from it. Any construction with these
 counts is equivalent for every degree-based index.
 
+Prefix property: for n <= N, tube (m, n) is the subgraph of tube (m, N)
+induced on its first tube_vertex_count vertices, ids included. It holds for
+both kinds because ids are row-major, a larger n only appends rows at the
+high end, and whether two vertices of rows present in both tubes are
+joined depends on their rows, columns and m alone, never on n. The verify
+oracle (polyhex.forms) relies on it to build two tubes per m, not one per
+grid point, and checks it on every call.
+
 Domain: m >= 2 and n >= 1 for both kinds. Zigzag m = 2 is accepted although
 it is not hexagonal: its rows are 4-cycles, so its girth is 4 (every other
 tube here has girth 6). Its degree classes still follow the counts in _COUNTS,

@@ -650,7 +650,10 @@ class TestDeterminism:
     # SHA-256 of stdout from the implementation whose count functions each
     # branched on the kind and whose verify cached oracle values per point;
     # the verify-off-samples grid, from the implementation whose fits and grid
-    # shared their oracle values, holds none of the default fit samples.
+    # shared their oracle values, holds none of the default fit samples. The
+    # verify-two-n and verify-one-n grids hold two n values and one, where
+    # the oracle builds every grid tube and walks no edge; their digests are
+    # from the implementation that built one tube per grid point.
     @pytest.mark.parametrize(
         "argv, exit_code, digest",
         [
@@ -666,9 +669,13 @@ class TestDeterminism:
              "fd190427203c02902cf883295c9f7feaf39ef270f489163b3490cfb611033a42"),
             (("verify", "--kind", "both", "--m-range", "5:9", "--n-range", "3:7"), 1,
              "316e6735639943f83ec58aa8fd2cddd6bf47a89307c94cd4dd8626342965067c"),
+            (("verify", "--kind", "both", "--m-range", "2:9", "--n-range", "6:7"), 1,
+             "fb0ae419414d9a298b2f00b3069f8cf2d280987b5592577d80dd34e5d522c2ba"),
+            (("verify", "--kind", "both", "--m-range", "3:8", "--n-range", "4:4"), 1,
+             "3add6b90d5b60890be109cbb6e6a1aee85d907e10591eef32b3738d09b5daf9a"),
         ],
         ids=["verify", "partition-armchair", "partition-zigzag", "fit-zigzag", "fit-armchair",
-             "verify-off-samples"],
+             "verify-off-samples", "verify-two-n", "verify-one-n"],
     )
     def test_stdout_matches_pinned_digest(self, capsys, argv, exit_code, digest):
         code, out, _ = run_cli(capsys, *argv)

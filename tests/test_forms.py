@@ -15,6 +15,7 @@ from polyhex import (
     MAX_BUILD_EDGES,
     MAX_VERIFY_EDGES,
     ClosedForm,
+    Graph,
     GridTooLargeError,
     InconsistentSamplesError,
     InvalidSpecError,
@@ -32,6 +33,8 @@ from polyhex import (
     verify_forms,
     verify_published_forms,
 )
+
+import oracles
 
 A = Fraction(2187, 64)
 FITTED_B = {NanotubeKind.ARMCHAIR: Fraction(807, 32), NanotubeKind.ZIGZAG: Fraction(295, 32)}
@@ -327,7 +330,10 @@ class TestVerification:
             assert p.oracle == ORACLE_VALUES[kind, p.m, p.n]
             assert p.difference == p.claimed - p.oracle
 
-    def test_each_tube_built_once_per_call(self, monkeypatch):
+    # The oracle builds, per kind and m, the tubes at the grid's first and
+    # last n, in that order (one tube when they are equal), after each fit
+    # builds its own samples; every n between comes from the walk.
+    def test_builds_first_and_last_n_per_kind_and_m(self, monkeypatch):
         built = []
 
         def counting_build(spec):
@@ -335,13 +341,39 @@ class TestVerification:
             return build_nanotube(spec)
 
         monkeypatch.setattr(polyhex.forms, "build_nanotube", counting_build)
-        verify_published_forms((2, 9), (1, 8))
-        # each grid tube is built once per kind, and each fit builds its own samples
-        assert set(built) == {
-            NanotubeSpec(kind, m, n)
-            for kind in NanotubeKind for m in range(2, 10) for n in range(1, 9)
+        fits = [NanotubeSpec(kind, m, n) for kind in NanotubeKind for m, n in DEFAULT_FIT_SAMPLES]
+        for n_range in ((1, 8), (3, 5), (6, 7), (4, 4)):
+            built.clear()
+            verify_published_forms((2, 9), n_range)
+            assert built == fits + [
+                NanotubeSpec(kind, m, n)
+                for kind in NanotubeKind for m in range(2, 10) for n in dict.fromkeys(n_range)
+            ]
+
+    # Every oracle value, read off a built tube or off the walk, equals the
+    # brute-force AZI of the loop-reference edges.
+    @pytest.mark.parametrize("n_range", [(1, 6), (2, 7), (3, 4), (5, 5)])
+    def test_every_oracle_value_matches_the_loop_reference(self, n_range):
+        references = {
+            NanotubeKind.ARMCHAIR: oracles.armchair_edges_reference,
+            NanotubeKind.ZIGZAG: oracles.zigzag_edges_reference,
         }
-        assert len(built) == 128 + 2 * len(DEFAULT_FIT_SAMPLES)
+        report = verify_forms(published_forms(), (2, 6), n_range)
+        for check in report.checks:
+            assert len(check.points) == 5 * (n_range[1] - n_range[0] + 1)
+            for p in check.points:
+                edges = references[check.form.kind](p.m, p.n)
+                vertex_count = 1 + max(map(max, edges))
+                assert p.oracle == oracles.azi_reference(vertex_count, edges)
+
+    def test_oracle_refuses_a_last_tube_that_does_not_extend_the_first(self, monkeypatch):
+        def build_missing_first_edge(spec):
+            g = build_nanotube(spec)
+            return g if spec.n == 1 else Graph(g.vertex_count, g.edges[1:])
+
+        monkeypatch.setattr(polyhex.forms, "build_nanotube", build_missing_first_edge)
+        with pytest.raises(RuntimeError, match="is not the subgraph of tube n=3 on its first"):
+            verify_forms(published_forms(), (2, 2), (1, 3))
 
     def test_checks_for_filters_by_provenance(self):
         report = verify_published_forms((2, 2), (1, 2))

@@ -20,6 +20,7 @@ from polyhex import (
     build_nanotube,
     edge_partition,
 )
+from polyhex.graph import _prefix_partitions
 
 import oracles
 
@@ -339,6 +340,45 @@ class TestEdgePartition:
         part = EdgePartition({(2, 2): 3})
         with pytest.raises(TypeError):
             part.classes[(2, 2)] = 0  # type: ignore[index]
+
+
+def induced_prefix(g: Graph, cut: int) -> Graph:
+    return Graph(cut, [e for e in g.edges if e[1] < cut])
+
+
+def walk_from(g: Graph, start: int, cuts: list[int]) -> list[EdgePartition]:
+    h = induced_prefix(g, start)
+    return list(_prefix_partitions(g, h.degrees, edge_partition(h), cuts))
+
+
+class TestPrefixPartitions:
+    """The walk behind the verify oracle, against a graph built at every cut."""
+
+    @given(graphs(max_vertices=10), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_partition_of_each_built_prefix(self, g: Graph, data):
+        start = data.draw(st.integers(0, g.vertex_count))
+        cuts = sorted(data.draw(st.lists(st.integers(start, g.vertex_count), max_size=6)))
+        assert walk_from(g, start, cuts) == [edge_partition(induced_prefix(g, c)) for c in cuts]
+
+    # a hub of degree 6 at either end of the ids, isolated vertices, and
+    # every cut from 0 through vertex_count
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(9, [(0, v) for v in (1, 2, 3, 5, 7, 8)] + [(1, 2), (5, 7)]),
+            Graph(9, [(u, 8) for u in (0, 1, 3, 4, 5, 6)] + [(0, 1), (3, 4)]),
+            Graph(4, []),
+            Graph(0, []),
+        ],
+        ids=["hub-first", "hub-last", "no-edges", "empty"],
+    )
+    def test_every_cut_from_zero(self, g: Graph):
+        cuts = list(range(g.vertex_count + 1))
+        walked = walk_from(g, 0, cuts)
+        assert walked == [edge_partition(induced_prefix(g, c)) for c in cuts]
+        assert walked[0] == EdgePartition({})
+        assert walked[-1] == edge_partition(g)
 
 
 class TestConnectivity:

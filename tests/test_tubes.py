@@ -410,3 +410,13 @@ class TestStructure:
     def test_build_is_deterministic(self, spec: NanotubeSpec):
         a, b = build_nanotube(spec), build_nanotube(spec)
         assert (a.vertex_count, a.edges) == (b.vertex_count, b.edges)
+
+    # The verify oracle reads each tube between the grid's first and last n
+    # off the last one's edges (polyhex.forms._oracle_values).
+    @given(st.sampled_from(KINDS), st.integers(2, 7), st.integers(1, 8), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_smaller_n_is_an_induced_prefix(self, kind, m, n, extra):
+        small = NanotubeSpec(kind, m, n)
+        cut = tube_vertex_count(small)
+        large = build_nanotube(NanotubeSpec(kind, m, n + extra))
+        assert build_nanotube(small).edges == tuple(e for e in large.edges if e[1] < cut)
