@@ -64,6 +64,8 @@ def _check_degrees(d_u: int, d_v: int) -> None:
 def azi_term(d_u: int, d_v: int) -> Fraction:
     """Exact augmented Zagreb term (d_u*d_v / (d_u+d_v-2))**3.
 
+    Each term function takes int degrees >= 1, else ValueError; an
+    unhashable degree raises TypeError from the cache before that check.
     Undefined when both endpoints have degree 1 (zero denominator).
     """
     _check_degrees(d_u, d_v)
@@ -76,14 +78,14 @@ def azi_term(d_u: int, d_v: int) -> Fraction:
 
 @functools.lru_cache(maxsize=_TERM_CACHE_SIZE, typed=True)
 def randic_term(d_u: int, d_v: int) -> float:
-    """Randic term 1/sqrt(d_u*d_v)."""
+    """Randic term 1/sqrt(d_u*d_v); degrees checked as in azi_term."""
     _check_degrees(d_u, d_v)
     return 1.0 / math.sqrt(d_u * d_v)
 
 
 @functools.lru_cache(maxsize=_TERM_CACHE_SIZE, typed=True)
 def abc_term(d_u: int, d_v: int) -> float:
-    """Atom-bond connectivity term sqrt((d_u+d_v-2) / (d_u*d_v)); 0 at (1, 1)."""
+    """ABC term sqrt((d_u+d_v-2) / (d_u*d_v)), 0 at (1, 1); degrees checked as in azi_term."""
     _check_degrees(d_u, d_v)
     return math.sqrt((d_u + d_v - 2) / (d_u * d_v))
 

@@ -16,8 +16,10 @@ Armchair TUAC6[m, n], rows r = 0..n+1:
 
 With open tube ends (no caps), every count of either family, vertices and
 the edges of each degree class, is c_mn*m*n + c_m*m for integer
-coefficients that depend on the kind alone; _COUNTS below holds them, and
-every count function here reads them from it. Any construction with these
+coefficients that depend on the kind alone. _COUNTS below holds them, and
+one function, _tube_counts, evaluates a kind's entry at (m, n): the
+per-tube count functions and grid_tubes all read their counts off it, and
+the edge count is the sum of the class counts. Any construction with these
 counts is equivalent for every degree-based index.
 
 Prefix property: for n <= N, tube (m, n) is the subgraph of tube (m, N)
@@ -135,25 +137,43 @@ def _as_tuple(items: Iterable, what: str) -> tuple:
 
 
 # Per kind: the vertex count's (c_mn, c_m), then each degree class's edge
-# count (c_mn, c_m). A count is c_mn*m*n + c_m*m, computed as (c_mn*n + c_m)*m.
+# count (c_mn, c_m) in sorted class order. A count is (c_mn*n + c_m)*m.
 _COUNTS: dict[NanotubeKind, tuple[tuple[int, int], dict[DegreePair, tuple[int, int]]]] = {
     NanotubeKind.ARMCHAIR: ((2, 4), {(2, 2): (0, 2), (2, 3): (0, 4), (3, 3): (3, -2)}),
     NanotubeKind.ZIGZAG: ((2, 2), {(2, 3): (0, 4), (3, 3): (3, -2)}),
 }
-# The edge count's (c_mn, c_m): the sum of the degree-class columns.
-_EDGE_COEFFICIENTS = {
-    kind: tuple(map(sum, zip(*classes.values()))) for kind, (_, classes) in _COUNTS.items()
-}
+
+
+def _tube_counts(
+    counts: tuple[tuple[int, int], dict[DegreePair, tuple[int, int]]], m: int, n: int
+) -> tuple[int, int, int, int, EdgePartition]:
+    """The grid_tubes row (m, n, vertex count, edge count, edge partition) of one tube.
+
+    counts is the _COUNTS entry of the tube's kind. Every class count is
+    positive for m >= 2 and n >= 1, as c_mn >= 0 and c_mn + c_m >= 1 (both
+    checked by the tests), so the partition needs no check of its own.
+    """
+    (v_mn, v_m), classes = counts
+    partition = {pair: (c_mn * n + c_m) * m for pair, (c_mn, c_m) in classes.items()}
+    vertices = (v_mn * n + v_m) * m
+    return m, n, vertices, sum(partition.values()), EdgePartition._unchecked(partition)
 
 
 def tube_vertex_count(spec: NanotubeSpec) -> int:
-    c_mn, c_m = _COUNTS[_spec_kind(spec)][0]
-    return (c_mn * spec.n + c_m) * spec.m
+    return _tube_counts(_COUNTS[_spec_kind(spec)], spec.m, spec.n)[2]
 
 
 def tube_edge_count(spec: NanotubeSpec) -> int:
-    c_mn, c_m = _EDGE_COEFFICIENTS[_spec_kind(spec)]
-    return (c_mn * spec.n + c_m) * spec.m
+    return _tube_counts(_COUNTS[_spec_kind(spec)], spec.m, spec.n)[3]
+
+
+def tube_edge_partition(spec: NanotubeSpec) -> EdgePartition:
+    """Degree-class edge counts from _COUNTS, no graph built.
+
+    This is the O(1) fast path for index computation on large tubes; it is
+    held equal to edge_partition(build_nanotube(spec)) by the test grid.
+    """
+    return _tube_counts(_COUNTS[_spec_kind(spec)], spec.m, spec.n)[4]
 
 
 def grid_edge_count(
@@ -162,10 +182,10 @@ def grid_edge_count(
     """Total edges of the tubes of each distinct kind over an inclusive (m, n) grid.
 
     Computed in O(1): summing c_mn*m*n + c_m*m over the grid gives
-    sum(m) * (c_mn*sum(n) + c_m*len(n-range)), and each sum is its range's
-    length times the mean of its endpoints. The ranges are checked with
-    validate_ranges first; a kind that is not a NanotubeKind is refused
-    with InvalidSpecError.
+    sum(m) * (c_mn*sum(n) + c_m*len(n-range)) per degree class, and each sum
+    is its range's length times the mean of its endpoints. The ranges are
+    checked with validate_ranges first; a kind that is not a NanotubeKind is
+    refused with InvalidSpecError.
     """
     ms, ns = validate_ranges(m_range, n_range)
     distinct = {_check_kind(kind) for kind in _as_tuple(kinds, "kinds")}
@@ -175,7 +195,8 @@ def grid_edge_count(
     n_sum = (ns[0] + ns[-1]) * n_count // 2
     return sum(
         m_sum * (c_mn * n_sum + c_m * n_count)
-        for c_mn, c_m in map(_EDGE_COEFFICIENTS.__getitem__, distinct)
+        for kind in distinct
+        for c_mn, c_m in _COUNTS[kind][1].values()
     )
 
 
@@ -184,43 +205,16 @@ def grid_tubes(
 ) -> Iterator[tuple[int, int, int, int, EdgePartition]]:
     """(m, n, vertex count, edge count, edge partition) of each tube of kind over a grid.
 
-    Tubes come in m-major order over the inclusive ranges, each count equal
-    to what tube_vertex_count, tube_edge_count and tube_edge_partition give
-    for NanotubeSpec(kind, m, n). The ranges are checked with
+    Tubes come in m-major order over the inclusive ranges, each row the one
+    tube_vertex_count, tube_edge_count and tube_edge_partition read their
+    field from for NanotubeSpec(kind, m, n). The ranges are checked with
     validate_ranges, and a kind that is not a NanotubeKind is refused with
     InvalidSpecError, when this is called rather than at the first next();
-    the kind's coefficients are read once, and no NanotubeSpec is made.
+    the kind's counts are looked up once, and no NanotubeSpec is made.
     """
     ms, ns = validate_ranges(m_range, n_range)
-    (v_mn, v_m), classes = _COUNTS[_check_kind(kind)]
-    e_mn, e_m = _EDGE_COEFFICIENTS[kind]
-    class_coefficients = tuple(classes.items())
-
-    def tubes() -> Iterator[tuple[int, int, int, int, EdgePartition]]:
-        for m in ms:
-            for n in ns:
-                partition = _partition(class_coefficients, m, n)
-                yield m, n, (v_mn * n + v_m) * m, (e_mn * n + e_m) * m, partition
-
-    return tubes()
-
-
-def _partition(
-    classes: Iterable[tuple[DegreePair, tuple[int, int]]], m: int, n: int
-) -> EdgePartition:
-    # Each kind's classes are in sorted order in _COUNTS, and every count is
-    # positive for m >= 2 and n >= 1, as c_mn >= 0 and c_mn + c_m >= 1 (both
-    # checked by the tests), so the partition needs no check of its own.
-    return EdgePartition._unchecked({pair: (c_mn * n + c_m) * m for pair, (c_mn, c_m) in classes})
-
-
-def tube_edge_partition(spec: NanotubeSpec) -> EdgePartition:
-    """Degree-class edge counts from _COUNTS, no graph built.
-
-    This is the O(1) fast path for index computation on large tubes; it is
-    held equal to edge_partition(build_nanotube(spec)) by the test grid.
-    """
-    return _partition(_COUNTS[_spec_kind(spec)][1].items(), spec.m, spec.n)
+    counts = _COUNTS[_check_kind(kind)]
+    return (_tube_counts(counts, m, n) for m in ms for n in ns)
 
 
 # The generators chain runs of zip(ids slice, ids slice) per row, so the

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -563,6 +564,33 @@ class TestSweep:
         capsys.readouterr()
         assert code == 0
         assert peak - before < 512 * 1024
+
+    # MAX_SWEEP_ROWS bounds time only because memory does not grow with the
+    # rows. After a warm-up sweep (the first in a process peaks near 250 KB),
+    # the traced peak at 8,000 rows stays within 32 KB of its peak at
+    # 1,000 rows, so even a few bytes kept per row would show.
+    def test_peak_traced_memory_does_not_grow_with_rows(self, tmp_path):
+        def traced_peak(m_range, n_range):
+            argv = ["sweep", "--m-range", m_range, "--n-range", n_range,
+                    "--out", str(tmp_path / "x.csv")]
+            gc.collect()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1] - before
+
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            traced_peak("2:3", "1:2")
+            small = traced_peak("2:21", "1:25")
+            large = traced_peak("2:41", "1:100")
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert large - small < 32 * 1024, (small, large)
 
     def test_empty_range_rejected_before_writing(self, capsys, tmp_path):
         out_path = tmp_path / "never.csv"

@@ -85,6 +85,21 @@ class TestTerms:
         with pytest.raises(ValueError, match="must be ints"):
             term(d_u, d_v)
 
+    # A known gap: each term's lru_cache hashes its arguments before
+    # _check_degrees runs, so an unhashable degree raises TypeError. A check
+    # in front of the cache would slow every cached call in a sweep. Removing
+    # the caches mends it; this test then passes and must lose its mark.
+    @pytest.mark.xfail(strict=True, raises=TypeError,
+                       reason="the term cache hashes degrees before they are checked")
+    @pytest.mark.parametrize(
+        "term, d_u, d_v",
+        [(azi_term, [2], 3), (randic_term, [1], 2), (abc_term, 2, {3})],
+        ids=["azi-list", "randic-list", "abc-set"],
+    )
+    def test_unhashable_degree_rejected(self, term, d_u, d_v):
+        with pytest.raises(ValueError, match="must be ints"):
+            term(d_u, d_v)
+
     def test_randic_term_values(self):
         assert randic_term(2, 2) == 0.5
         assert randic_term(1, 1) == 1.0

@@ -293,8 +293,10 @@ class TestGridTubes:
         for got, want in zip(tubes, expected):
             assert list(got[4].classes.items()) == list(want[4].classes.items())
 
-    # Both count paths build their partitions without EdgePartition's checks;
-    # these hold them to what the checked constructor makes of the same counts.
+    # The one count function, tubes._tube_counts, builds its partitions
+    # without EdgePartition's checks; these hold them, read through
+    # tube_edge_partition and grid_tubes, to what the checked constructor
+    # makes of the same counts.
     def test_count_table_needs_no_partition_check(self):
         for kind, (_, classes) in polyhex.tubes._COUNTS.items():
             pairs = list(classes)
