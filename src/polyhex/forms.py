@@ -14,8 +14,10 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter
 
-from .graph import _prefix_partitions, _Value, edge_partition
+from .graph import _prefix_partitions, _Value
 from .indices import AZI, EDGE_FUNCTIONS, azi, index_from_partition
 from .tubes import (
     InvalidSpecError,
@@ -25,8 +27,8 @@ from .tubes import (
     _check_kind,
     build_nanotube,
     grid_edge_count,
+    grid_tubes,
     tube_edge_count,
-    tube_vertex_count,
     validate_ranges,
 )
 
@@ -55,10 +57,11 @@ __all__ = [
 # build_nanotube's per-tube cap, so only this bound keeps such a call from
 # running for hours. The slowest grids per edge hold one or two n values,
 # where the oracle builds every tube: verify --kind both on 2:80 x 39:40
-# (1,574,154 edges) took 0.78 to 1.2 s, 1.3 to 2.0 million edges per second,
-# so this allows 10 to 15 s. With many n values the oracle builds two tubes
-# per m: 2:26 x 1:25 (735,000 edges) took 0.17 to 0.25 s (each the best of
-# 7 runs in one process, in runs minutes apart; 2-CPU Xeon VM, Python 3.11.7).
+# (1,574,154 edges) took 0.80 to 1.3 s, 1.2 to 2.0 million edges per second,
+# so this allows 10 to 17 s. With many n values the oracle builds two tubes
+# per m and reads the n between off a one-row window of the last: 2:26 x
+# 1:25 (735,000 edges) took 0.12 to 0.20 s (each the best of 7 runs in one
+# process, in runs minutes apart; 2-CPU Xeon VM, Python 3.11.7).
 MAX_VERIFY_EDGES = 20_000_000
 
 
@@ -296,30 +299,29 @@ def _oracle_values(kind: NanotubeKind, m: int, ns: range) -> list[Fraction]:
     Only h = tube (m, ns[0]) and g = tube (m, ns[-1]) are built, and azi is
     called once on each. By the prefix property (polyhex.tubes), every tube
     between is g's subgraph induced on its first tube_vertex_count vertices,
-    so its partition is read off one walk up g's edges that starts from h's
-    degrees and partition. The walk goes on through all of g and must end at
-    edge_partition(g), so each call checks the property. h is dropped before
-    g is built: a graph kept alive through another build has its edge tuples
-    rescanned by the cyclic garbage collector.
+    so its partition is read off a one-row window of g (_prefix_partitions),
+    at cuts read off one grid_tubes pass. The property is first checked
+    exactly: h's edges must be g's edges whose larger endpoint is below h's
+    vertex count. Only that check keeps h's edges alive through g's build,
+    since each edge tuple kept adds to the allocation count that triggers
+    the cyclic garbage collector.
     """
     h = build_nanotube(NanotubeSpec(kind, m, ns[0]))
     values = [azi(h).exact]
     if len(ns) == 1:
         return values
-    degrees, partition = h.degrees, edge_partition(h)
+    prefix, cut = (h.edges if len(ns) > 2 else ()), h.vertex_count
     del h
     g = build_nanotube(NanotubeSpec(kind, m, ns[-1]))
-    last = azi(g).exact
     if len(ns) > 2:
-        cuts = [tube_vertex_count(NanotubeSpec(kind, m, n)) for n in ns[1:-1]]
-        *middle, end = _prefix_partitions(g, degrees, partition, [*cuts, g.vertex_count])
-        if end != edge_partition(g):
+        if prefix != tuple(compress(g.edges, map(cut.__gt__, map(itemgetter(1), g.edges)))):
             raise RuntimeError(
                 f"{kind.value} tube m={m}, n={ns[0]} is not the subgraph of tube "
-                f"n={ns[-1]} on its first {len(degrees)} vertices"
+                f"n={ns[-1]} on its first {cut} vertices"
             )
-        values.extend(index_from_partition(p, AZI).exact for p in middle)
-    values.append(last)
+        cuts = [row[2] for row in grid_tubes(kind, (m, m), (ns[1], ns[-2]))]
+        values.extend(index_from_partition(p, AZI).exact for p in _prefix_partitions(g, cuts))
+    values.append(azi(g).exact)
     return values
 
 
@@ -334,8 +336,8 @@ def verify_forms(
     together have more than MAX_VERIFY_EDGES edges with GridTooLargeError,
     both before any tube is built. For each kind and m, only the tubes at
     the grid's first and last n are built (one tube when the n-range holds
-    one value), and the values between come from a walk up the last tube's
-    edges (_oracle_values).
+    one value), and the values between are read off a one-row window of
+    the last tube (_oracle_values).
     """
     forms = _as_tuple(forms, "forms")
     for form in forms:

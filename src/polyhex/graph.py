@@ -7,10 +7,10 @@ everything downstream (index sums, serialized output) is deterministic.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
-from itertools import chain, islice
-from operator import add, eq, itemgetter
+from itertools import accumulate, islice
+from operator import add, eq, itemgetter, sub
 from types import MappingProxyType
 
 Edge = tuple[int, int]
@@ -261,56 +261,41 @@ def edge_partition(g: Graph) -> EdgePartition:
     return g._partition
 
 
-def _prefix_partitions(
-    g: Graph, degrees: Sequence[int], partition: EdgePartition, cuts: Iterable[int]
-) -> Iterator[EdgePartition]:
+def _prefix_partitions(g: Graph, cuts: Iterable[int]) -> Iterator[EdgePartition]:
     """Edge partition of g's subgraph induced on vertices 0..c-1, for each cut c.
 
-    degrees and partition describe that subgraph for c = len(degrees), the
-    start; the cuts must not decrease and lie from the start through
-    g.vertex_count. g's other edges are added in order of their larger
-    endpoint, one cut at a time: the edges already at a vertex that gains
-    one are counted out under the old degrees and back in under the new, so
-    the walk costs the edges added, not the edges below the start.
+    The cuts must not decrease and lie in 0..g.vertex_count. No edge joins
+    ids more than span apart, so a vertex below c - span has all of its
+    neighbours below c, and an edge whose larger endpoint is below c - span
+    has the _degree_codes code it has in g. Such settled edges go into one
+    running count as the cuts pass them. At each cut only the band of edges
+    whose larger endpoint is in c - span .. c-1 is counted again, with each
+    vertex that has an edge reaching c or beyond lowered by those edges. For
+    a tube the span is one row, so a cut costs a row's edges, not the edges
+    below it.
     """
-    start = len(degrees)
-    # Ordered by larger endpoint, the edges below any cut come first; each
-    # index is found by stepping over the edges the walk handles anyway.
     edges = sorted(g.edges, key=itemgetter(1))
-    i = len(edges)
-    while i and edges[i - 1][1] >= start:
-        i -= 1
-    # Each edge at a vertex below the start that gains an edge has its larger
-    # endpoint at or above the smallest such vertex.
-    first = min((u for u, _ in edges[i:] if u < start), default=start)
-    j = i
-    while j and edges[j - 1][1] >= first:
-        j -= 1
-    incident = defaultdict(list)
-    for edge in edges[j:i]:
-        incident[edge[0]].append(edge)
-        incident[edge[1]].append(edge)
-    base = max(chain(degrees, g.degrees), default=0) + 1
-    degrees = list(degrees) + [0] * (g.vertex_count - start)
+    highs = list(map(itemgetter(1), edges))
+    span = max(map(sub, highs, map(itemgetter(0), edges)), default=0)
+    # below[c] is the number of edges whose larger endpoint is below c
+    per_high = Counter(highs)
+    below = list(accumulate(map(per_high.__getitem__, range(g.vertex_count)), initial=0))
+    degrees = list(g.degrees)
+    base = max(degrees, default=0) + 1
     scaled = [d * base for d in degrees]
-    codes = Counter({lo * base + hi: count for (lo, hi), count in partition.classes.items()})
+    settled: Counter[int] = Counter()
+    done = 0
     for cut in cuts:
-        stop = i
-        while stop < len(edges) and edges[stop][1] < cut:
-            stop += 1
-        added = edges[i:stop]
-        touched = set(chain.from_iterable(added))
-        around = set(chain.from_iterable(map(incident.__getitem__, touched)))
-        codes.subtract(_degree_codes(around, scaled, degrees))
-        for edge in added:
-            u, v = edge
+        low = below[max(cut - span, 0)]
+        settled.update(_degree_codes(edges[done:low], scaled, degrees))
+        done = low
+        reaching = [u for u, _ in edges[below[cut] : below[min(cut + span, g.vertex_count)]]
+                    if u < cut]
+        for u in reaching:
+            degrees[u] -= 1
+            scaled[u] -= base
+        band = _degree_codes(edges[low : below[cut]], scaled, degrees)
+        for u in reaching:
             degrees[u] += 1
-            degrees[v] += 1
             scaled[u] += base
-            scaled[v] += base
-            incident[u].append(edge)
-            incident[v].append(edge)
-        around.update(added)
-        codes.update(_degree_codes(around, scaled, degrees))
-        i = stop
-        yield _partition_from_codes(codes, base)
+        yield _partition_from_codes(settled + band, base)

@@ -681,7 +681,10 @@ class TestDeterminism:
     # shared their oracle values, holds none of the default fit samples. The
     # verify-two-n and verify-one-n grids hold two n values and one, where
     # the oracle builds every grid tube and walks no edge; their digests are
-    # from the implementation that built one tube per grid point.
+    # from the implementation that built one tube per grid point. The
+    # verify-wide-m grid reads ten of its twelve n per m off the last tube, at
+    # m up to 24; its digest is from the implementation that walked the last
+    # tube's edges one cut at a time.
     @pytest.mark.parametrize(
         "argv, exit_code, digest",
         [
@@ -701,9 +704,11 @@ class TestDeterminism:
              "fb0ae419414d9a298b2f00b3069f8cf2d280987b5592577d80dd34e5d522c2ba"),
             (("verify", "--kind", "both", "--m-range", "3:8", "--n-range", "4:4"), 1,
              "3add6b90d5b60890be109cbb6e6a1aee85d907e10591eef32b3738d09b5daf9a"),
+            (("verify", "--kind", "both", "--m-range", "20:24", "--n-range", "1:12"), 1,
+             "151d642eec5536704d49cf8312776bfcb8d50ca16d7540b5f9c8ae82554be30f"),
         ],
         ids=["verify", "partition-armchair", "partition-zigzag", "fit-zigzag", "fit-armchair",
-             "verify-off-samples", "verify-two-n", "verify-one-n"],
+             "verify-off-samples", "verify-two-n", "verify-one-n", "verify-wide-m"],
     )
     def test_stdout_matches_pinned_digest(self, capsys, argv, exit_code, digest):
         code, out, _ = run_cli(capsys, *argv)

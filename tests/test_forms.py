@@ -25,6 +25,7 @@ from polyhex import (
     SingularSystemError,
     azi,
     build_nanotube,
+    edge_partition,
     fit_closed_form,
     fit_from_values,
     grid_edge_count,
@@ -374,6 +375,31 @@ class TestVerification:
         monkeypatch.setattr(polyhex.forms, "build_nanotube", build_missing_first_edge)
         with pytest.raises(RuntimeError, match="is not the subgraph of tube n=3 on its first"):
             verify_forms(published_forms(), (2, 2), (1, 3))
+
+    # Swapping ids 0 and 1 in the last tube keeps its graph up to relabelling,
+    # its degree multiset and its partition, so only a check of the first
+    # tube's edges themselves refuses it.
+    @pytest.mark.parametrize("kind", list(NanotubeKind))
+    def test_oracle_refuses_a_last_tube_with_relabelled_ids(self, monkeypatch, kind):
+        swap = {0: 1, 1: 0}
+
+        def build_swapped(spec):
+            g = build_nanotube(spec)
+            if spec.n == 1:
+                return g
+            return Graph(g.vertex_count, [(swap.get(u, u), swap.get(v, v)) for u, v in g.edges])
+
+        tube = build_nanotube(NanotubeSpec(kind, 3, 4))
+        swapped = build_swapped(NanotubeSpec(kind, 3, 4))
+        assert swapped.edges != tube.edges
+        assert sorted(swapped.degrees) == sorted(tube.degrees)
+        assert edge_partition(swapped) == edge_partition(tube)
+        monkeypatch.setattr(polyhex.forms, "build_nanotube", build_swapped)
+        with pytest.raises(
+            RuntimeError,
+            match=f"{kind.value} tube m=3, n=1 is not the subgraph of tube n=4 on its first",
+        ):
+            verify_forms([f for f in published_forms() if f.kind is kind], (3, 3), (1, 4))
 
     def test_checks_for_filters_by_provenance(self):
         report = verify_published_forms((2, 2), (1, 2))

@@ -346,20 +346,27 @@ def induced_prefix(g: Graph, cut: int) -> Graph:
     return Graph(cut, [e for e in g.edges if e[1] < cut])
 
 
-def walk_from(g: Graph, start: int, cuts: list[int]) -> list[EdgePartition]:
-    h = induced_prefix(g, start)
-    return list(_prefix_partitions(g, h.degrees, edge_partition(h), cuts))
+def walk_from(g: Graph, cuts: list[int]) -> list[EdgePartition]:
+    return list(_prefix_partitions(g, cuts))
+
+
+def path_with_chords(vertex_count: int, length: int) -> Graph:
+    """A path on vertex_count vertices plus a chord (v, v + length) at every third v.
+
+    With length vertex_count - 1 the one chord joins the path's two ends.
+    """
+    path = [(v, v + 1) for v in range(vertex_count - 1)]
+    return Graph(vertex_count, path + [(v, v + length) for v in range(0, vertex_count - length, 3)])
 
 
 class TestPrefixPartitions:
-    """The walk behind the verify oracle, against a graph built at every cut."""
+    """The window behind the verify oracle, against a graph built at every cut."""
 
     @given(graphs(max_vertices=10), st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_the_partition_of_each_built_prefix(self, g: Graph, data):
-        start = data.draw(st.integers(0, g.vertex_count))
-        cuts = sorted(data.draw(st.lists(st.integers(start, g.vertex_count), max_size=6)))
-        assert walk_from(g, start, cuts) == [edge_partition(induced_prefix(g, c)) for c in cuts]
+        cuts = sorted(data.draw(st.lists(st.integers(0, g.vertex_count), max_size=6)))
+        assert walk_from(g, cuts) == [edge_partition(induced_prefix(g, c)) for c in cuts]
 
     # a hub of degree 6 at either end of the ids, isolated vertices, and
     # every cut from 0 through vertex_count
@@ -375,9 +382,36 @@ class TestPrefixPartitions:
     )
     def test_every_cut_from_zero(self, g: Graph):
         cuts = list(range(g.vertex_count + 1))
-        walked = walk_from(g, 0, cuts)
+        walked = walk_from(g, cuts)
         assert walked == [edge_partition(induced_prefix(g, c)) for c in cuts]
         assert walked[0] == EdgePartition({})
+        assert walked[-1] == edge_partition(g)
+
+    # The chords are longer than the gap between cuts, so each cut's band
+    # reaches back over earlier cuts. The chord (0, V-1) settles nothing
+    # before the last cut; shorter chords settle edges along the way.
+    @pytest.mark.parametrize(
+        "vertex_count, length", [(3, 2), (8, 7), (13, 12), (13, 4), (14, 6)]
+    )
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_edge_longer_than_the_gap_between_cuts(self, vertex_count, length, step):
+        g = path_with_chords(vertex_count, length)
+        cuts = [*range(0, vertex_count, step), vertex_count]
+        assert walk_from(g, cuts) == [edge_partition(induced_prefix(g, c)) for c in cuts]
+
+    # A repeated cut yields the same partition again, and the edges it
+    # settled are not counted twice, with short and long edges.
+    @pytest.mark.parametrize(
+        "g",
+        [path_with_chords(9, 8), path_with_chords(6, 3),
+         build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, 3, 4))],
+        ids=["path-with-end-chord", "path-with-inner-chord", "armchair-3-4"],
+    )
+    def test_repeated_cuts(self, g: Graph):
+        v = g.vertex_count
+        cuts = [0, 0, 2, 2, 2, v // 2, v // 2, v - 1, v, v, v]
+        walked = walk_from(g, cuts)
+        assert walked == [edge_partition(induced_prefix(g, c)) for c in cuts]
         assert walked[-1] == edge_partition(g)
 
 
