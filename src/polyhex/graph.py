@@ -205,6 +205,9 @@ class EdgePartition(_Value):
                 cleaned[lo, hi] = count
         object.__setattr__(self, "classes", MappingProxyType(cleaned))
 
+    def __reduce__(self) -> tuple:  # a mappingproxy cannot be copied or pickled
+        return type(self), (dict(self.classes),)
+
     @classmethod
     def _unchecked(cls, classes: dict[DegreePair, int]) -> "EdgePartition":
         """The partition of classes as given, without the checks EdgePartition(classes) makes.

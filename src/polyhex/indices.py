@@ -101,13 +101,19 @@ class IndexValue(_Value):
 
 
 class EdgeFunction(_Value):
-    """A symmetric per-edge term f(d_u, d_v) plus how to accumulate it."""
+    """A symmetric per-edge term f(d_u, d_v) plus how to accumulate it.
+
+    An exact term returns values with numerator and denominator (Fraction or int).
+    """
 
     # No __slots__: benchmarks/tracing.py finds .term in the instance __dict__.
     __match_args__ = ("name", "term", "exact")
 
     def __init__(self, name: str, term: Callable[[int, int], Fraction | float],
                  exact: bool) -> None:
+        if not (isinstance(name, str) and callable(term) and isinstance(exact, bool)):
+            raise ValueError("an EdgeFunction needs a str name, a callable term and a bool "
+                             f"exact (got {name!r}, {term!r}, {exact!r})")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "term", term)
         object.__setattr__(self, "exact", exact)
@@ -143,7 +149,8 @@ def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValu
     is num / den, which int true division rounds correctly. The others sum
     with math.fsum in sorted degree-class order, so the result is
     deterministic. A partition that is not an EdgePartition, or an f that is
-    not an EdgeFunction, raises ValueError.
+    not an EdgeFunction, raises ValueError, and so does an exact f whose
+    term has no numerator and denominator.
     """
     if not isinstance(partition, EdgePartition):
         raise ValueError(f"partition must be an EdgePartition (got {type(partition).__name__})")
@@ -154,9 +161,13 @@ def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValu
         num, den = 0, 1
         for pair, count in classes.items():
             term = f.term(*pair)
-            term_den = term.denominator
+            try:
+                term_num, term_den = term.numerator, term.denominator
+            except AttributeError:
+                raise ValueError(f"exact edge function {f.name!r} gave {term!r} at {pair}, "
+                                 "which has no numerator and denominator") from None
             lcm = math.lcm(den, term_den)
-            num = num * (lcm // den) + count * term.numerator * (lcm // term_den)
+            num = num * (lcm // den) + count * term_num * (lcm // term_den)
             den = lcm
         return IndexValue(Fraction(num, den), num / den)
     # count * f(class) for each class, in the partition's sorted order

@@ -2,31 +2,33 @@
 
 Both families are parametrized by (m, n): m hexagons around the circumference
 and n rows (armchair) or n repetitions (zigzag). Both are laid out on rows of
-2m vertices indexed (r, c) with c in 0..2m-1 and vertex id r*2m + c.
+2m vertices indexed (r, c) with c in 0..2m-1 and vertex id r*2m + c, and one
+rule, with a row count and a ring and a rung stride per kind, builds both:
+  * row r carries the ring edges (r, c)-(r, (c+1) mod 2m) for c = r (mod ring);
+  * rows r and r+1 are joined by the rungs (r, c)-(r+1, c) for c = r (mod rung).
 
-Zigzag TUZC6[m, n], rows r = 0..n:
-  * each row is a 2m-cycle: (r, c)-(r, (c+1) mod 2m) for every c;
-  * between rows r and r+1, vertical edges (r, c)-(r+1, c) for exactly the
-    c with c = r (mod 2), i.e. m edges per gap.
-
-Armchair TUAC6[m, n], rows r = 0..n+1:
-  * vertical edges (r, c)-(r+1, c) for every c and r = 0..n;
-  * each row carries a perfect matching around the circumference: even rows
-    pair (r, 2i)-(r, 2i+1), odd rows pair (r, 2i+1)-(r, (2i+2) mod 2m).
+Zigzag TUZC6[m, n] has rows 0..n and strides ring 1, rung 2: 2m-cycle rows,
+each joined to the next by m rungs. Armchair TUAC6[m, n] has rows 0..n+1 and
+strides ring 2, rung 1: rows that are perfect matchings around the
+circumference, (r, 2i)-(r, 2i+1) in even rows and (r, 2i+1)-(r, (2i+2) mod 2m)
+in odd ones, joined to the next row at every column.
 
 With open tube ends (no caps), every count of either family, vertices and
 the edges of each degree class, is c_mn*m*n + c_m*m for integer
-coefficients that depend on the kind alone. _COUNTS below holds them, and
-one function, _tube_counts, evaluates a kind's entry at (m, n): the
-per-tube count functions and grid_tubes all read their counts off it, and
-the edge count is the sum of the class counts. Any construction with these
-counts is equivalent for every degree-based index.
+coefficients that depend on the kind alone. _KINDS below holds every fact
+about a kind: its rows beyond n, its two strides and its class counts. One
+function, _tube_counts, evaluates a kind's entry at (m, n), with the vertex
+count 2m times the row count: the per-tube count functions and grid_tubes
+all read their counts off it, and the edge count is the sum of the class
+counts. Any construction with these counts is equivalent for every
+degree-based index.
 
 Prefix property: for n <= N, tube (m, n) is the subgraph of tube (m, N)
 induced on its first tube_vertex_count vertices, ids included. It holds for
 both kinds because ids are row-major, a larger n only appends rows at the
-high end, and whether two vertices of rows present in both tubes are
-joined depends on their rows, columns and m alone, never on n. The verify
+high end, and each run of the rule depends on r only through r mod its
+stride: whether two vertices of rows present in both tubes are joined
+depends on their rows, columns and m alone, never on n. The verify
 oracle (polyhex.forms) relies on it to build two tubes per m, not one per
 grid point. As no edge joins ids more than one row (2m) apart, it reads
 every n between off a window one row wide that moves up the larger tube,
@@ -35,7 +37,7 @@ larger tube's edges below its vertex count.
 
 Domain: m >= 2 and n >= 1 for both kinds. Zigzag m = 2 is accepted although
 it is not hexagonal: its rows are 4-cycles, so its girth is 4 (every other
-tube here has girth 6). Its degree classes still follow the counts in _COUNTS,
+tube here has girth 6). Its degree classes still follow the counts in _KINDS,
 so every degree-based index, and every closed form in m and n, holds there
 as it does for m >= 3.
 """
@@ -139,44 +141,44 @@ def _as_tuple(items: Iterable, what: str) -> tuple:
     return tuple(iterator)
 
 
-# Per kind: the vertex count's (c_mn, c_m), then each degree class's edge
-# count (c_mn, c_m) in sorted class order. A count is (c_mn*n + c_m)*m.
-_COUNTS: dict[NanotubeKind, tuple[tuple[int, int], dict[DegreePair, tuple[int, int]]]] = {
-    NanotubeKind.ARMCHAIR: ((2, 4), {(2, 2): (0, 2), (2, 3): (0, 4), (3, 3): (3, -2)}),
-    NanotubeKind.ZIGZAG: ((2, 2), {(2, 3): (0, 4), (3, 3): (3, -2)}),
+# Per kind: the rows beyond n, the ring and rung strides (_tube_edges), then
+# each degree class's edge count (c_mn, c_m) in sorted class order. A tube
+# has n + extra rows of 2m vertices, and a class count is (c_mn*n + c_m)*m.
+_KINDS: dict[NanotubeKind, tuple[int, int, int, dict[DegreePair, tuple[int, int]]]] = {
+    NanotubeKind.ARMCHAIR: (2, 2, 1, {(2, 2): (0, 2), (2, 3): (0, 4), (3, 3): (3, -2)}),
+    NanotubeKind.ZIGZAG: (1, 1, 2, {(2, 3): (0, 4), (3, 3): (3, -2)}),
 }
 
 
 def _tube_counts(
-    counts: tuple[tuple[int, int], dict[DegreePair, tuple[int, int]]], m: int, n: int
+    entry: tuple[int, int, int, dict[DegreePair, tuple[int, int]]], m: int, n: int
 ) -> tuple[int, int, int, int, EdgePartition]:
     """The grid_tubes row (m, n, vertex count, edge count, edge partition) of one tube.
 
-    counts is the _COUNTS entry of the tube's kind. Every class count is
+    entry is the _KINDS entry of the tube's kind. Every class count is
     positive for m >= 2 and n >= 1, as c_mn >= 0 and c_mn + c_m >= 1 (both
     checked by the tests), so the partition needs no check of its own.
     """
-    (v_mn, v_m), classes = counts
+    extra, _, _, classes = entry
     partition = {pair: (c_mn * n + c_m) * m for pair, (c_mn, c_m) in classes.items()}
-    vertices = (v_mn * n + v_m) * m
-    return m, n, vertices, sum(partition.values()), EdgePartition._unchecked(partition)
+    return m, n, 2 * m * (n + extra), sum(partition.values()), EdgePartition._unchecked(partition)
 
 
 def tube_vertex_count(spec: NanotubeSpec) -> int:
-    return _tube_counts(_COUNTS[_spec_kind(spec)], spec.m, spec.n)[2]
+    return _tube_counts(_KINDS[_spec_kind(spec)], spec.m, spec.n)[2]
 
 
 def tube_edge_count(spec: NanotubeSpec) -> int:
-    return _tube_counts(_COUNTS[_spec_kind(spec)], spec.m, spec.n)[3]
+    return _tube_counts(_KINDS[_spec_kind(spec)], spec.m, spec.n)[3]
 
 
 def tube_edge_partition(spec: NanotubeSpec) -> EdgePartition:
-    """Degree-class edge counts from _COUNTS, no graph built.
+    """Degree-class edge counts from _KINDS, no graph built.
 
     This is the O(1) fast path for index computation on large tubes; it is
     held equal to edge_partition(build_nanotube(spec)) by the test grid.
     """
-    return _tube_counts(_COUNTS[_spec_kind(spec)], spec.m, spec.n)[4]
+    return _tube_counts(_KINDS[_spec_kind(spec)], spec.m, spec.n)[4]
 
 
 def grid_edge_count(
@@ -199,7 +201,7 @@ def grid_edge_count(
     return sum(
         m_sum * (c_mn * n_sum + c_m * n_count)
         for kind in distinct
-        for c_mn, c_m in _COUNTS[kind][1].values()
+        for c_mn, c_m in _KINDS[kind][3].values()
     )
 
 
@@ -216,46 +218,31 @@ def grid_tubes(
     the kind's counts are looked up once, and no NanotubeSpec is made.
     """
     ms, ns = validate_ranges(m_range, n_range)
-    counts = _COUNTS[_check_kind(kind)]
-    return (_tube_counts(counts, m, n) for m in ms for n in ns)
+    entry = _KINDS[_check_kind(kind)]
+    return (_tube_counts(entry, m, n) for m in ms for n in ns)
 
 
-# The generators chain runs of zip(ids slice, ids slice) per row, so the
+# The generator chains runs of zip(ids slice, ids slice) per row, so the
 # per-edge work runs in C and no edge list is built: Graph reads each pair
-# and drops it, and zip reuses its result tuple. Each row's wrap-around edge
-# is a one-element run. Slicing one ids list, not two ranges, makes the
-# edges Graph keeps share one int object per vertex. The loop versions, one
-# iteration per edge, are kept in the tests as the reference.
-def _zigzag_edges(m: int, n: int) -> Iterator[Edge]:
-    width = 2 * m
-    ids = list(range((n + 1) * width))
+# and drops it, and zip reuses its result tuple. A ring's wrap-around edge is
+# a one-element run, present when the ring's run ends at column 2m - 1.
+# Slicing one ids list, not two ranges, makes the edges Graph keeps share one
+# int object per vertex. The loop versions, one iteration per edge and one
+# per kind, are kept in the tests as the reference.
+def _tube_edges(kind: NanotubeKind, m: int, n: int) -> Iterator[Edge]:
+    extra, ring, rung, _ = _KINDS[kind]
+    width, rows = 2 * m, n + extra
+    ids = list(range(rows * width))
 
     def runs() -> Iterator[Iterable[Edge]]:
-        for r in range(n + 1):
-            base, end = r * width, (r + 1) * width
-            yield zip(ids[base : end - 1], ids[base + 1 : end])
-            yield ((ids[end - 1], ids[base]),)
-        for r in range(n):
-            low = r * width + r % 2
-            high = low + width
-            yield zip(ids[low:high:2], ids[high : high + width : 2])
-
-    return chain.from_iterable(runs())
-
-
-def _armchair_edges(m: int, n: int) -> Iterator[Edge]:
-    width = 2 * m
-    ids = list(range((n + 2) * width))
-
-    def runs() -> Iterator[Iterable[Edge]]:
-        yield zip(ids[: (n + 1) * width], ids[width:])
-        for r in range(n + 2):
-            base, end = r * width, (r + 1) * width
-            if r % 2 == 0:
-                yield zip(ids[base:end:2], ids[base + 1 : end : 2])
-            else:
-                yield zip(ids[base + 1 : end - 1 : 2], ids[base + 2 : end : 2])
-                yield ((ids[end - 1], ids[base]),)
+        for r in range(rows):
+            start, end = r * width + r % ring, (r + 1) * width
+            yield zip(ids[start : end - 1 : ring], ids[start + 1 : end : ring])
+            if (width - 1 - r) % ring == 0:
+                yield ((ids[end - 1], ids[end - width]),)
+        for r in range(rows - 1):
+            low = r * width + r % rung
+            yield zip(ids[low : low + width : rung], ids[low + width : low + 2 * width : rung])
 
     return chain.from_iterable(runs())
 
@@ -267,17 +254,13 @@ def build_nanotube(spec: NanotubeSpec) -> Graph:
     MAX_BUILD_EDGES edges. Like each count function here, it refuses a spec
     that is not a NanotubeSpec with InvalidSpecError.
     """
-    edge_count = tube_edge_count(spec)
+    _, _, vertex_count, edge_count, _ = _tube_counts(_KINDS[_spec_kind(spec)], spec.m, spec.n)
     if edge_count > MAX_BUILD_EDGES:
         raise TubeTooLargeError(
             f"{spec.kind.value} tube m={spec.m}, n={spec.n} has {edge_count} edges, "
             f"more than the {MAX_BUILD_EDGES} a built graph may have"
         )
-    if spec.kind is NanotubeKind.ARMCHAIR:
-        edges = _armchair_edges(spec.m, spec.n)
-    else:
-        edges = _zigzag_edges(spec.m, spec.n)
-    return Graph(tube_vertex_count(spec), edges)
+    return Graph(vertex_count, _tube_edges(spec.kind, spec.m, spec.n))
 
 
 def validate_ranges(m_range: tuple[int, int], n_range: tuple[int, int]) -> tuple[range, range]:

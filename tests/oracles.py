@@ -3,8 +3,8 @@
 Everything here works from a raw edge list, on purpose: degrees,
 connectivity, components and girth are recomputed from scratch rather than
 read off the Graph object under test. Extended-precision references use
-mpmath at 50 digits; the CLI's decimal strings are checked against the
-decimal module. The reference sweep CSV is rendered by csv.writer, one
+the decimal module at 50 digits, as do the checks of the CLI's decimal
+strings. The reference sweep CSV is rendered by csv.writer, one
 NanotubeSpec and tube_edge_partition per row.
 """
 
@@ -15,8 +15,6 @@ import decimal
 import io
 from collections import Counter, deque
 from fractions import Fraction
-
-import mpmath
 
 from polyhex import (
     EDGE_FUNCTIONS,
@@ -29,7 +27,9 @@ from polyhex import (
 )
 from polyhex.cli import _cell_names, _index_cells
 
-mpmath.mp.dps = 50
+# Every reference operation runs in this context: sum() and + use the
+# current context, whose default precision is 28 digits.
+REFERENCE_CONTEXT = decimal.Context(prec=50)
 
 Edge = tuple[int, int]
 
@@ -126,17 +126,19 @@ def azi_reference(vertex_count: int, edges: list[Edge]) -> Fraction:
     return total
 
 
-def randic_reference(vertex_count: int, edges: list[Edge]) -> mpmath.mpf:
+def randic_reference(vertex_count: int, edges: list[Edge]) -> decimal.Decimal:
     degs = degrees_from_edges(vertex_count, edges)
-    return mpmath.fsum(1 / mpmath.sqrt(degs[u] * degs[v]) for u, v in edges)
+    with decimal.localcontext(REFERENCE_CONTEXT):
+        return sum(1 / decimal.Decimal(degs[u] * degs[v]).sqrt() for u, v in edges)
 
 
-def abc_reference(vertex_count: int, edges: list[Edge]) -> mpmath.mpf:
+def abc_reference(vertex_count: int, edges: list[Edge]) -> decimal.Decimal:
     degs = degrees_from_edges(vertex_count, edges)
-    return mpmath.fsum(
-        mpmath.sqrt(mpmath.mpf(degs[u] + degs[v] - 2) / (degs[u] * degs[v]))
-        for u, v in edges
-    )
+    with decimal.localcontext(REFERENCE_CONTEXT):
+        return sum(
+            (decimal.Decimal(degs[u] + degs[v] - 2) / (degs[u] * degs[v])).sqrt()
+            for u, v in edges
+        )
 
 
 def exact_decimal_reference(q: Fraction) -> str:
@@ -220,14 +222,18 @@ def sweep_csv_reference(
 
 
 def rel_close(value: float, reference, rel: float = 1e-12) -> bool:
-    reference = mpmath.mpf(reference)
-    if reference == 0:
-        return value == 0
-    return abs(mpmath.mpf(value) - reference) / abs(reference) <= rel
+    with decimal.localcontext(REFERENCE_CONTEXT):
+        reference = decimal.Decimal(reference)
+        if reference == 0:
+            return value == 0
+        return abs(decimal.Decimal(value) - reference) / abs(reference) <= decimal.Decimal(rel)
 
 
 def zigzag_edges_reference(m: int, n: int) -> list[Edge]:
-    """Zigzag tube edges, one loop iteration per edge, as the tubes docstring reads."""
+    """Zigzag tube edges, one loop iteration per edge: 2m-cycle rows joined by m rungs.
+
+    Written per kind, apart from the one rule tubes builds both kinds with,
+    so that it stays an independent reference."""
     width = 2 * m
     edges: list[Edge] = []
     for r in range(n + 1):
@@ -242,7 +248,8 @@ def zigzag_edges_reference(m: int, n: int) -> list[Edge]:
 
 
 def armchair_edges_reference(m: int, n: int) -> list[Edge]:
-    """Armchair tube edges, one loop iteration per edge, as the tubes docstring reads."""
+    """Armchair tube edges, one loop iteration per edge: perfect-matching rows
+    joined at every column; written per kind, as for zigzag."""
     width = 2 * m
     edges: list[Edge] = []
     for r in range(n + 1):

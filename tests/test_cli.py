@@ -166,10 +166,10 @@ class TestBuild:
         assert "m must be >= 2 (got 1)" in err
 
     def test_rejects_huge_tube(self, capsys, monkeypatch):
-        def no_edges(m, n):
+        def no_edges(kind, m, n):
             raise AssertionError("edges generated for a refused tube")
 
-        monkeypatch.setattr(polyhex.tubes, "_armchair_edges", no_edges)
+        monkeypatch.setattr(polyhex.tubes, "_tube_edges", no_edges)
         code, out, err = run_cli(capsys, "build", "--kind", "armchair", "--m", "100000", "--n", "100000")
         assert code == 2
         assert out == ""
@@ -646,6 +646,14 @@ class TestDeterminism:
              "275787d8d5e585cdd54bca59df547dfcf3d825dd3001fa7773df7eb9a36af429"),
             ("zigzag", 33, 31, "json",
              "f8898646af1b86fb1f3bf295d3cb113dbffb835f4ef941f07f6379c88c655517"),
+            # From the implementation with one edge generator per kind; the
+            # smallest tubes, where each ring's runs are shortest.
+            ("armchair", 2, 1, "json",
+             "4342d538e7d134d2ca1c35a068d2ff5211c85745dd5036ac4019d4256f26de81"),
+            ("armchair", 2, 1, "dot",
+             "684ceb2934fec67c77844f1e2f9af5438e32f39d9134f1c582f93b48f2ad4bb3"),
+            ("zigzag", 2, 1, "json",
+             "310b5c9a3c4e1982593a04ec90b5f9adce4d754cfd748f68cff43cc17b9a0bc9"),
         ],
     )
     def test_build_stdout_matches_pinned_digest(self, capsys, kind, m, n, fmt, digest):

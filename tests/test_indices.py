@@ -14,6 +14,7 @@ from polyhex import (
     AZI,
     EDGE_FUNCTIONS,
     RANDIC,
+    EdgeFunction,
     EdgePartition,
     Graph,
     GraphError,
@@ -243,6 +244,28 @@ class TestPartitionEvaluation:
         for index in (azi, randic, abc):
             with pytest.raises(GraphError, match="can only partition a Graph"):
                 index(part)
+
+    @pytest.mark.parametrize(
+        "args, shown",
+        [
+            ((b"azi", azi_term, True), "b'azi'"),
+            (("azi", "notcallable", True), "'notcallable'"),
+            (("azi", azi_term, 1), ", 1)"),
+            (("azi", azi_term, None), ", None)"),
+        ],
+    )
+    def test_malformed_edge_function_refused(self, args, shown):
+        with pytest.raises(ValueError, match="needs a str name, a callable term and a bool") as info:
+            EdgeFunction(*args)
+        assert shown in str(info.value)
+
+    # A float term of an exact function once failed with AttributeError
+    # inside the sum; an int term has a numerator and a denominator.
+    def test_exact_term_needs_numerator_and_denominator(self):
+        part = EdgePartition({(2, 2): 10, (2, 3): 20})
+        with pytest.raises(ValueError, match=r"exact edge function 'x' gave 0\.5 at \(2, 2\)"):
+            index_from_partition(part, EdgeFunction("x", randic_term, True))
+        assert index_from_partition(part, EdgeFunction("x", max, True)).exact == 80
 
     def test_undefined_class_named(self):
         part = EdgePartition({(1, 1): 3})

@@ -168,11 +168,10 @@ class TestBuildSizeGuard:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_huge_tube_refused_before_any_edge(self, kind, monkeypatch):
-        def no_edges(m, n):
+        def no_edges(kind, m, n):
             raise AssertionError("edges generated for a refused tube")
 
-        monkeypatch.setattr(polyhex.tubes, "_armchair_edges", no_edges)
-        monkeypatch.setattr(polyhex.tubes, "_zigzag_edges", no_edges)
+        monkeypatch.setattr(polyhex.tubes, "_tube_edges", no_edges)
         spec = NanotubeSpec(kind, 100_000, 100_000)
         assert tube_edge_count(spec) > MAX_BUILD_EDGES
         with pytest.raises(TubeTooLargeError, match="more than the 5000000"):
@@ -298,7 +297,7 @@ class TestGridTubes:
     # tube_edge_partition and grid_tubes, to what the checked constructor
     # makes of the same counts.
     def test_count_table_needs_no_partition_check(self):
-        for kind, (_, classes) in polyhex.tubes._COUNTS.items():
+        for kind, (*_, classes) in polyhex.tubes._KINDS.items():
             pairs = list(classes)
             assert pairs == sorted(pairs), kind
             for (lo, hi), (c_mn, c_m) in classes.items():
@@ -398,14 +397,19 @@ class TestStructure:
         "m, n", [(m, n) for m in range(2, 10) for n in range(1, 10)] + [(30, 17)]
     )
     def test_edges_match_loop_reference(self, m, n):
-        for generate, reference in (
-            (polyhex.tubes._armchair_edges, oracles.armchair_edges_reference),
-            (polyhex.tubes._zigzag_edges, oracles.zigzag_edges_reference),
+        for kind, reference in (
+            (NanotubeKind.ARMCHAIR, oracles.armchair_edges_reference),
+            (NanotubeKind.ZIGZAG, oracles.zigzag_edges_reference),
         ):
-            edges = list(generate(m, n))
+            edges = list(polyhex.tubes._tube_edges(kind, m, n))
             expected = reference(m, n)
             assert len(edges) == len(expected)
             assert {(min(e), max(e)) for e in edges} == {(min(e), max(e)) for e in expected}
+
+    @given(st.integers(2, 60), st.integers(1, 40))
+    @settings(max_examples=20, deadline=None)
+    def test_edges_match_loop_reference_at_drawn_size(self, m, n):
+        self.test_edges_match_loop_reference(m, n)
 
     @given(specs)
     @settings(max_examples=20, deadline=None)

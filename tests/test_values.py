@@ -19,6 +19,8 @@ from polyhex import (
     NanotubeSpec,
     PointCheck,
     Provenance,
+    grid_tubes,
+    tube_edge_partition,
 )
 
 Q = Fraction(3, 4)
@@ -112,8 +114,8 @@ def test_repr(cls):
 def test_copies_equal_the_original(cls):
     value = make(cls)
     assert copy.copy(value) == value
-    if cls is not EdgePartition:  # a mappingproxy cannot be pickled
-        assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
 
 
 @CLASSES
@@ -125,3 +127,12 @@ def test_only_edge_function_has_an_instance_dict(cls):
 def test_unchecked_partition_equals_checked():
     classes = {(2, 2): 4, (2, 3): 8, (3, 3): 13}
     assert EdgePartition._unchecked(classes) == EdgePartition(classes)
+
+
+# The count functions make their partitions without EdgePartition's checks.
+def test_count_partitions_copy_and_pickle():
+    spec = NanotubeSpec(NanotubeKind.ARMCHAIR, 5, 9)
+    row = next(grid_tubes(NanotubeKind.ZIGZAG, (3, 3), (4, 4)))
+    for value in (tube_edge_partition(spec), row):
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
