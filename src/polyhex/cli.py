@@ -2,14 +2,16 @@
 
 All results go to stdout (sweep writes its CSV to a file); logs go to
 stderr. Exit codes: 0 success, 1 verification found an inconsistency (or a
-fit found no exact form), 2 usage or validation error. Identical
-invocations produce byte-identical output.
+fit found no exact form), 2 usage or validation error, 141 (128 + SIGPIPE)
+the output's reader closed it early, as `| head` does (stderr stays empty).
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
@@ -45,9 +47,9 @@ INDEX_LIST = ",".join(INDEX_NAMES)  # as --indices takes them
 
 # Most rows one sweep may write. Sweep writes each row as it is computed, so
 # its memory does not grow with the grid (tracemalloc peak near 70 KB at
-# 4,000 and at 100,000 rows) and this cap bounds time only: about 17 us per
-# row (wall clock over 100,000 rows, median of 9 runs, 2-CPU Xeon VM,
-# Python 3.11.7), so a sweep at the cap takes under half a minute.
+# 4,000 and at 100,000 rows) and this cap bounds time only: about 14 us per
+# row (wall clock of a whole 100,000-row sweep process, median of 15 runs,
+# 2-CPU Xeon VM, Python 3.11.7), so a sweep at the cap takes under 30 s.
 MAX_SWEEP_ROWS = 1_000_000
 
 # Edges per json.dumps call in `build --format json`: the C encoder can hold a
@@ -63,21 +65,19 @@ def _float_decimal(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _exact_decimal(q: Fraction) -> str:
-    """Decimal string of q: exact when the expansion terminates, else 15 digits."""
-    den = q.denominator
+def _exact_decimal(num: int, den: int) -> str:
+    """Decimal string of num/den in lowest terms: exact when it terminates, else 15 digits."""
     # den = 2**a * 5**b has 2**a <= den and 2**b <= 5**b <= den, so a and b are
     # at most places and den divides 10**places; any other prime factor of den
     # leaves a remainder.
     places = den.bit_length() - 1
     scale, remainder = divmod(10**places, den)
     if remainder:
-        return _float_decimal(float(q))
-    digits = str(abs(q.numerator) * scale).rjust(places + 1, "0")
-    split = len(digits) - places
-    fractional = digits[split:].rstrip("0")
-    sign = "-" if q.numerator < 0 else ""
-    return sign + digits[:split] + ("." + fractional if fractional else "")
+        return _float_decimal(num / den)  # float(Fraction(num, den)) is this quotient
+    whole, part = divmod(abs(num), den)
+    fractional = str(part * scale).rjust(places, "0").rstrip("0")
+    text = f"{whole}.{fractional}" if fractional else str(whole)
+    return "-" + text if num < 0 else text
 
 
 def _int_pair(what: str, sep: str, metavar: str) -> dict:
@@ -107,7 +107,8 @@ def _index_cells(partition: EdgePartition, f: EdgeFunction) -> tuple[int | str, 
     value = index_from_partition(partition, f)
     if f.exact:
         q = value.exact
-        return q.numerator, q.denominator, _exact_decimal(q)
+        num, den = q.numerator, q.denominator
+        return num, den, _exact_decimal(num, den)
     return (_float_decimal(value.approx),)
 
 
@@ -309,12 +310,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         with open(args.out, "w", newline="") as out:
             out.write(",".join(header) + "\n")
             for kind in kinds:
-                tubes = grid_tubes(kind, args.m_range, args.n_range)
+                label, tubes = kind.value, grid_tubes(kind, args.m_range, args.n_range)
                 for m, n, vertices, edges, partition in tubes:
-                    cells = (kind.value, m, n, vertices, edges)
+                    cells = (label, m, n, vertices, edges)
                     for f in wanted:
                         cells += _index_cells(partition, f)
                     out.write(template % cells)
+    except BrokenPipeError:  # --out is stdout, or a pipe, and its reader went away
+        raise
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
@@ -383,11 +386,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
     except ValueError as exc:
         # InvalidSpecError (empty ranges included), GraphError: all usage/validation
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the rest of stdout's buffer goes to devnull, so exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

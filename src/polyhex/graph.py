@@ -216,8 +216,11 @@ class EdgePartition(_Value):
         int pairs 1 <= d_min <= d_max, with positive int counts.
         """
         partition = object.__new__(cls)
-        object.__setattr__(partition, "classes", MappingProxyType(classes))
+        _set_classes(partition, MappingProxyType(classes))
         return partition
+
+
+_set_classes = EdgePartition.classes.__set__  # for _unchecked: no lookup by name
 
 
 def _degree_codes(

@@ -100,6 +100,10 @@ class IndexValue(_Value):
         object.__setattr__(self, "approx", approx)
 
 
+# index_from_partition fills an IndexValue through these, skipping __init__
+_set_exact, _set_approx = IndexValue.exact.__set__, IndexValue.approx.__set__
+
+
 class EdgeFunction(_Value):
     """A symmetric per-edge term f(d_u, d_v) plus how to accumulate it.
 
@@ -156,19 +160,24 @@ def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValu
         raise ValueError(f"partition must be an EdgePartition (got {type(partition).__name__})")
     if not isinstance(f, EdgeFunction):
         raise ValueError(f"f must be an EdgeFunction such as AZI (got {f!r})")
-    classes = partition.classes
+    classes, term = partition.classes, f.term
     if f.exact:
         num, den = 0, 1
         for pair, count in classes.items():
-            term = f.term(*pair)
+            q = term(*pair)
             try:
-                term_num, term_den = term.numerator, term.denominator
+                term_num, term_den = q.numerator, q.denominator
             except AttributeError:
-                raise ValueError(f"exact edge function {f.name!r} gave {term!r} at {pair}, "
+                raise ValueError(f"exact edge function {f.name!r} gave {q!r} at {pair}, "
                                  "which has no numerator and denominator") from None
-            lcm = math.lcm(den, term_den)
-            num = num * (lcm // den) + count * term_num * (lcm // term_den)
-            den = lcm
-        return IndexValue(Fraction(num, den), num / den)
-    # count * f(class) for each class, in the partition's sorted order
-    return IndexValue(None, math.fsum(map(mul, classes.values(), starmap(f.term, classes))))
+            if den % term_den:  # else den is already a common multiple
+                lcm = math.lcm(den, term_den)
+                num, den = num * (lcm // den), lcm
+            num += count * term_num * (den // term_den)
+        exact, approx = Fraction(num, den), num / den
+    else:  # count * f(class) for each class, in the partition's sorted order
+        exact, approx = None, math.fsum(map(mul, classes.values(), starmap(term, classes)))
+    value = object.__new__(IndexValue)
+    _set_exact(value, exact)
+    _set_approx(value, approx)
+    return value

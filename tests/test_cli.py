@@ -48,14 +48,18 @@ def run_cli(capsys, *argv: str):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_process(*argv: str, cwd=None):
+def process_env() -> dict[str, str]:
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+def run_process(*argv: str, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "polyhex", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=process_env(),
     )
 
 
@@ -830,6 +834,31 @@ NON_TERMINATING_DENOMINATORS = st.builds(
 )
 
 
+class TestClosedPipe:
+    # build, verify and sweep (its CSV to /dev/stdout) write far more than a
+    # pipe buffer holds, so they are still writing when their reader goes
+    # away after 20 bytes; index's few bytes wait in stdout's buffer until
+    # the end, and its reader is gone before it starts. stdout is
+    # block-buffered, as without PYTHONUNBUFFERED, so bytes can still be in
+    # its buffer when the pipe closes.
+    @pytest.mark.parametrize("argv, read", [
+        (("build", "--kind", "armchair", "--m", "200", "--n", "200", "--format", "dot"), 20),
+        (("verify", "--m-range", "2:30", "--n-range", "1:30"), 20),
+        (("index", "--kind", "zigzag", "--m", "5", "--n", "9"), 0),
+        (("sweep", "--m-range", "2:200", "--n-range", "1:200", "--out", "/dev/stdout"), 20),
+    ], ids=["build", "verify", "index", "sweep"])
+    def test_reader_closing_early_ends_quietly(self, argv, read):
+        env = {k: v for k, v in process_env().items() if k != "PYTHONUNBUFFERED"}
+        with subprocess.Popen([sys.executable, "-m", "polyhex", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(read)) == read
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=300)
+        assert err == b""
+        assert code == 141
+
+
 class TestExactDecimal:
     @given(
         st.integers(-(10**15), 10**15),
@@ -843,4 +872,4 @@ class TestExactDecimal:
     @settings(max_examples=400, deadline=None)
     def test_matches_decimal_module_reference(self, num, den):
         q = Fraction(num, den)
-        assert _exact_decimal(q) == oracles.exact_decimal_reference(q)
+        assert _exact_decimal(q.numerator, q.denominator) == oracles.exact_decimal_reference(q)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyhex import (
@@ -287,6 +288,32 @@ class TestPartitionEvaluation:
         assert index_from_partition(part, ABC).approx == math.fsum(
             count * math.sqrt((a + b - 2) / (a * b)) for (a, b), count in classes
         )
+
+    # The exact sum takes a new lcm only when the running denominator is not
+    # already a multiple of the term's. Terms that mix ints and Fractions with
+    # nested and coprime denominators, met in every order, take both branches.
+    @given(st.lists(
+        st.tuples(
+            st.one_of(st.integers(-99, 99),
+                      st.builds(Fraction, st.integers(-99, 99),
+                                st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 64]))),
+            st.integers(0, 10**6),
+        ),
+        min_size=1, max_size=4,
+    ))
+    @example([(Fraction(1, 4), 3), (Fraction(1, 2), 5), (Fraction(-1, 3), 7), (2, 1)])
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_exact_terms_sum_like_fractions(self, terms):
+        pairs = [(2, d) for d in range(2, 2 + len(terms))]
+        for order in permutations(terms):
+            values = dict(zip(pairs, (value for value, _ in order)))
+            part = EdgePartition(dict(zip(pairs, (count for _, count in order))))
+            f = EdgeFunction("mixed", lambda d_u, d_v: values[d_u, d_v], True)
+            result = index_from_partition(part, f)
+            expected = sum((count * value for value, count in order), Fraction(0))
+            assert type(result.exact) is Fraction
+            assert result.exact == expected
+            assert result.approx == float(expected)
 
     @given(st.sampled_from([(k, m, n) for k in NanotubeKind
                             for m in (2, 4, 6) for n in (1, 3, 5)]))

@@ -85,9 +85,11 @@ print(json.dumps([codes, sorted(sys.modules)]))
 
 
 def loaded_modules(code: str, *args: str) -> list:
-    # -I -S: no environment variables, user site or .pth file adds modules
+    # -I -S: no environment variables, user site or .pth file adds modules;
+    # -B: -I ignores PYTHONDONTWRITEBYTECODE, so say it here, or the run
+    # writes __pycache__ into the tree under test
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, *args],
+        [sys.executable, "-I", "-S", "-B", "-c", code, *args],
         capture_output=True, text=True, check=True,
     )
     return json.loads(result.stdout)

@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 from polyhex import (
+    AZI,
+    RANDIC,
     ClosedForm,
     DiscrepancyReport,
     EdgeFunction,
@@ -20,6 +22,7 @@ from polyhex import (
     PointCheck,
     Provenance,
     grid_tubes,
+    index_from_partition,
     tube_edge_partition,
 )
 
@@ -136,3 +139,36 @@ def test_count_partitions_copy_and_pickle():
     for value in (tube_edge_partition(spec), row):
         assert copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
+
+
+def lean_and_public():
+    """Values made through slot descriptors, each with its public-constructor twin."""
+    partition = next(grid_tubes(NanotubeKind.ARMCHAIR, (5, 5), (9, 9)))[4]
+    yield pytest.param(partition, EdgePartition(dict(partition.classes)), id="grid_tubes row")
+    for f in (AZI, RANDIC):
+        value = index_from_partition(partition, f)
+        yield pytest.param(value, IndexValue(value.exact, value.approx), id=f.name)
+
+
+# index_from_partition and the count rows skip __init__; what they make must
+# not be told apart from what the constructors make.
+@pytest.mark.parametrize("lean, public", lean_and_public())
+def test_lean_values_behave_like_constructed_ones(lean, public):
+    assert type(lean) is type(public)
+    assert lean == public and public == lean and not lean != public
+    assert repr(lean) == repr(public)
+    if type(lean) is EdgePartition:
+        for value in (lean, public):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
+    else:
+        assert hash(lean) == hash(public)
+    for twin in (copy.copy(lean), copy.deepcopy(lean), pickle.loads(pickle.dumps(lean))):
+        assert type(twin) is type(public) and twin == public and repr(twin) == repr(public)
+    assert not hasattr(lean, "__dict__")
+    for name in (*type(lean).__match_args__, "other"):
+        with pytest.raises(AttributeError):
+            setattr(lean, name, None)
+        with pytest.raises(AttributeError):
+            delattr(lean, name)
+    assert lean == public
