@@ -27,6 +27,12 @@ __all__ = [
 ]
 
 
+# Most vertices a Graph holds. Its degree list and the list's tuple copy take 8
+# bytes a vertex each: 480 MB traced for an edgeless Graph at the cap, near a tube
+# of tubes.MAX_BUILD_EDGES edges, and such a tube has fewer vertices than edges.
+_MAX_VERTICES = 30_000_000
+
+
 class GraphError(ValueError):
     """Base class for invalid graph construction or queries."""
 
@@ -62,7 +68,8 @@ class Graph:
     Construction raises a GraphError (a ValueError) for bad input, in this
     order of precedence:
 
-    * a vertex_count that is not an int, or is negative;
+    * a vertex_count that is not an int, or is outside 0..30,000,000
+      (_MAX_VERTICES, refused before anything is allocated);
     * the first faulty edge in input order: one that is a self-loop
       (SelfLoopError), has an endpoint outside 0..vertex_count-1
       (VertexOutOfRangeError; an out-of-range self-loop counts as a
@@ -80,8 +87,8 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[Edge]):
         if type(vertex_count) is not int:
             raise GraphError(f"vertex_count must be an int (got {vertex_count!r})")
-        if vertex_count < 0:
-            raise GraphError(f"vertex_count must be non-negative (got {vertex_count})")
+        if not 0 <= vertex_count <= _MAX_VERTICES:
+            raise GraphError(f"vertex_count must be in 0..{_MAX_VERTICES} (got {vertex_count})")
         canonical: list[Edge] = []
         append = canonical.append
         degrees = [0] * vertex_count

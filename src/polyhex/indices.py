@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import starmap
@@ -80,7 +81,10 @@ def azi_term(d_u: int, d_v: int) -> Fraction:
 def randic_term(d_u: int, d_v: int) -> float:
     """Randic term 1/sqrt(d_u*d_v); degrees checked as in azi_term."""
     _check_degrees(d_u, d_v)
-    return 1.0 / math.sqrt(d_u * d_v)
+    try:
+        return 1.0 / math.sqrt(d_u * d_v)
+    except OverflowError:
+        raise ValueError("randic term needs d_u*d_v as a float, and it is past 1.8e308") from None
 
 
 @functools.lru_cache(maxsize=_TERM_CACHE_SIZE, typed=True)
@@ -154,7 +158,8 @@ def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValu
     with math.fsum in sorted degree-class order, so the result is
     deterministic. A partition that is not an EdgePartition, or an f that is
     not an EdgeFunction, raises ValueError, and so does an exact f whose
-    term has no numerator and denominator.
+    term has no numerator and denominator, another whose term is not a
+    number, or a value too large for a float.
     """
     if not isinstance(partition, EdgePartition):
         raise ValueError(f"partition must be an EdgePartition (got {type(partition).__name__})")
@@ -174,9 +179,19 @@ def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValu
                 lcm = math.lcm(den, term_den)
                 num, den = num * (lcm // den), lcm
             num += count * term_num * (den // term_den)
-        exact, approx = Fraction(num, den), num / den
+        try:  # zero-cost until it raises on 3.11+, as is the one below
+            exact, approx = Fraction(num, den), num / den
+        except OverflowError:
+            raise ValueError(f"the {f.name} index is too large for a float") from None
     else:  # count * f(class) for each class, in the partition's sorted order
-        exact, approx = None, math.fsum(map(mul, classes.values(), starmap(term, classes)))
+        try:
+            exact, approx = None, math.fsum(map(mul, classes.values(), starmap(term, classes)))
+        except (TypeError, OverflowError):
+            for pair in classes:
+                if not isinstance(q := term(*pair), numbers.Real):
+                    raise ValueError(f"edge function {f.name!r} gave {q!r} at {pair}, "
+                                     "which is not a number") from None
+            raise ValueError(f"the {f.name} index is too large for a float") from None
     value = object.__new__(IndexValue)
     _set_exact(value, exact)
     _set_approx(value, approx)

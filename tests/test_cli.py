@@ -137,7 +137,7 @@ class TestBuild:
     )
     @pytest.mark.parametrize("chunk", [1, 5, 7, 16])
     def test_json_chunk_seams(self, capsys, monkeypatch, chunk, kind, m, n):
-        monkeypatch.setattr(polyhex.cli, "_JSON_EDGE_CHUNK", chunk)
+        monkeypatch.setattr(polyhex.cli, "_OUTPUT_CHUNK", chunk)
         code, out, _ = run_cli(capsys, "build", "--kind", kind, "--m", str(m), "--n", str(n))
         assert code == 0
         g = build_nanotube(NanotubeSpec(NanotubeKind.parse(kind), m, n))
@@ -151,15 +151,40 @@ class TestBuild:
         }
         assert out == json.dumps(document, separators=(",", ":")) + "\n"
 
-    # DOT lines are written as they are made, so beyond the graph itself the
-    # command holds a bounded amount (about 35 KB traced at both sizes here).
+    # Whatever the chunk size, the chunks join into the document one line per
+    # vertex and per edge makes, on the tubes of test_json_chunk_seams.
+    @pytest.mark.parametrize(
+        "kind, m, n", [("zigzag", 2, 1), ("armchair", 2, 1), ("zigzag", 3, 1), ("zigzag", 2, 2)]
+    )
+    @pytest.mark.parametrize("chunk", [1, 5, 7, 16])
+    def test_dot_chunk_seams(self, capsys, monkeypatch, chunk, kind, m, n):
+        monkeypatch.setattr(polyhex.cli, "_OUTPUT_CHUNK", chunk)
+        code, out, _ = run_cli(
+            capsys, "build", "--kind", kind, "--m", str(m), "--n", str(n), "--format", "dot"
+        )
+        assert code == 0
+        g = build_nanotube(NanotubeSpec(NanotubeKind.parse(kind), m, n))
+        width = 2 * m
+
+        def label(v: int) -> str:
+            return f'"{v // width}_{v % width}"'
+
+        lines = [f"graph {kind}_m{m}_n{n} {{"]
+        lines += [f"  {label(v)};" for v in range(g.vertex_count)]
+        lines += [f"  {label(u)} -- {label(v)};" for u, v in g.edges]
+        assert out == "\n".join([*lines, "}"]) + "\n"
+
+    # DOT is written a chunk at a time, so beyond the graph itself the command
+    # holds a bounded amount (under 50 KB traced at both sizes here). A chunk
+    # holds at most 123 KB traced beside the built graph, at armchair
+    # [300, 300], less than the graph's own build peak above its final size.
     @pytest.mark.parametrize("m, n", [(60, 60), (120, 60)])
     def test_dot_peak_traced_memory_is_the_graph_alone(self, m, n):
         assert _build_peak_beyond_graph(m, n, "dot") < 256 * 1024
 
-    # JSON is encoded and written 1,024 edges at a time, so beyond the graph
-    # the command holds one chunk's text and strings (about 35 KB traced at
-    # both sizes here).
+    # JSON is rendered and written 512 edges at a time, so beyond the graph
+    # the command holds one chunk's template, fields and text (about 35 KB
+    # traced at both sizes here; 42 KB beside the built armchair [300, 300]).
     @pytest.mark.parametrize("m, n", [(120, 60), (200, 120)])
     def test_json_peak_traced_memory_is_the_graph_alone(self, m, n):
         assert _build_peak_beyond_graph(m, n, "json") < 256 * 1024
@@ -224,6 +249,24 @@ class TestIndex:
         assert code == 0
         azi_payload = json.loads(out)["indices"]["azi"]
         assert azi_payload == {"num": 80675, "den": 64, "decimal": "1260.546875"}
+
+    # Each once exited 1 with an OverflowError traceback; "all" stops at azi.
+    @pytest.mark.parametrize("index", [*INDEX_NAMES, "all"])
+    def test_value_past_floats_exits_2(self, capsys, index):
+        huge = str(10**200)
+        code, out, err = run_cli(
+            capsys, "index", "--kind", "armchair", "--m", huge, "--n", huge, "--index", index
+        )
+        assert (code, out) == (2, "")
+        name = "azi" if index == "all" else index
+        assert err == f"error: the {name} index is too large for a float\n"
+
+    def test_value_past_floats_prints_no_traceback(self):
+        huge = str(10**200)
+        result = run_process("index", "--kind", "zigzag", "--m", huge, "--n", huge)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
 
 
 class TestFit:
@@ -406,6 +449,18 @@ class TestSweep:
         assert len(lines) == 9
         kinds = [line.split(",")[0] for line in lines[1:]]
         assert kinds == ["armchair"] * 4 + ["zigzag"] * 4
+
+    # Once exited 1 with an OverflowError traceback. The header is written
+    # before any row is computed.
+    def test_value_past_floats_exits_2(self, capsys, tmp_path):
+        out_path, huge = tmp_path / "huge.csv", f"{10**160}:{10**160}"
+        code, _, err = run_cli(
+            capsys, "sweep", "--kind", "zigzag", "--indices", "azi",
+            "--m-range", huge, "--n-range", huge, "--out", str(out_path),
+        )
+        assert code == 2
+        assert err == "error: the azi index is too large for a float\n"
+        assert out_path.read_text() == "kind,m,n,vertices,edges,azi_num,azi_den,azi,randic,abc\n"
 
     def test_known_row(self, capsys, tmp_path):
         out_path = tmp_path / "row.csv"
@@ -658,6 +713,16 @@ class TestDeterminism:
              "684ceb2934fec67c77844f1e2f9af5438e32f39d9134f1c582f93b48f2ad4bb3"),
             ("zigzag", 2, 1, "json",
              "310b5c9a3c4e1982593a04ec90b5f9adce4d754cfd748f68cff43cc17b9a0bc9"),
+            # From the implementation that called json.dumps once per 1,024
+            # edges and made each DOT line with an f-string.
+            ("armchair", 300, 300, "json",
+             "314e29239709dd80e8ffa128812c138e3e790aaa4c952975b45316c7c0577eca"),
+            ("zigzag", 300, 300, "json",
+             "9e5e547de9910eac90ca5f523cf4ba89d813eba5da0f148294173d4e8a971c94"),
+            ("armchair", 300, 300, "dot",
+             "2478589640af04e1359126ce1a85902b21b0afd82bcfdf3b4796f5ab570789cd"),
+            ("zigzag", 300, 300, "dot",
+             "6a2e4fbd3196cdd289e98d932edc627097e69d700e42c27a04faed443f2e9757"),
         ],
     )
     def test_build_stdout_matches_pinned_digest(self, capsys, kind, m, n, fmt, digest):

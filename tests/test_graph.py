@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyhex import (
+    MAX_BUILD_EDGES,
     DuplicateEdgeError,
     EdgePartition,
     Graph,
@@ -19,8 +23,10 @@ from polyhex import (
     VertexOutOfRangeError,
     build_nanotube,
     edge_partition,
+    tube_edge_count,
+    tube_vertex_count,
 )
-from polyhex.graph import _prefix_partitions
+from polyhex.graph import _MAX_VERTICES, _prefix_partitions
 
 import oracles
 
@@ -152,6 +158,52 @@ class TestConstruction:
         with pytest.raises(GraphError) as info:
             Graph(vertex_count, edges)
         assert type(info.value) is GraphError
+
+    # Once Graph(10**10, []) asked for an 80 GB degree list, and raised
+    # MemoryError under an address-space limit; the refusal allocates nothing.
+    @pytest.mark.parametrize("vertex_count", [_MAX_VERTICES + 1, 10**10, 10**300])
+    def test_huge_vertex_count_refused_before_allocation(self, vertex_count):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            with pytest.raises(GraphError, match=r"vertex_count must be in 0\.\.30000000 \(got"):
+                Graph(vertex_count, [])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    # The same refusal in a process that may map only 1 GB (as ulimit -v
+    # 1000000 sets it), where allocating the degree list fails at once.
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+    def test_huge_vertex_count_refused_under_a_memory_limit(self):
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (f"import sys; sys.path.insert(0, {src!r})\n"
+                "from polyhex import Graph, GraphError\n"
+                "try:\n    Graph(10**10, [])\nexcept GraphError:\n    print('refused')\n")
+        result = subprocess.run([sys.executable, "-I", "-B", "-c", code],
+                                capture_output=True, text=True, preexec_fn=limit)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "refused\n", "")
+
+    # A tube vertex has degree 2 or 3, so a tube has fewer vertices than
+    # edges, and every tube build_nanotube accepts is under the vertex cap.
+    @given(st.sampled_from(NanotubeKind), st.integers(2, 10**7), st.integers(1, 10**7))
+    @example(NanotubeKind.ARMCHAIR, 2, 1)
+    @example(NanotubeKind.ZIGZAG, 2, 1)
+    @settings(max_examples=100, deadline=None)
+    def test_every_buildable_tube_is_under_the_vertex_cap(self, kind, m, n):
+        spec = NanotubeSpec(kind, m, n)
+        assert tube_vertex_count(spec) < tube_edge_count(spec)
+        assert MAX_BUILD_EDGES <= _MAX_VERTICES
 
     def test_bool_ids_read_as_zero_and_one(self):
         # documented: endpoints are not type-checked one by one

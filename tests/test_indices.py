@@ -31,6 +31,7 @@ from polyhex import (
     index_from_partition,
     randic,
     randic_term,
+    tube_edge_partition,
 )
 
 import oracles
@@ -267,6 +268,38 @@ class TestPartitionEvaluation:
         with pytest.raises(ValueError, match=r"exact edge function 'x' gave 0\.5 at \(2, 2\)"):
             index_from_partition(part, EdgeFunction("x", randic_term, True))
         assert index_from_partition(part, EdgeFunction("x", max, True)).exact == 80
+
+    # Each once raised OverflowError from the float approximation, which
+    # reached the command line as a traceback.
+    @pytest.mark.parametrize("f", [AZI, RANDIC, ABC], ids=lambda f: f.name)
+    @pytest.mark.parametrize("kind", list(NanotubeKind), ids=lambda k: k.value)
+    def test_value_past_floats_refused_by_name(self, kind, f):
+        part = tube_edge_partition(NanotubeSpec(kind, 10**200, 10**200))
+        with pytest.raises(ValueError, match=f"the {f.name} index is too large for a float"):
+            index_from_partition(part, f)
+
+    # Values just inside the float range keep their float.
+    def test_values_near_the_float_limit_are_kept(self):
+        assert index_from_partition(EdgePartition({(2, 2): 10**307}), AZI).approx == 8e307
+        assert index_from_partition(EdgePartition({(2, 2): 10**308}), RANDIC).approx == 5e307
+        assert index_from_partition(EdgePartition({(1, 2): 10**308}), ABC).approx == pytest.approx(
+            math.sqrt(0.5) * 1e308, rel=1e-15
+        )
+
+    def test_randic_term_past_floats_refused(self):
+        with pytest.raises(ValueError, match=r"randic term needs d_u\*d_v as a float"):
+            randic_term(10**400, 1)
+        assert randic_term(10**150, 10**150) == 1e-150
+
+    # A non-number term once raised TypeError from math.fsum; an exact
+    # function's term that is not a fraction is named the same way.
+    @pytest.mark.parametrize("q", ["no", None, [1], 1j], ids=repr)
+    def test_term_that_is_not_a_number_named(self, q):
+        part = EdgePartition({(2, 2): 1, (2, 3): 3})
+        f = EdgeFunction("x", lambda a, b: 1.5 if a == 2 == b else q, exact=False)
+        with pytest.raises(ValueError, match=r"edge function 'x' gave .* at \(2, 3\), "
+                                             "which is not a number"):
+            index_from_partition(part, f)
 
     def test_undefined_class_named(self):
         part = EdgePartition({(1, 1): 3})
