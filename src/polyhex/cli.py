@@ -48,7 +48,7 @@ INDEX_LIST = ",".join(INDEX_NAMES)  # as --indices takes them
 
 # Most rows one sweep may write. Sweep writes each row as it is computed, so
 # its memory does not grow with the grid (tracemalloc peak near 70 KB at
-# 4,000 and at 100,000 rows) and this cap bounds time only: about 14 us per
+# 4,000 and at 100,000 rows) and this cap bounds time only: about 13 us per
 # row (wall clock of a whole 100,000-row sweep process, median of 15 runs,
 # 2-CPU Xeon VM, Python 3.11.7), so a sweep at the cap takes under 30 s.
 MAX_SWEEP_ROWS = 1_000_000
@@ -100,18 +100,30 @@ def _kinds(name: str) -> tuple[NanotubeKind, ...]:
     return tuple(NanotubeKind) if name == "both" else (NanotubeKind.parse(name),)
 
 
-def _cell_names(f: EdgeFunction) -> tuple[str, ...]:
-    return ("num", "den", "decimal") if f.exact else ("decimal",)
-
-
-def _index_cells(partition: EdgePartition, f: EdgeFunction) -> tuple[int | str, ...]:
-    """f's value as the cells _cell_names(f) names: num, den and exact decimal, or %.15g."""
-    value = index_from_partition(partition, f)
+def _cell_slots(f: EdgeFunction) -> tuple[tuple[str, str], ...]:
+    """(name, % slot) of each cell f's value is written as: num, den and exact decimal, or
+    %.15g, which prints a float as _float_decimal does."""
     if f.exact:
-        q = value.exact
-        num, den = q.numerator, q.denominator
-        return num, den, _exact_decimal(num, den)
-    return (_float_decimal(value.approx),)
+        return ("num", "%d"), ("den", "%d"), ("decimal", "%s")
+    return (("decimal", "%.15g"),)
+
+
+def _index_rows(
+    tubes: Iterable[tuple[int, int, int, int, EdgePartition]], functions: Sequence[EdgeFunction]
+) -> Iterator[tuple]:
+    """(m, n, vertices, edges, then the cells _cell_slots names for each of functions) per
+    grid_tubes row, each cell a value for its slot."""
+    for m, n, vertices, edges, partition in tubes:
+        cells = [m, n, vertices, edges]
+        for f in functions:
+            value = index_from_partition(partition, f)
+            if f.exact:
+                q = value.exact
+                num, den = q.numerator, q.denominator
+                cells += num, den, _exact_decimal(num, den)
+            else:
+                cells.append(value.approx)
+        yield tuple(cells)
 
 
 def _tube_record(spec: NanotubeSpec, partition: EdgePartition) -> dict:
@@ -174,9 +186,15 @@ def cmd_partition(args: argparse.Namespace) -> int:
 def cmd_index(args: argparse.Namespace) -> int:
     spec = NanotubeSpec(NanotubeKind.parse(args.kind), args.m, args.n)
     functions = EDGE_FUNCTIONS.values() if args.index == "all" else (EDGE_FUNCTIONS[args.index],)
-    partition = tube_edge_partition(spec)
-    indices = {f.name: dict(zip(_cell_names(f), _index_cells(partition, f))) for f in functions}
-    _emit({**_tube_record(spec, partition), "indices": indices})
+    row = next(grid_tubes(spec.kind, (spec.m, spec.m), (spec.n, spec.n)))
+    cells = iter(next(_index_rows([row], functions))[4:])
+    # each cell as its slot prints it, but a %d cell stays an int, which json prints alike
+    indices = {
+        f.name: {name: value if slot == "%d" else slot % value
+                 for (name, slot), value in zip(_cell_slots(f), cells)}
+        for f in functions
+    }
+    _emit({**_tube_record(spec, row[4]), "indices": indices})
     return 0
 
 
@@ -295,16 +313,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"sweep grid m={ms[0]}:{ms[-1]}, n={ns[0]}:{ns[-1]} would write {row_count} rows, "
             f"more than the {MAX_SWEEP_ROWS} one sweep may write"
         )
-    # One row is template % (kind, m, n, vertices, edges, then the cells of
-    # each wanted index); an index not wanted prints as empty cells. No cell
-    # holds a comma, quote or newline, so none needs CSV quoting.
+    # One row is its kind's template % (m, n, vertices, edges, then the cells
+    # of each wanted index, _index_rows's row); an index not wanted prints as
+    # empty cells. No cell holds a comma, quote or newline, so none needs CSV
+    # quoting, and no kind name holds a %.
     header = ["kind", "m", "n", "vertices", "edges"]
-    slots = ["%s"] * len(header)
+    slots = ["%d"] * 4
     for f in EDGE_FUNCTIONS.values():
-        names = _cell_names(f)
-        header += [f.name if c == "decimal" else f"{f.name}_{c}" for c in names]
-        slots += ["%s" if f.name in which else ""] * len(names)
-    template = ",".join(slots) + "\n"
+        for name, slot in _cell_slots(f):
+            header.append(f.name if name == "decimal" else f"{f.name}_{name}")
+            slots.append(slot if f.name in which else "")
     wanted = [f for f in EDGE_FUNCTIONS.values() if f.name in which]
     try:
         # Opened before any row is computed, so an unwritable path fails fast;
@@ -312,12 +330,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         with open(args.out, "w", newline="") as out:
             out.write(",".join(header) + "\n")
             for kind in kinds:
-                label, tubes = kind.value, grid_tubes(kind, args.m_range, args.n_range)
-                for m, n, vertices, edges, partition in tubes:
-                    cells = (label, m, n, vertices, edges)
-                    for f in wanted:
-                        cells += _index_cells(partition, f)
-                    out.write(template % cells)
+                template = ",".join([kind.value, *slots]) + "\n"
+                rows = _index_rows(grid_tubes(kind, args.m_range, args.n_range), wanted)
+                out.writelines(map(template.__mod__, rows))
     except BrokenPipeError:  # --out is stdout, or a pipe, and its reader went away
         raise
     except OSError as exc:

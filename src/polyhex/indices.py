@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import starmap
@@ -91,7 +92,15 @@ def randic_term(d_u: int, d_v: int) -> float:
 def abc_term(d_u: int, d_v: int) -> float:
     """ABC term sqrt((d_u+d_v-2) / (d_u*d_v)), 0 at (1, 1); degrees checked as in azi_term."""
     _check_degrees(d_u, d_v)
-    return math.sqrt((d_u + d_v - 2) / (d_u * d_v))
+    num, den = d_u + d_v - 2, d_u * d_v
+    q = num / den
+    if q >= sys.float_info.min or not num:
+        return math.sqrt(q)
+    # q lost digits to underflow (both degrees past about 10**154): take the
+    # root of num/den scaled by 4**k into the normal range, then scale it
+    # back by 2**-k; both int quotient and sqrt round correctly
+    k = (den.bit_length() - num.bit_length()) // 2 + 1
+    return math.ldexp(math.sqrt((num << 2 * k) / den), -k)
 
 
 class IndexValue(_Value):

@@ -17,11 +17,12 @@ With open tube ends (no caps), every count of either family, vertices and
 the edges of each degree class, is c_mn*m*n + c_m*m for integer
 coefficients that depend on the kind alone. _KINDS below holds every fact
 about a kind: its rows beyond n, its two strides and its class counts. One
-function, _tube_counts, evaluates a kind's entry at (m, n), with the vertex
-count 2m times the row count: the per-tube count functions and grid_tubes
-all read their counts off it, and the edge count is the sum of the class
-counts. Any construction with these counts is equivalent for every
-degree-based index.
+function, _tube_rows, evaluates a kind's entry: at one m it turns every
+count into a*n + b, with the vertex count 2m times the row count and the
+edge count the sum of the class counts, then gives the row of each n asked
+for. grid_tubes calls it once per m; the per-tube count functions read the
+row of their one tube off it, through _tube_counts. Any construction with
+these counts is equivalent for every degree-based index.
 
 Prefix property: for n <= N, tube (m, n) is the subgraph of tube (m, N)
 induced on its first tube_vertex_count vertices, ids included. It holds for
@@ -150,26 +151,39 @@ _KINDS: dict[NanotubeKind, tuple[int, int, int, dict[DegreePair, tuple[int, int]
 }
 
 
-def _tube_counts(
-    entry: tuple[int, int, int, dict[DegreePair, tuple[int, int]]], m: int, n: int
-) -> tuple[int, int, int, int, EdgePartition]:
-    """The grid_tubes row (m, n, vertex count, edge count, edge partition) of one tube.
+def _tube_rows(
+    entry: tuple[int, int, int, dict[DegreePair, tuple[int, int]]], m: int, ns: Iterable[int]
+) -> Iterator[tuple[int, int, int, int, EdgePartition]]:
+    """The grid_tubes row (m, n, vertex count, edge count, edge partition) of each n in ns.
 
-    entry is the _KINDS entry of the tube's kind. Every class count is
-    positive for m >= 2 and n >= 1, as c_mn >= 0 and c_mn + c_m >= 1 (both
-    checked by the tests), so the partition needs no check of its own.
+    entry is the _KINDS entry of the tubes' kind. Every count is a*n + b,
+    with a and b evaluated here once for the m: (c_mn*m, c_m*m) per class,
+    their sums for the edges, and 2m times (1, extra) for the vertices. Every
+    class count is positive for m >= 2 and n >= 1, as c_mn >= 0 and
+    c_mn + c_m >= 1 (both checked by the tests), so the partition needs no
+    check of its own.
     """
     extra, _, _, classes = entry
-    partition = {pair: (c_mn * n + c_m) * m for pair, (c_mn, c_m) in classes.items()}
-    return m, n, 2 * m * (n + extra), sum(partition.values()), EdgePartition._unchecked(partition)
+    coefficients = [(pair, c_mn * m, c_m * m) for pair, (c_mn, c_m) in classes.items()]
+    vertex_a, vertex_b = 2 * m, 2 * m * extra
+    edge_a, edge_b = sum(a for _, a, _ in coefficients), sum(b for _, _, b in coefficients)
+    unchecked = EdgePartition._unchecked
+    for n in ns:
+        yield (m, n, vertex_a * n + vertex_b, edge_a * n + edge_b,
+               unchecked({pair: a * n + b for pair, a, b in coefficients}))
+
+
+def _tube_counts(spec: NanotubeSpec) -> tuple[int, int, int, int, EdgePartition]:
+    """The grid_tubes row of the one tube spec, from _tube_rows; spec is checked first."""
+    return next(_tube_rows(_KINDS[_spec_kind(spec)], spec.m, (spec.n,)))
 
 
 def tube_vertex_count(spec: NanotubeSpec) -> int:
-    return _tube_counts(_KINDS[_spec_kind(spec)], spec.m, spec.n)[2]
+    return _tube_counts(spec)[2]
 
 
 def tube_edge_count(spec: NanotubeSpec) -> int:
-    return _tube_counts(_KINDS[_spec_kind(spec)], spec.m, spec.n)[3]
+    return _tube_counts(spec)[3]
 
 
 def tube_edge_partition(spec: NanotubeSpec) -> EdgePartition:
@@ -178,7 +192,7 @@ def tube_edge_partition(spec: NanotubeSpec) -> EdgePartition:
     This is the O(1) fast path for index computation on large tubes; it is
     held equal to edge_partition(build_nanotube(spec)) by the test grid.
     """
-    return _tube_counts(_KINDS[_spec_kind(spec)], spec.m, spec.n)[4]
+    return _tube_counts(spec)[4]
 
 
 def grid_edge_count(
@@ -215,11 +229,12 @@ def grid_tubes(
     field from for NanotubeSpec(kind, m, n). The ranges are checked with
     validate_ranges, and a kind that is not a NanotubeKind is refused with
     InvalidSpecError, when this is called rather than at the first next();
-    the kind's counts are looked up once, and no NanotubeSpec is made.
+    the kind's counts are looked up once and evaluated once per m, by
+    _tube_rows, and no NanotubeSpec is made.
     """
     ms, ns = validate_ranges(m_range, n_range)
     entry = _KINDS[_check_kind(kind)]
-    return (_tube_counts(entry, m, n) for m in ms for n in ns)
+    return chain.from_iterable(_tube_rows(entry, m, ns) for m in ms)
 
 
 # The generator chains runs of zip(ids slice, ids slice) per row, so the
@@ -254,7 +269,7 @@ def build_nanotube(spec: NanotubeSpec) -> Graph:
     MAX_BUILD_EDGES edges. Like each count function here, it refuses a spec
     that is not a NanotubeSpec with InvalidSpecError.
     """
-    _, _, vertex_count, edge_count, _ = _tube_counts(_KINDS[_spec_kind(spec)], spec.m, spec.n)
+    _, _, vertex_count, edge_count, _ = _tube_counts(spec)
     if edge_count > MAX_BUILD_EDGES:
         raise TubeTooLargeError(
             f"{spec.kind.value} tube m={spec.m}, n={spec.n} has {edge_count} edges, "

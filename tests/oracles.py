@@ -5,7 +5,7 @@ connectivity, components and girth are recomputed from scratch rather than
 read off the Graph object under test. Extended-precision references use
 the decimal module at 50 digits, as do the checks of the CLI's decimal
 strings. The reference sweep CSV is rendered by csv.writer, one
-NanotubeSpec and tube_edge_partition per row.
+NanotubeSpec and tube_edge_partition per row, with cells formatted here.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from polyhex import (
     Graph,
     NanotubeKind,
     NanotubeSpec,
+    index_from_partition,
     tube_edge_count,
     tube_edge_partition,
     tube_vertex_count,
 )
-from polyhex.cli import _cell_names, _index_cells
 
 # Every reference operation runs in this context: sum() and + use the
 # current context, whose default precision is 28 digits.
@@ -198,13 +198,15 @@ def sweep_csv_reference(
     kind: str, m_range: tuple[int, int], n_range: tuple[int, int], indices: list[str]
 ) -> bytes:
     """The CSV that `sweep --kind kind --indices <indices>` writes, from csv.writer
-    over a NanotubeSpec and tube_edge_partition per row, and the CLI's index cells."""
+    over a NanotubeSpec and tube_edge_partition per row. An exact index takes
+    three cells, num, den and exact_decimal_reference; any other one cell, its
+    float to 15 significant digits."""
     kinds = list(NanotubeKind) if kind == "both" else [NanotubeKind(kind)]
     out = io.StringIO(newline="")
     writer = csv.writer(out, lineterminator="\n")
     header = ["kind", "m", "n", "vertices", "edges"]
     for f in EDGE_FUNCTIONS.values():
-        header += [f.name if c == "decimal" else f"{f.name}_{c}" for c in _cell_names(f)]
+        header += [f"{f.name}_num", f"{f.name}_den", f.name] if f.exact else [f.name]
     writer.writerow(header)
     for k in sorted(kinds, key=lambda k: k.value):
         for m in range(m_range[0], m_range[1] + 1):
@@ -213,10 +215,13 @@ def sweep_csv_reference(
                 partition = tube_edge_partition(spec)
                 row = [k.value, m, n, tube_vertex_count(spec), tube_edge_count(spec)]
                 for f in EDGE_FUNCTIONS.values():
-                    if f.name in indices:
-                        row.extend(_index_cells(partition, f))
+                    if f.name not in indices:
+                        row.extend([""] * (3 if f.exact else 1))
+                    elif f.exact:
+                        q = index_from_partition(partition, f).exact
+                        row.extend([q.numerator, q.denominator, exact_decimal_reference(q)])
                     else:
-                        row.extend([""] * len(_cell_names(f)))
+                        row.append(f"{index_from_partition(partition, f).approx:.15g}")
                 writer.writerow(row)
     return out.getvalue().encode()
 

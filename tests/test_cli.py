@@ -34,7 +34,16 @@ from polyhex import (
     verify_forms,
     verify_published_forms,
 )
-from polyhex.cli import INDEX_NAMES, MAX_SWEEP_ROWS, _exact_decimal, _write_report, main
+from polyhex.cli import (
+    INDEX_NAMES,
+    MAX_SWEEP_ROWS,
+    _cell_slots,
+    _exact_decimal,
+    _float_decimal,
+    _write_report,
+    main,
+)
+from polyhex.indices import EDGE_FUNCTIONS
 
 import oracles
 
@@ -651,6 +660,24 @@ class TestSweep:
                 tracemalloc.stop()
         assert large - small < 32 * 1024, (small, large)
 
+    # A float index's cell is written through the row template's % slot, and
+    # index prints it through the same slot; both must print what
+    # _float_decimal prints.
+    @given(st.floats())
+    @example(float("inf"))
+    @example(float("-inf"))
+    @example(float("nan"))
+    @example(-0.0)
+    @example(5e-324)
+    @example(1e16)
+    @settings(max_examples=300, deadline=None)
+    def test_float_slot_prints_as_float_decimal(self, x):
+        slots = [slot for f in EDGE_FUNCTIONS.values() if not f.exact
+                 for _, slot in _cell_slots(f)]
+        assert slots
+        for slot in slots:
+            assert slot % x == _float_decimal(x)
+
     def test_empty_range_rejected_before_writing(self, capsys, tmp_path):
         out_path = tmp_path / "never.csv"
         code, _, err = run_cli(
@@ -741,6 +768,16 @@ class TestDeterminism:
              "02b975db79d163ff9c077939b4d2429c0af9ffd467826d4ab546cab824fad119"),
             ("armchair", "randic",
              "7a641107775a8501cbe70a5384c1e5a401dc4c11d0557774b7d1e0aa1b018fc8"),
+            # From the implementation that wrote every cell through a %s slot
+            # and concatenated a tuple of cells per index.
+            ("both", "azi",
+             "4244f02e438d9a68d26788c1d4191195733d460fe2e2b4afa6422d8c2d49a148"),
+            ("both", "abc",
+             "07a9c45bf33e7690146cd5f22bd27403223d57ee94268b9929eef9466f74f1fd"),
+            ("both", "abc,randic",
+             "321c3483d48530fbd5cb9f8a5f6ec07fc5af278acb669a082c5c828300ab2968"),
+            ("both", "randic,azi",
+             "a98c3e881941db5dc64230ecf1e784b9ce219bbcbe827fc44939732da4d686bb"),
         ],
     )
     def test_sweep_subset_csv_matches_pinned_digest(self, capsys, tmp_path, kind, indices, digest):
@@ -887,6 +924,69 @@ class TestDeterminism:
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
             "26216ad45b4b8d2198f2867ea3a7a0575f5b74b3b848f383d61e095e1fd49801"
         )
+
+
+# Command-line ints: mostly small ones, then huge ones (10**20 and up), and
+# text that is not an int at all; ranges mostly in order.
+SMALL_INTS = st.integers(1, 6)
+HUGE_INTS = st.integers(10**20, 10**40)
+ARGV_INTS = st.one_of(
+    SMALL_INTS.map(str),
+    SMALL_INTS.map(str),
+    HUGE_INTS.map(str),
+    st.integers(-2, 0).map(str),
+    st.sampled_from(["x", "1.5", "", "1e3"]),
+)
+ARGV_RANGES = st.one_of(
+    st.builds(lambda lo, span: f"{lo}:{lo + span}", SMALL_INTS, st.integers(0, 4)),
+    st.builds(lambda lo, span: f"{lo}:{lo + span}", HUGE_INTS, st.integers(0, 2)),
+    st.builds("{}:{}".format, ARGV_INTS, ARGV_INTS),
+)
+ARGV_KINDS = st.sampled_from(["armchair", "zigzag", "armchair", "zigzag", "chiral"])
+ARGV_INDICES = st.sampled_from([*INDEX_NAMES, "all", "wiener"])
+
+
+@st.composite
+def argv_lists(draw) -> list[str]:
+    """An argv for one of the six subcommands, on grids small enough to run in milliseconds."""
+    command = draw(st.sampled_from(["build", "partition", "index", "fit", "verify", "sweep"]))
+    if command in ("build", "partition", "index"):
+        argv = [command, "--kind", draw(ARGV_KINDS), "--m", draw(ARGV_INTS), "--n", draw(ARGV_INTS)]
+        if command == "build":
+            argv += ["--format", draw(st.sampled_from(["json", "dot", "csv"]))]
+        if command == "index":
+            argv += ["--index", draw(ARGV_INDICES)]
+        return argv
+    if command == "fit":
+        argv = ["fit", "--kind", draw(ARGV_KINDS), "--index", draw(ARGV_INDICES)]
+        samples = draw(st.lists(st.builds("{},{}".format, ARGV_INTS, ARGV_INTS), max_size=4))
+        return argv + (["--samples", *samples] if samples or draw(st.booleans()) else [])
+    argv = [command, "--kind", draw(st.sampled_from(["both", "armchair", "zigzag", "helical"])),
+            "--m-range", draw(ARGV_RANGES), "--n-range", draw(ARGV_RANGES)]
+    if command == "sweep":
+        names = draw(st.lists(st.sampled_from([*INDEX_NAMES, *INDEX_NAMES, "wiener", ""]),
+                              max_size=4))
+        argv += [*(["--indices", ",".join(names)] if names else []), "--out", os.devnull]
+    return argv
+
+
+class TestArgvContract:
+    # Every exit is 0, 1, 2 or 141, with no traceback on stderr; an exception
+    # that escapes main would be one.
+    @given(argv_lists())
+    @example(["sweep", "--m-range", f"{10**20}:{10**20}", "--n-range", "1:1", "--out", os.devnull])
+    @example(["index", "--kind", "zigzag", "--m", str(10**40), "--n", str(10**40)])
+    @example(["verify", "--m-range", f"2:{10**20}", "--n-range", "1:1"])
+    @settings(max_examples=300, deadline=None)
+    def test_every_subcommand_exits_with_a_documented_code(self, argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses, or prints help, this way
+                code = exc.code
+        assert code in (0, 1, 2, 141), (argv, code, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
 
 
 TERMINATING_DENOMINATORS = st.builds(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -112,6 +113,19 @@ class TestTerms:
         assert abc_term(1, 2) == pytest.approx(math.sqrt(0.5), rel=1e-15)
         assert abc_term(3, 3) == pytest.approx(2 / 3, rel=1e-15)
         assert abc_term(1, 1) == 0.0
+
+    # abc_term(10**400, 10**400) once returned 0.0: the quotient underflowed
+    # before the root was taken. Past about 10**616 each the term itself is
+    # below the normal floats, so the draws stop at 10**600.
+    @given(st.integers(10**154, 10**600), st.integers(10**154, 10**600))
+    @example(10**400, 10**400)
+    @example(10**154, 10**154)
+    @example(10**600, 10**600)
+    @settings(max_examples=60, deadline=None)
+    def test_abc_term_of_huge_degrees_matches_decimal_reference(self, d_u, d_v):
+        with decimal.localcontext(oracles.REFERENCE_CONTEXT):
+            reference = (decimal.Decimal(d_u + d_v - 2) / (d_u * d_v)).sqrt()
+        assert oracles.rel_close(abc_term(d_u, d_v), reference)
 
     @given(degree_pairs)
     @settings(max_examples=60, deadline=None)

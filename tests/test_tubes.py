@@ -292,7 +292,7 @@ class TestGridTubes:
         for got, want in zip(tubes, expected):
             assert list(got[4].classes.items()) == list(want[4].classes.items())
 
-    # The one count function, tubes._tube_counts, builds its partitions
+    # The one count evaluator, tubes._tube_rows, builds its partitions
     # without EdgePartition's checks; these hold them, read through
     # tube_edge_partition and grid_tubes, to what the checked constructor
     # makes of the same counts.
