@@ -36,9 +36,6 @@ from .tubes import (
     NanotubeSpec,
     build_nanotube,
     grid_tubes,
-    tube_edge_count,
-    tube_edge_partition,
-    tube_vertex_count,
     validate_ranges,
 )
 
@@ -63,10 +60,6 @@ def _fraction_fields(q: Fraction) -> dict[str, int]:
     return {"num": q.numerator, "den": q.denominator}
 
 
-def _float_decimal(x: float) -> str:
-    return f"{x:.15g}"
-
-
 def _exact_decimal(num: int, den: int) -> str:
     """Decimal string of num/den in lowest terms: exact when it terminates, else 15 digits."""
     # den = 2**a * 5**b has 2**a <= den and 2**b <= 5**b <= den, so a and b are
@@ -75,7 +68,7 @@ def _exact_decimal(num: int, den: int) -> str:
     places = den.bit_length() - 1
     scale, remainder = divmod(10**places, den)
     if remainder:
-        return _float_decimal(num / den)  # float(Fraction(num, den)) is this quotient
+        return "%.15g" % (num / den)  # the float slot; float(Fraction(num, den)) is this quotient
     whole, part = divmod(abs(num), den)
     fractional = str(part * scale).rjust(places, "0").rstrip("0")
     text = f"{whole}.{fractional}" if fractional else str(whole)
@@ -102,7 +95,7 @@ def _kinds(name: str) -> tuple[NanotubeKind, ...]:
 
 def _cell_slots(f: EdgeFunction) -> tuple[tuple[str, str], ...]:
     """(name, % slot) of each cell f's value is written as: num, den and exact decimal, or
-    %.15g, which prints a float as _float_decimal does."""
+    %.15g, as _exact_decimal prints a quotient that does not terminate."""
     if f.exact:
         return ("num", "%d"), ("den", "%d"), ("decimal", "%s")
     return (("decimal", "%.15g"),)
@@ -126,15 +119,19 @@ def _index_rows(
         yield tuple(cells)
 
 
-def _tube_record(spec: NanotubeSpec, partition: EdgePartition) -> dict:
+def _tube_record(args: argparse.Namespace) -> tuple[dict, tuple]:
+    """The JSON record of the tube args name, and the one grid_tubes row it is read off."""
+    spec = NanotubeSpec(NanotubeKind.parse(args.kind), args.m, args.n)
+    row = next(grid_tubes(spec.kind, (spec.m, spec.m), (spec.n, spec.n)))
+    _, _, vertices, edges, partition = row
     return {
         "kind": spec.kind.value,
         "m": spec.m,
         "n": spec.n,
-        "vertex_count": tube_vertex_count(spec),
-        "edge_count": tube_edge_count(spec),
+        "vertex_count": vertices,
+        "edge_count": edges,
         "partition": {f"{lo},{hi}": count for (lo, hi), count in partition.classes.items()},
-    }
+    }, row
 
 
 def _emit(payload: dict) -> None:
@@ -178,15 +175,13 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    spec = NanotubeSpec(NanotubeKind.parse(args.kind), args.m, args.n)
-    _emit(_tube_record(spec, tube_edge_partition(spec)))
+    _emit(_tube_record(args)[0])
     return 0
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    spec = NanotubeSpec(NanotubeKind.parse(args.kind), args.m, args.n)
     functions = EDGE_FUNCTIONS.values() if args.index == "all" else (EDGE_FUNCTIONS[args.index],)
-    row = next(grid_tubes(spec.kind, (spec.m, spec.m), (spec.n, spec.n)))
+    record, row = _tube_record(args)
     cells = iter(next(_index_rows([row], functions))[4:])
     # each cell as its slot prints it, but a %d cell stays an int, which json prints alike
     indices = {
@@ -194,7 +189,7 @@ def cmd_index(args: argparse.Namespace) -> int:
                  for (name, slot), value in zip(_cell_slots(f), cells)}
         for f in functions
     }
-    _emit({**_tube_record(spec, row[4]), "indices": indices})
+    _emit({**record, "indices": indices})
     return 0
 
 

@@ -27,7 +27,6 @@ from .tubes import (
     _check_kind,
     build_nanotube,
     grid_edge_count,
-    grid_tubes,
     tube_edge_count,
     validate_ranges,
 )
@@ -56,11 +55,12 @@ __all__ = [
 # oracle builds. Every tube of a large grid or a long sample list passes
 # build_nanotube's per-tube cap, so only this bound keeps such a call from
 # running for hours. The slowest grids per edge hold one or two n values,
-# where the oracle builds every tube: verify --kind both on 2:80 x 39:40
-# (1,574,154 edges) took 0.80 to 1.3 s, 1.2 to 2.0 million edges per second,
-# so this allows 10 to 17 s. With many n values the oracle builds two tubes
-# per m and reads the n between off a one-row window of the last: 2:26 x
-# 1:25 (735,000 edges) took 0.12 to 0.20 s (each the best of 7 runs in one
+# where the oracle builds every tube and, with two, checks the first
+# against the last: verify --kind both on 2:80 x 39:40 (1,574,154 edges)
+# took 1.0 to 1.3 s, 1.2 to 1.6 million edges per second, so this allows
+# 13 to 17 s. With many n values the oracle builds two tubes per m and
+# reads the n between off a one-row window of the last: 2:26 x 1:25
+# (735,000 edges) took 0.12 to 0.22 s (each the best of 7 runs in one
 # process, in runs minutes apart; 2-CPU Xeon VM, Python 3.11.7).
 MAX_VERIFY_EDGES = 20_000_000
 
@@ -297,30 +297,28 @@ def _oracle_values(kind: NanotubeKind, m: int, ns: range) -> list[Fraction]:
     """Brute-force AZI of tube (kind, m, n) for each n in ns, from at most two builds.
 
     Only h = tube (m, ns[0]) and g = tube (m, ns[-1]) are built, and azi is
-    called once on each. By the prefix property (polyhex.tubes), every tube
-    between is g's subgraph induced on its first tube_vertex_count vertices,
-    so its partition is read off a one-row window of g (_prefix_partitions),
-    at cuts read off one grid_tubes pass. The property is first checked
-    exactly: h's edges must be g's edges whose larger endpoint is below h's
-    vertex count. Only that check keeps h's edges alive through g's build,
-    since each edge tuple kept adds to the allocation count that triggers
-    the cyclic garbage collector.
+    called once on each. Each n adds one row, so g's vertex count must be
+    len(ns) - 1 equal steps past h's, and by the prefix property
+    (polyhex.tubes) every tube between is g's subgraph induced on the
+    vertices below its step. Both are checked exactly first: h's edges must
+    be g's edges whose larger endpoint is below h's vertex count. Then each
+    n between is read off a one-row window of g (_prefix_partitions) at its
+    step.
     """
     h = build_nanotube(NanotubeSpec(kind, m, ns[0]))
     values = [azi(h).exact]
     if len(ns) == 1:
         return values
-    prefix, cut = (h.edges if len(ns) > 2 else ()), h.vertex_count
-    del h
     g = build_nanotube(NanotubeSpec(kind, m, ns[-1]))
-    if len(ns) > 2:
-        if prefix != tuple(compress(g.edges, map(cut.__gt__, map(itemgetter(1), g.edges)))):
-            raise RuntimeError(
-                f"{kind.value} tube m={m}, n={ns[0]} is not the subgraph of tube "
-                f"n={ns[-1]} on its first {cut} vertices"
-            )
-        cuts = [row[2] for row in grid_tubes(kind, (m, m), (ns[1], ns[-2]))]
-        values.extend(index_from_partition(p, AZI).exact for p in _prefix_partitions(g, cuts))
+    step, uneven = divmod(g.vertex_count - h.vertex_count, len(ns) - 1)
+    below = map(h.vertex_count.__gt__, map(itemgetter(1), g.edges))
+    if uneven or step < 1 or h.edges != tuple(compress(g.edges, below)):
+        raise RuntimeError(
+            f"{kind.value} tube m={m}, n={ns[0]} is not the subgraph of tube n={ns[-1]} "
+            f"on its first {h.vertex_count} vertices, a row per n below its {g.vertex_count}"
+        )
+    cuts = range(h.vertex_count + step, g.vertex_count, step)
+    values.extend(index_from_partition(p, AZI).exact for p in _prefix_partitions(g, cuts))
     values.append(azi(g).exact)
     return values
 

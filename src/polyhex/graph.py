@@ -274,10 +274,11 @@ def edge_partition(g: Graph) -> EdgePartition:
     return g._partition
 
 
-def _prefix_partitions(g: Graph, cuts: Iterable[int]) -> Iterator[EdgePartition]:
+def _prefix_partitions(g: Graph, cuts: Sequence[int]) -> Iterator[EdgePartition]:
     """Edge partition of g's subgraph induced on vertices 0..c-1, for each cut c.
 
-    The cuts must not decrease and lie in 0..g.vertex_count. No edge joins
+    The cuts must not decrease and lie in 0..g.vertex_count; with none, g is
+    not read (the verify oracle passes none for a two-n grid). No edge joins
     ids more than span apart, so a vertex below c - span has all of its
     neighbours below c, and an edge whose larger endpoint is below c - span
     has the _degree_codes code it has in g. Such settled edges go into one
@@ -287,6 +288,8 @@ def _prefix_partitions(g: Graph, cuts: Iterable[int]) -> Iterator[EdgePartition]
     a tube the span is one row, so a cut costs a row's edges, not the edges
     below it.
     """
+    if not cuts:
+        return
     edges = sorted(g.edges, key=itemgetter(1))
     highs = list(map(itemgetter(1), edges))
     span = max(map(sub, highs, map(itemgetter(0), edges)), default=0)

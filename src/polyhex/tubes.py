@@ -32,9 +32,9 @@ stride: whether two vertices of rows present in both tubes are joined
 depends on their rows, columns and m alone, never on n. The verify
 oracle (polyhex.forms) relies on it to build two tubes per m, not one per
 grid point. As no edge joins ids more than one row (2m) apart, it reads
-every n between off a window one row wide that moves up the larger tube,
-and each call first checks that the smaller tube's edges are exactly the
-larger tube's edges below its vertex count.
+every n between off a one-row window moving up the larger tube a row per n,
+after checking that the two vertex counts are whole rows apart and that
+the smaller tube's edges are the larger tube's edges below its count.
 
 Domain: m >= 2 and n >= 1 for both kinds. Zigzag m = 2 is accepted although
 it is not hexagonal: its rows are 4-cycles, so its girth is 4 (every other

@@ -39,7 +39,6 @@ from polyhex.cli import (
     MAX_SWEEP_ROWS,
     _cell_slots,
     _exact_decimal,
-    _float_decimal,
     _write_report,
     main,
 )
@@ -546,7 +545,6 @@ class TestSweep:
         def no_rows(*args):
             raise AssertionError("row computed for an unwritable sweep")
 
-        monkeypatch.setattr(polyhex.cli, "tube_edge_partition", no_rows)
         monkeypatch.setattr(polyhex.cli, "grid_tubes", no_rows)
         code, _, err = run_cli(
             capsys, "sweep", "--m-range", "2:50", "--n-range", "1:50",
@@ -576,7 +574,6 @@ class TestSweep:
         def no_rows(*args):
             raise AssertionError("row computed for a refused sweep")
 
-        monkeypatch.setattr(polyhex.cli, "tube_edge_partition", no_rows)
         monkeypatch.setattr(polyhex.cli, "grid_tubes", no_rows)
         out_path = tmp_path / "huge.csv"
         code, _, err = run_cli(
@@ -661,22 +658,18 @@ class TestSweep:
         assert large - small < 32 * 1024, (small, large)
 
     # A float index's cell is written through the row template's % slot, and
-    # index prints it through the same slot; both must print what
-    # _float_decimal prints.
-    @given(st.floats())
-    @example(float("inf"))
-    @example(float("-inf"))
-    @example(float("nan"))
-    @example(-0.0)
-    @example(5e-324)
-    @example(1e16)
+    # index prints it through the same slot; an exact value whose decimal
+    # does not terminate is printed as that slot prints its quotient.
+    @given(st.integers(-(10**20), 10**20), st.integers(1, 10**9))
     @settings(max_examples=300, deadline=None)
-    def test_float_slot_prints_as_float_decimal(self, x):
+    def test_float_slot_is_the_exact_decimal_fallback(self, k, d):
+        q = Fraction(3 * k + 1, 3 * d)  # 3 stays in the denominator, so no decimal terminates
+        num, den = q.numerator, q.denominator
         slots = [slot for f in EDGE_FUNCTIONS.values() if not f.exact
                  for _, slot in _cell_slots(f)]
         assert slots
         for slot in slots:
-            assert slot % x == _float_decimal(x)
+            assert _exact_decimal(num, den) == slot % (num / den)
 
     def test_empty_range_rejected_before_writing(self, capsys, tmp_path):
         out_path = tmp_path / "never.csv"

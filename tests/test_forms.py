@@ -367,14 +367,41 @@ class TestVerification:
                 vertex_count = 1 + max(map(max, edges))
                 assert p.oracle == oracles.azi_reference(vertex_count, edges)
 
+    # A two-n grid reads no n between, but its first tube is checked too.
     def test_oracle_refuses_a_last_tube_that_does_not_extend_the_first(self, monkeypatch):
         def build_missing_first_edge(spec):
             g = build_nanotube(spec)
             return g if spec.n == 1 else Graph(g.vertex_count, g.edges[1:])
 
         monkeypatch.setattr(polyhex.forms, "build_nanotube", build_missing_first_edge)
-        with pytest.raises(RuntimeError, match="is not the subgraph of tube n=3 on its first"):
-            verify_forms(published_forms(), (2, 2), (1, 3))
+        for last in (3, 2):
+            with pytest.raises(RuntimeError, match=f"is not the subgraph of tube n={last} on its"):
+                verify_forms(published_forms(), (2, 2), (1, last))
+
+    # The cuts step one row per n from the first tube's vertex count to the
+    # last's, so a last tube one vertex too large (uneven steps) or as large
+    # as the first (no step) is refused before any window is read, although
+    # its edges below the first tube's vertex count are the first tube's.
+    @pytest.mark.parametrize(
+        "n_range, built_n, extra_vertices", [((1, 3), 3, 1), ((1, 2), 1, 0)],
+        ids=["uneven", "no-step"],
+    )
+    def test_oracle_refuses_a_last_tube_not_whole_rows_past_the_first(
+        self, monkeypatch, n_range, built_n, extra_vertices
+    ):
+        def build_last(spec):
+            if spec.n == n_range[0]:
+                return build_nanotube(spec)
+            g = build_nanotube(NanotubeSpec(spec.kind, spec.m, built_n))
+            return Graph(g.vertex_count + extra_vertices, g.edges)
+
+        def no_window(g, cuts):
+            raise AssertionError("window read past a refused last tube")
+
+        monkeypatch.setattr(polyhex.forms, "build_nanotube", build_last)
+        monkeypatch.setattr(polyhex.forms, "_prefix_partitions", no_window)
+        with pytest.raises(RuntimeError, match=r"first \d+ vertices, a row per n below its \d+$"):
+            verify_forms(published_forms(), (2, 2), n_range)
 
     # Swapping ids 0 and 1 in the last tube keeps its graph up to relabelling,
     # its degree multiset and its partition, so only a check of the first
@@ -439,6 +466,17 @@ class TestVerification:
         monkeypatch.setattr(polyhex.forms, "build_nanotube", no_build)
         with pytest.raises(ValueError, match="can only verify a ClosedForm"):
             verify_forms(items, (2, 3), (1, 2))
+
+    # verify_forms checks each form's index itself, as a ClosedForm may hold
+    # any index of EDGE_FUNCTIONS.
+    def test_verify_rejects_non_azi_forms_before_any_build(self, monkeypatch):
+        def no_build(spec):
+            raise AssertionError("tube built for a refused form")
+
+        form = ClosedForm(NanotubeKind.ZIGZAG, "randic", A, A, Provenance.FITTED)
+        monkeypatch.setattr(polyhex.forms, "build_nanotube", no_build)
+        with pytest.raises(ValueError, match="covers 'azi' only, not 'randic'"):
+            verify_forms([published_forms()[0], form], (2, 3), (1, 2))
 
     def test_verify_rejects_empty_range(self):
         with pytest.raises(ValueError, match="empty range"):
