@@ -13,9 +13,9 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from .forms import (
     DEFAULT_FIT_SAMPLES,
@@ -34,7 +34,9 @@ from .tubes import (
     InvalidSpecError,
     NanotubeKind,
     NanotubeSpec,
-    build_nanotube,
+    _build_counts,
+    _edge_id_rows,
+    build_nanotube,  # unused: test_uninstall_restores_every_patched_attribute reads it
     grid_tubes,
     validate_ranges,
 )
@@ -50,9 +52,9 @@ INDEX_LIST = ",".join(INDEX_NAMES)  # as --indices takes them
 # 2-CPU Xeon VM, Python 3.11.7), so a sweep at the cap takes under 30 s.
 MAX_SWEEP_ROWS = 1_000_000
 
-# Edges, or DOT vertex lines, per % format in `build`. Beside the graph, one
-# chunk's template, fields and text are all it holds: at [300, 300], 42 KB traced
-# for JSON and 123 KB for DOT, whose divmod makes new ints. 1,024 was no faster.
+# Lines per % format in `build`. Beside the tube's ids, one row of edges and one
+# chunk's template, fields and text are all it holds: at [300, 300], 110 KB traced
+# for JSON and 170 to 220 KB for DOT, whose divmod makes new ints. 1,024 was no faster.
 _OUTPUT_CHUNK = 512
 
 
@@ -139,25 +141,24 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _render(line: str, items: Sequence, fields: Callable) -> Iterator[str]:
-    """line % (an item's fields) for each of items, fields(chunk) giving a chunk's in order."""
-    step = _OUTPUT_CHUNK
-    for i in range(0, len(items), step):
-        chunk = items[i : i + step]
-        yield (line * len(chunk)) % tuple(fields(chunk))
+def _render(line: str, ints_per_line: int, ints: Iterator[int]) -> Iterator[str]:
+    """line % (the next ints_per_line of ints) for each line, _OUTPUT_CHUNK lines a string."""
+    step = ints_per_line * _OUTPUT_CHUNK
+    while chunk := tuple(islice(ints, step)):
+        yield line * (len(chunk) // ints_per_line) % chunk
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     spec = NanotubeSpec(NanotubeKind.parse(args.kind), args.m, args.n)
-    g = build_nanotube(spec)
+    vertex_count, edge_count = _build_counts(spec)  # refused before any edge is generated
+    ids = chain.from_iterable(_edge_id_rows(spec.kind, spec.m, spec.n))  # sorted, no Graph
     out = sys.stdout  # a chunk at a time, so no copy of the document is held
     if args.format == "json":
         # %d prints ints as json does, no kind needs escapes; chunks lose their last comma
         out.write('{"kind":"%s","m":%d,"n":%d,"vertex_count":%d,"edge_count":%d,"edges":['
-                  % (spec.kind.value, spec.m, spec.n, g.vertex_count, g.edge_count))
+                  % (spec.kind.value, spec.m, spec.n, vertex_count, edge_count))
         out.writelines(
-            ("," if i else "") + text[:-1]
-            for i, text in enumerate(_render("[%d,%d],", g.edges, chain.from_iterable))
+            ("," if i else "") + text[:-1] for i, text in enumerate(_render("[%d,%d],", 2, ids))
         )
         out.write("]}\n")
         return 0
@@ -167,9 +168,8 @@ def cmd_build(args: argparse.Namespace) -> int:
         return chain.from_iterable(map(divmod, vertices, repeat(width)))
 
     out.write(f"graph {spec.kind.value}_m{spec.m}_n{spec.n} {{\n")
-    out.writelines(_render('  "%d_%d";\n', range(g.vertex_count), rows_columns))
-    out.writelines(_render('  "%d_%d" -- "%d_%d";\n', g.edges,
-                           lambda edges: rows_columns(chain.from_iterable(edges))))
+    out.writelines(_render('  "%d_%d";\n', 2, rows_columns(range(vertex_count))))
+    out.writelines(_render('  "%d_%d" -- "%d_%d";\n', 4, rows_columns(ids)))
     out.write("}\n")
     return 0
 

@@ -67,11 +67,11 @@ __all__ = [
 ]
 
 
-# Largest tube build_nanotube constructs. Building peaks near 99 traced bytes
-# per edge and keeps 90 (26.8 and 24.5 MB for the 271,200-edge armchair
-# [300, 300]: tracemalloc peak and current after the call, less current before
-# it, Python 3.11.7), so this caps a build near 0.5 GB. Counts and indices of
-# larger tubes come from tube_edge_partition, which builds no graph.
+# Largest tube build_nanotube builds and `build` prints. A build peaks near 99
+# traced bytes per edge and keeps 90 (26.8 and 24.5 MB for the 271,200-edge
+# armchair [300, 300], Python 3.11.7), so this caps it near 0.5 GB. For `build`,
+# which holds no graph, it bounds time and output: 0.9 s and 78 MB of JSON at
+# 4,504,000 edges. Larger tubes' counts and indices come from tube_edge_partition.
 MAX_BUILD_EDGES = 5_000_000
 
 
@@ -142,7 +142,7 @@ def _as_tuple(items: Iterable, what: str) -> tuple:
     return tuple(iterator)
 
 
-# Per kind: the rows beyond n, the ring and rung strides (_tube_edges), then
+# Per kind: the rows beyond n, the ring and rung strides (_edge_id_rows), then
 # each degree class's edge count (c_mn, c_m) in sorted class order. A tube
 # has n + extra rows of 2m vertices, and a class count is (c_mn*n + c_m)*m.
 _KINDS: dict[NanotubeKind, tuple[int, int, int, dict[DegreePair, tuple[int, int]]]] = {
@@ -237,29 +237,50 @@ def grid_tubes(
     return chain.from_iterable(_tube_rows(entry, m, ns) for m in ms)
 
 
-# The generator chains runs of zip(ids slice, ids slice) per row, so the
-# per-edge work runs in C and no edge list is built: Graph reads each pair
-# and drops it, and zip reuses its result tuple. A ring's wrap-around edge is
-# a one-element run, present when the ring's run ends at column 2m - 1.
-# Slicing one ids list, not two ranges, makes the edges Graph keeps share one
-# int object per vertex. The loop versions, one iteration per edge and one
-# per kind, are kept in the tests as the reference.
-def _tube_edges(kind: NanotubeKind, m: int, n: int) -> Iterator[Edge]:
+# The tube's edge ids in sorted canonical order, u0, v0, u1, v1, ... with
+# u < v, one flat list per row. A row is m blocks of 2 columns; each edge of a
+# block is one lane (column offset, id step), ring +1 or rung +2m, and a row's
+# lanes depend only on r mod 2 and on whether it is the last row. Each lane is
+# a slice assignment from one ids list, made first (ids made a row at a time
+# raised a pass's peak RSS), so the per-edge work runs in C and edges share
+# one int object per vertex. The wrap, the ring edge at column 2m - 1, is
+# (r*2m, r*2m + 2m - 1), so it moves to column 0.
+def _edge_id_rows(kind: NanotubeKind, m: int, n: int) -> Iterator[list[int]]:
     extra, ring, rung, _ = _KINDS[kind]
     width, rows = 2 * m, n + extra
     ids = list(range(rows * width))
+    for r in range(rows):
+        pair = ids[r * width : (r + 2) * width]  # rows r and r + 1
+        lanes = [(c, step) for c in (0, 1) for step, stride in ((1, ring), (width, rung))
+                 if (c - r) % stride == 0 and (step == 1 or r < rows - 1)]
+        size = 2 * len(lanes)
+        row = [0] * (size * m)
+        for j, (c, step) in enumerate(lanes):
+            count = m - ((c, step) == (1, 1))  # the wrap is placed after the loop
+            row[2 * j : size * count : size] = pair[c : c + 2 * count : 2]
+            row[2 * j + 1 : size * count : size] = pair[c + step : c + step + 2 * count : 2]
+        if (1, 1) in lanes:  # drop the last block's empty wrap slot, then fill column 0's
+            at = size * (m - 1) + 2 * lanes.index((1, 1))
+            del row[at : at + 2]
+            at = 2 * (lanes[0] == (0, 1))
+            row[at:at] = pair[0], pair[width - 1]
+        yield row
 
-    def runs() -> Iterator[Iterable[Edge]]:
-        for r in range(rows):
-            start, end = r * width + r % ring, (r + 1) * width
-            yield zip(ids[start : end - 1 : ring], ids[start + 1 : end : ring])
-            if (width - 1 - r) % ring == 0:
-                yield ((ids[end - 1], ids[end - width]),)
-        for r in range(rows - 1):
-            low = r * width + r % rung
-            yield zip(ids[low : low + width : rung], ids[low + width : low + 2 * width : rung])
 
-    return chain.from_iterable(runs())
+def _tube_edges(kind: NanotubeKind, m: int, n: int) -> Iterator[Edge]:
+    ids = chain.from_iterable(_edge_id_rows(kind, m, n))
+    return zip(ids, ids)
+
+
+def _build_counts(spec: NanotubeSpec) -> tuple[int, int]:
+    """The vertex and edge counts of spec's tube, refused past MAX_BUILD_EDGES edges."""
+    _, _, vertex_count, edge_count, _ = _tube_counts(spec)
+    if edge_count > MAX_BUILD_EDGES:
+        raise TubeTooLargeError(
+            f"{spec.kind.value} tube m={spec.m}, n={spec.n} has {edge_count} edges, "
+            f"more than the {MAX_BUILD_EDGES} a built graph may have"
+        )
+    return vertex_count, edge_count
 
 
 def build_nanotube(spec: NanotubeSpec) -> Graph:
@@ -269,13 +290,7 @@ def build_nanotube(spec: NanotubeSpec) -> Graph:
     MAX_BUILD_EDGES edges. Like each count function here, it refuses a spec
     that is not a NanotubeSpec with InvalidSpecError.
     """
-    _, _, vertex_count, edge_count, _ = _tube_counts(spec)
-    if edge_count > MAX_BUILD_EDGES:
-        raise TubeTooLargeError(
-            f"{spec.kind.value} tube m={spec.m}, n={spec.n} has {edge_count} edges, "
-            f"more than the {MAX_BUILD_EDGES} a built graph may have"
-        )
-    return Graph(vertex_count, _tube_edges(spec.kind, spec.m, spec.n))
+    return Graph(_build_counts(spec)[0], _tube_edges(spec.kind, spec.m, spec.n))
 
 
 def validate_ranges(m_range: tuple[int, int], n_range: tuple[int, int]) -> tuple[range, range]:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import polyhex.cli
 import polyhex.forms
+import polyhex.graph
 import polyhex.tubes
 from polyhex import (
     ClosedForm,
@@ -31,6 +32,7 @@ from polyhex import (
     build_nanotube,
     edge_partition,
     published_forms,
+    tube_edge_count,
     verify_forms,
     verify_published_forms,
 )
@@ -73,6 +75,12 @@ def run_process(*argv: str, cwd=None):
 
 def _build_peak_beyond_graph(m: int, n: int, fmt: str) -> int:
     """Traced peak of `build` for armchair [m, n], stdout discarded, less that of the graph."""
+    build_peak, graph_peak = _build_and_graph_peaks(m, n, fmt)
+    return build_peak - graph_peak
+
+
+def _build_and_graph_peaks(m: int, n: int, fmt: str) -> tuple[int, int]:
+    """Traced peaks of `build` for armchair [m, n], stdout discarded, and of build_nanotube."""
 
     def traced_peak(call):
         tracemalloc.reset_peak()
@@ -93,7 +101,7 @@ def _build_peak_beyond_graph(m: int, n: int, fmt: str) -> int:
         if started:
             tracemalloc.stop()
     assert codes == [0]
-    return build_peak - graph_peak
+    return build_peak, graph_peak
 
 
 class TestBuild:
@@ -182,17 +190,36 @@ class TestBuild:
         lines += [f"  {label(u)} -- {label(v)};" for u, v in g.edges]
         assert out == "\n".join([*lines, "}"]) + "\n"
 
-    # DOT is written a chunk at a time, so beyond the graph itself the command
-    # holds a bounded amount (under 50 KB traced at both sizes here). A chunk
-    # holds at most 123 KB traced beside the built graph, at armchair
-    # [300, 300], less than the graph's own build peak above its final size.
+    # Multi-row tubes whose rows hold 9 or 12 edges (6 or 8 in the last), so
+    # chunks of 5 and 7 edges, or of 5 and 7 DOT lines, end inside a row.
+    @pytest.mark.parametrize(
+        "kind, m, n", [("armchair", 3, 2), ("zigzag", 3, 2), ("zigzag", 4, 3)]
+    )
+    @pytest.mark.parametrize("chunk", [5, 7])
+    def test_chunk_seams_inside_rows(self, capsys, monkeypatch, chunk, kind, m, n):
+        self.test_json_chunk_seams(capsys, monkeypatch, chunk, kind, m, n)
+        self.test_dot_chunk_seams(capsys, monkeypatch, chunk, kind, m, n)
+
+    # `build` reads the tube's sorted edge ids, never a Graph: it holds the
+    # tube's ids (40 traced bytes a vertex, 1.9 MB here), one row of edges and
+    # one chunk, under a fixed 2.5 MiB, while build_nanotube peaks near 7 MB.
+    # A Graph, or every edge's ids held at once (1.2 MB more), breaks the bound.
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_peak_traced_memory_is_far_under_the_graph(self, fmt):
+        build_peak, graph_peak = _build_and_graph_peaks(200, 120, fmt)
+        bound = 5 * 1024 * 1024 // 2
+        assert build_peak < bound < graph_peak / 2.5
+
+    # DOT is written a chunk at a time from the generated edges and `build`
+    # holds no graph, so its peak is below build_nanotube's: the difference is
+    # negative. test_peak_traced_memory_is_far_under_the_graph bounds it closer.
     @pytest.mark.parametrize("m, n", [(60, 60), (120, 60)])
     def test_dot_peak_traced_memory_is_the_graph_alone(self, m, n):
         assert _build_peak_beyond_graph(m, n, "dot") < 256 * 1024
 
-    # JSON is rendered and written 512 edges at a time, so beyond the graph
-    # the command holds one chunk's template, fields and text (about 35 KB
-    # traced at both sizes here; 42 KB beside the built armchair [300, 300]).
+    # JSON is rendered and written 512 edges at a time from the generated
+    # edges and `build` holds no graph, so its peak is below build_nanotube's:
+    # the difference is negative, as for DOT above.
     @pytest.mark.parametrize("m, n", [(120, 60), (200, 120)])
     def test_json_peak_traced_memory_is_the_graph_alone(self, m, n):
         assert _build_peak_beyond_graph(m, n, "json") < 256 * 1024
@@ -211,6 +238,33 @@ class TestBuild:
         assert code == 2
         assert out == ""
         assert "30000400000 edges, more than the 5000000" in err
+
+    def test_refused_before_any_edge_id(self, capsys, monkeypatch):
+        def no_ids(kind, m, n):
+            raise AssertionError("edge ids generated for a refused tube")
+
+        for module in (polyhex.cli, polyhex.tubes):
+            monkeypatch.setattr(module, "_edge_id_rows", no_ids)
+        for fmt in ("json", "dot"):
+            code, out, err = run_cli(
+                capsys, "build", "--kind", "zigzag", "--m", "100000", "--n", "100000",
+                "--format", fmt,
+            )
+            assert (code, out) == (2, "")
+            assert "more than the 5000000" in err
+
+    # As tubes.MAX_BUILD_EDGES bounds build_nanotube (test_tubes.py's
+    # test_limit_is_inclusive), it bounds `build`: a tube of exactly that
+    # many edges prints, one row more is refused.
+    def test_limit_is_inclusive(self, capsys, monkeypatch):
+        spec = NanotubeSpec(NanotubeKind.ARMCHAIR, 2, 1)
+        monkeypatch.setattr(polyhex.tubes, "MAX_BUILD_EDGES", tube_edge_count(spec))
+        code, out, _ = run_cli(capsys, "build", "--kind", "armchair", "--m", "2", "--n", "1")
+        assert code == 0
+        assert len(json.loads(out)["edges"]) == tube_edge_count(spec)
+        code, out, err = run_cli(capsys, "build", "--kind", "armchair", "--m", "2", "--n", "2")
+        assert (code, out) == (2, "")
+        assert "has 20 edges, more than the 14" in err
 
     def test_rejects_small_n(self, capsys):
         code, _, err = run_cli(capsys, "build", "--kind", "zigzag", "--m", "4", "--n", "0")
@@ -682,6 +736,44 @@ class TestSweep:
         assert not out_path.exists()
 
 
+# (kind, m, n, format, SHA-256 of build stdout), from the implementation whose
+# generators looped once per edge and whose JSON encoder was given lists.
+BUILD_DIGESTS = [
+    ("armchair", 5, 9, "json",
+     "fbae264555ae66c3acfdbdb3d8990e298bef8db2b798e73743acecd26d370f13"),
+    ("armchair", 5, 9, "dot",
+     "aee843d8f916357403ddfc31166cfa8ec7a654834fda61889273eb364a70949e"),
+    ("zigzag", 4, 7, "json",
+     "8c35883cae459d961f6e564f81b1eb0e52782dbca666ca2e8dd4448acf0bc34d"),
+    ("zigzag", 2, 3, "dot",
+     "43bebfb2ea17a3f8039e270587854b78df0874658a1fe33a6bc2cd28563dd747"),
+    # From the implementation that encoded the whole JSON document in
+    # one json.dumps call; each spans several 1,024-edge chunks.
+    ("armchair", 40, 30, "json",
+     "275787d8d5e585cdd54bca59df547dfcf3d825dd3001fa7773df7eb9a36af429"),
+    ("zigzag", 33, 31, "json",
+     "f8898646af1b86fb1f3bf295d3cb113dbffb835f4ef941f07f6379c88c655517"),
+    # From the implementation with one edge generator per kind; the
+    # smallest tubes, where each ring's runs are shortest.
+    ("armchair", 2, 1, "json",
+     "4342d538e7d134d2ca1c35a068d2ff5211c85745dd5036ac4019d4256f26de81"),
+    ("armchair", 2, 1, "dot",
+     "684ceb2934fec67c77844f1e2f9af5438e32f39d9134f1c582f93b48f2ad4bb3"),
+    ("zigzag", 2, 1, "json",
+     "310b5c9a3c4e1982593a04ec90b5f9adce4d754cfd748f68cff43cc17b9a0bc9"),
+    # From the implementation that called json.dumps once per 1,024
+    # edges and made each DOT line with an f-string.
+    ("armchair", 300, 300, "json",
+     "314e29239709dd80e8ffa128812c138e3e790aaa4c952975b45316c7c0577eca"),
+    ("zigzag", 300, 300, "json",
+     "9e5e547de9910eac90ca5f523cf4ba89d813eba5da0f148294173d4e8a971c94"),
+    ("armchair", 300, 300, "dot",
+     "2478589640af04e1359126ce1a85902b21b0afd82bcfdf3b4796f5ab570789cd"),
+    ("zigzag", 300, 300, "dot",
+     "6a2e4fbd3196cdd289e98d932edc627097e69d700e42c27a04faed443f2e9757"),
+]
+
+
 class TestDeterminism:
     def test_stdout_byte_identical_across_runs(self):
         argv = ("index", "--kind", "armchair", "--m", "5", "--n", "9")
@@ -708,49 +800,23 @@ class TestDeterminism:
 
     # SHA-256 of build stdout from the implementation whose generators looped
     # once per edge and whose JSON encoder was given lists.
-    @pytest.mark.parametrize(
-        "kind, m, n, fmt, digest",
-        [
-            ("armchair", 5, 9, "json",
-             "fbae264555ae66c3acfdbdb3d8990e298bef8db2b798e73743acecd26d370f13"),
-            ("armchair", 5, 9, "dot",
-             "aee843d8f916357403ddfc31166cfa8ec7a654834fda61889273eb364a70949e"),
-            ("zigzag", 4, 7, "json",
-             "8c35883cae459d961f6e564f81b1eb0e52782dbca666ca2e8dd4448acf0bc34d"),
-            ("zigzag", 2, 3, "dot",
-             "43bebfb2ea17a3f8039e270587854b78df0874658a1fe33a6bc2cd28563dd747"),
-            # From the implementation that encoded the whole JSON document in
-            # one json.dumps call; each spans several 1,024-edge chunks.
-            ("armchair", 40, 30, "json",
-             "275787d8d5e585cdd54bca59df547dfcf3d825dd3001fa7773df7eb9a36af429"),
-            ("zigzag", 33, 31, "json",
-             "f8898646af1b86fb1f3bf295d3cb113dbffb835f4ef941f07f6379c88c655517"),
-            # From the implementation with one edge generator per kind; the
-            # smallest tubes, where each ring's runs are shortest.
-            ("armchair", 2, 1, "json",
-             "4342d538e7d134d2ca1c35a068d2ff5211c85745dd5036ac4019d4256f26de81"),
-            ("armchair", 2, 1, "dot",
-             "684ceb2934fec67c77844f1e2f9af5438e32f39d9134f1c582f93b48f2ad4bb3"),
-            ("zigzag", 2, 1, "json",
-             "310b5c9a3c4e1982593a04ec90b5f9adce4d754cfd748f68cff43cc17b9a0bc9"),
-            # From the implementation that called json.dumps once per 1,024
-            # edges and made each DOT line with an f-string.
-            ("armchair", 300, 300, "json",
-             "314e29239709dd80e8ffa128812c138e3e790aaa4c952975b45316c7c0577eca"),
-            ("zigzag", 300, 300, "json",
-             "9e5e547de9910eac90ca5f523cf4ba89d813eba5da0f148294173d4e8a971c94"),
-            ("armchair", 300, 300, "dot",
-             "2478589640af04e1359126ce1a85902b21b0afd82bcfdf3b4796f5ab570789cd"),
-            ("zigzag", 300, 300, "dot",
-             "6a2e4fbd3196cdd289e98d932edc627097e69d700e42c27a04faed443f2e9757"),
-        ],
-    )
+    @pytest.mark.parametrize("kind, m, n, fmt, digest", BUILD_DIGESTS)
     def test_build_stdout_matches_pinned_digest(self, capsys, kind, m, n, fmt, digest):
         code, out, _ = run_cli(
             capsys, "build", "--kind", kind, "--m", str(m), "--n", str(n), "--format", fmt,
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # `build` prints the pinned bytes with no Graph to build: it streams the
+    # tube's sorted edges, while build_nanotube, verify and fit go through Graph.
+    @pytest.mark.parametrize("kind, m, n, fmt, digest", BUILD_DIGESTS)
+    def test_build_constructs_no_graph(self, capsys, monkeypatch, kind, m, n, fmt, digest):
+        def no_graph(graph, *args):
+            raise AssertionError("build constructed a Graph")
+
+        monkeypatch.setattr(polyhex.graph.Graph, "__init__", no_graph)
+        self.test_build_stdout_matches_pinned_digest(capsys, kind, m, n, fmt, digest)
 
     # SHA-256 of index-subset CSVs from the implementation that held every
     # row until the end; pins the blank cells of unselected indices.

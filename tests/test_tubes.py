@@ -5,7 +5,7 @@ from __future__ import annotations
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractions import Fraction
@@ -410,6 +410,18 @@ class TestStructure:
     @settings(max_examples=20, deadline=None)
     def test_edges_match_loop_reference_at_drawn_size(self, m, n):
         self.test_edges_match_loop_reference(m, n)
+
+    # The generator yields the edges Graph keeps, in Graph's order: `build`
+    # prints them as they come, and Graph's sort has nothing to move.
+    @given(st.sampled_from(KINDS), st.integers(2, 40), st.integers(1, 30))
+    @example(NanotubeKind.ZIGZAG, 2, 1)
+    @example(NanotubeKind.ARMCHAIR, 2, 1)
+    @settings(max_examples=40, deadline=None)
+    def test_edges_come_out_sorted(self, kind, m, n):
+        edges = list(polyhex.tubes._tube_edges(kind, m, n))
+        assert edges == list(build_nanotube(NanotubeSpec(kind, m, n)).edges)
+        assert all(u < v for u, v in edges)
+        assert all(a < b for a, b in zip(edges, edges[1:]))
 
     @given(specs)
     @settings(max_examples=20, deadline=None)
