@@ -14,8 +14,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import compress
-from operator import itemgetter
+from itertools import chain, compress
 
 from .graph import _prefix_partitions, _Value
 from .indices import AZI, EDGE_FUNCTIONS, azi, index_from_partition
@@ -311,8 +310,9 @@ def _oracle_values(kind: NanotubeKind, m: int, ns: range) -> list[Fraction]:
         return values
     g = build_nanotube(NanotubeSpec(kind, m, ns[-1]))
     step, uneven = divmod(g.vertex_count - h.vertex_count, len(ns) - 1)
-    below = map(h.vertex_count.__gt__, map(itemgetter(1), g.edges))
-    if uneven or step < 1 or h.edges != tuple(compress(g.edges, below)):
+    ids = g._ids  # flat, u0, v0, u1, v1, ...: an edge is kept when v is below h's count
+    kept = compress(zip(ids[::2], ids[1::2]), map(h.vertex_count.__gt__, ids[1::2]))
+    if uneven or step < 1 or h._ids != list(chain.from_iterable(kept)):
         raise RuntimeError(
             f"{kind.value} tube m={m}, n={ns[0]} is not the subgraph of tube n={ns[-1]} "
             f"on its first {h.vertex_count} vertices, a row per n below its {g.vertex_count}"

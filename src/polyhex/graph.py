@@ -1,16 +1,17 @@
 """Immutable undirected simple graphs with degree queries and edge partitions.
 
 Vertices are dense integer ids 0..vertex_count-1. Edges are stored once in
-canonical (low, high) order and iterated in sorted lexicographic order, so
-everything downstream (index sums, serialized output) is deterministic.
+canonical (low, high) order, as one flat list of ids u0, v0, u1, v1, ...
+sorted lexicographically by pair, so everything downstream (index sums,
+serialized output) is deterministic.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
-from itertools import accumulate, islice
-from operator import add, eq, itemgetter, sub
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import accumulate, chain, islice
+from operator import add, lt, sub
 from types import MappingProxyType
 
 Edge = tuple[int, int]
@@ -27,9 +28,9 @@ __all__ = [
 ]
 
 
-# Most vertices a Graph holds. Its degree list and the list's tuple copy take 8
-# bytes a vertex each: 480 MB traced for an edgeless Graph at the cap, near a tube
-# of tubes.MAX_BUILD_EDGES edges, and such a tube has fewer vertices than edges.
+# Most vertices a Graph holds. Its degree list takes 8 bytes a vertex: 240 MB
+# traced for an edgeless Graph at the cap, near the 250 MB peak of a tube of
+# tubes.MAX_BUILD_EDGES edges, and such a tube has fewer vertices than edges.
 _MAX_VERTICES = 30_000_000
 
 
@@ -60,10 +61,12 @@ class VertexOutOfRangeError(GraphError):
 class Graph:
     """Undirected simple graph, immutable after construction.
 
-    Stores the sorted canonical edges and the degree of every vertex, which
-    is all that degree partitions and edge-function sums read. The edge
-    partition is computed on the first edge_partition call and kept, so
-    azi, randic and abc on one graph count its edges once.
+    Stores the sorted canonical edges as one flat list of vertex ids, u0,
+    v0, u1, v1, ..., and the degree of every vertex as a list, which is all
+    that degree partitions and edge-function sums read; .edges and .degrees
+    build a tuple of either on each call. The edge partition is computed on
+    the first edge_partition call and kept, so azi, randic and abc on one
+    graph count its edges once.
 
     Construction raises a GraphError (a ValueError) for bad input, in this
     order of precedence:
@@ -82,26 +85,26 @@ class Graph:
     as its value, so bool ids are read as 0 and 1.
     """
 
-    __slots__ = ("_vertex_count", "_edges", "_degrees", "_partition")
+    __slots__ = ("_vertex_count", "_ids", "_degrees", "_partition")
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge]):
         if type(vertex_count) is not int:
             raise GraphError(f"vertex_count must be an int (got {vertex_count!r})")
         if not 0 <= vertex_count <= _MAX_VERTICES:
             raise GraphError(f"vertex_count must be in 0..{_MAX_VERTICES} (got {vertex_count})")
-        canonical: list[Edge] = []
-        append = canonical.append
+        ids: list[int] = []
+        extend = ids.extend
         degrees = [0] * vertex_count
         try:
             for u, v in edges:
                 if u < v:
                     if u < 0 or v >= vertex_count:
                         raise VertexOutOfRangeError((u, v), vertex_count)
-                    append((u, v))
+                    extend((u, v))
                 elif v < u:
                     if v < 0 or u >= vertex_count:
                         raise VertexOutOfRangeError((u, v), vertex_count)
-                    append((v, u))
+                    extend((v, u))
                 else:
                     raise SelfLoopError((u, v))
                 degrees[u] += 1
@@ -112,15 +115,18 @@ class Graph:
             # a non-pair edge fails to unpack, a non-int endpoint fails to
             # compare or to index the degree list
             raise GraphError(f"edges must be pairs of int vertex ids ({exc})") from exc
-        # The degree list goes before tuple(canonical) copies the edges, so
-        # the edge list is the only transient array alive at the peak.
-        degrees = tuple(degrees)
-        canonical.sort()
-        if any(map(eq, canonical, islice(canonical, 1, None))):
-            duplicate = next(a for a, b in zip(canonical, islice(canonical, 1, None)) if a == b)
-            raise DuplicateEdgeError(duplicate)
+        # Input in strictly increasing canonical order (a tube's) is already
+        # sorted and free of duplicates. zip reuses its result tuple, so this
+        # check makes no tuple per edge; only other input is sorted as pairs.
+        pairs = zip(islice(ids, 0, None, 2), islice(ids, 1, None, 2))
+        if not all(map(lt, pairs, zip(islice(ids, 2, None, 2), islice(ids, 3, None, 2)))):
+            canonical = sorted(zip(ids[::2], ids[1::2]))
+            for a, b in zip(canonical, islice(canonical, 1, None)):
+                if a == b:
+                    raise DuplicateEdgeError(a)
+            ids = list(chain.from_iterable(canonical))
         self._vertex_count = vertex_count
-        self._edges = tuple(canonical)
+        self._ids = ids
         self._degrees = degrees
         self._partition: EdgePartition | None = None
 
@@ -130,17 +136,18 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._ids) // 2
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        """All edges, canonical (low, high), sorted lexicographically."""
-        return self._edges
+        """All edges, canonical (low, high), sorted lexicographically; built per call, O(E)."""
+        ids = iter(self._ids)
+        return tuple(zip(ids, ids))
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        """Degree of every vertex, indexed by vertex id."""
-        return self._degrees
+        """Degree of every vertex, indexed by vertex id; built per call, O(V)."""
+        return tuple(self._degrees)
 
     def __repr__(self) -> str:
         return f"Graph(vertex_count={self._vertex_count}, edge_count={self.edge_count})"
@@ -231,21 +238,15 @@ _set_classes = EdgePartition.classes.__set__  # for _unchecked: no lookup by nam
 
 
 def _degree_codes(
-    edges: Collection[Edge], scaled: Sequence[int], degrees: Sequence[int]
+    us: Iterable[int], vs: Iterable[int], scaled: Sequence[int], degrees: Sequence[int]
 ) -> Counter[int]:
-    """Count edges by the int scaled[low] + degrees[high], making no tuple per edge.
+    """Count edges u-v, u and v read in step from us and vs, by the int scaled[u] + degrees[v].
 
     scaled[v] is degrees[v] * base for a base above every degree, so
-    _partition_from_codes can decode each count to its degree pair. edges is
-    read twice, once per endpoint.
+    _partition_from_codes can decode each count to its degree pair. No
+    tuple is made per edge.
     """
-    return Counter(
-        map(
-            add,
-            map(scaled.__getitem__, map(itemgetter(0), edges)),
-            map(degrees.__getitem__, map(itemgetter(1), edges)),
-        )
-    )
+    return Counter(map(add, map(scaled.__getitem__, us), map(degrees.__getitem__, vs)))
 
 
 def _partition_from_codes(codes: Mapping[int, int], base: int) -> EdgePartition:
@@ -267,10 +268,11 @@ def edge_partition(g: Graph) -> EdgePartition:
     if not isinstance(g, Graph):
         raise GraphError(f"can only partition a Graph (got {type(g).__name__})")
     if g._partition is None:
-        degrees = g.degrees
+        degrees = g._degrees
         base = max(degrees, default=0) + 1
         scaled = [d * base for d in degrees]
-        g._partition = _partition_from_codes(_degree_codes(g.edges, scaled, degrees), base)
+        us, vs = islice(g._ids, 0, None, 2), islice(g._ids, 1, None, 2)
+        g._partition = _partition_from_codes(_degree_codes(us, vs, scaled, degrees), base)
     return g._partition
 
 
@@ -290,27 +292,28 @@ def _prefix_partitions(g: Graph, cuts: Sequence[int]) -> Iterator[EdgePartition]
     """
     if not cuts:
         return
-    edges = sorted(g.edges, key=itemgetter(1))
-    highs = list(map(itemgetter(1), edges))
-    span = max(map(sub, highs, map(itemgetter(0), edges)), default=0)
+    lows, highs = g._ids[::2], g._ids[1::2]
+    span = max(map(sub, highs, lows), default=0)
     # below[c] is the number of edges whose larger endpoint is below c
     per_high = Counter(highs)
     below = list(accumulate(map(per_high.__getitem__, range(g.vertex_count)), initial=0))
-    degrees = list(g.degrees)
+    # each edge's two ends, in order of its larger endpoint (a stable sort)
+    order = sorted(range(len(highs)), key=highs.__getitem__)
+    lows, highs = list(map(lows.__getitem__, order)), list(map(highs.__getitem__, order))
+    degrees = g._degrees.copy()
     base = max(degrees, default=0) + 1
     scaled = [d * base for d in degrees]
     settled: Counter[int] = Counter()
     done = 0
     for cut in cuts:
         low = below[max(cut - span, 0)]
-        settled.update(_degree_codes(edges[done:low], scaled, degrees))
+        settled.update(_degree_codes(lows[done:low], highs[done:low], scaled, degrees))
         done = low
-        reaching = [u for u, _ in edges[below[cut] : below[min(cut + span, g.vertex_count)]]
-                    if u < cut]
+        reaching = [u for u in lows[below[cut] : below[min(cut + span, g.vertex_count)]] if u < cut]
         for u in reaching:
             degrees[u] -= 1
             scaled[u] -= base
-        band = _degree_codes(edges[low : below[cut]], scaled, degrees)
+        band = _degree_codes(lows[low : below[cut]], highs[low : below[cut]], scaled, degrees)
         for u in reaching:
             degrees[u] += 1
             scaled[u] += base

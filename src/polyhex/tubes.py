@@ -67,9 +67,9 @@ __all__ = [
 ]
 
 
-# Largest tube build_nanotube builds and `build` prints. A build peaks near 99
-# traced bytes per edge and keeps 90 (26.8 and 24.5 MB for the 271,200-edge
-# armchair [300, 300], Python 3.11.7), so this caps it near 0.5 GB. For `build`,
+# Largest tube build_nanotube builds and `build` prints. A build peaks near 50
+# traced bytes per edge and keeps 44 (13.4 and 11.9 MB for the 271,200-edge
+# armchair [300, 300], Python 3.11.7), so this caps it near 0.25 GB. For `build`,
 # which holds no graph, it bounds time and output: 0.9 s and 78 MB of JSON at
 # 4,504,000 edges. Larger tubes' counts and indices come from tube_edge_partition.
 MAX_BUILD_EDGES = 5_000_000

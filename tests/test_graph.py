@@ -51,13 +51,32 @@ def graphs_with_permutation(draw):
 
 @st.composite
 def raw_edge_lists(draw, max_vertices: int = 8):
-    """Unvalidated input: self-loops, reversed duplicates, ids < 0 or >= n."""
+    """Unvalidated input: self-loops, reversed duplicates, ids < 0 or >= n.
+
+    Half the lists draw their ids in range (0 for an empty graph), so that
+    more of them are valid. A list comes as drawn, or as its distinct
+    canonical edges: in any order with loops left out, or in sorted order
+    (the input Graph takes without sorting), or sorted with one edge
+    repeated next to itself.
+    """
     n = draw(st.integers(min_value=0, max_value=max_vertices))
-    ids = st.integers(min_value=-2, max_value=n + 1)
+    if draw(st.booleans()):
+        ids = st.integers(min_value=0, max_value=max(n - 1, 0))
+    else:
+        ids = st.integers(min_value=-2, max_value=n + 1)
     edges = draw(st.lists(st.tuples(ids, ids), max_size=10))
     flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     edges += [(v, u) for (u, v), flip in zip(edges, flips) if flip]
-    return n, draw(st.permutations(edges))
+    order = draw(st.sampled_from(["drawn", "distinct", "sorted", "sorted with a duplicate"]))
+    if order == "drawn":
+        return n, draw(st.permutations(edges))
+    canonical = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    if order == "distinct":
+        return n, draw(st.permutations([(u, v) for u, v in canonical if u != v]))
+    if order == "sorted with a duplicate" and canonical:
+        at = draw(st.integers(min_value=0, max_value=len(canonical) - 1))
+        canonical.insert(at, canonical[at])
+    return n, canonical
 
 
 def naive_fault(n: int, edges: list[tuple[int, int]]):
@@ -72,6 +91,22 @@ def naive_fault(n: int, edges: list[tuple[int, int]]):
     if duplicates:
         return DuplicateEdgeError, duplicates[0]
     return None, None
+
+
+def traced_armchair_build(m: int, n: int) -> tuple[Graph, int, int]:
+    """build_nanotube of armchair [m, n], with the traced bytes it kept and its traced peak."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        g = build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, m, n))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return g, kept - before, peak - before
 
 
 def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
@@ -216,24 +251,24 @@ class TestConstruction:
             assert (a.vertex_count, a.edges) != (b.vertex_count, b.edges)
 
     # At its peak, construction holds one array beside the stored graph: the
-    # canonical edge list, a pointer per edge plus the list's over-allocation
-    # (8.5-8.8 traced bytes per edge at these sizes). A degree list still
-    # alive beside its tuple would add about 5 more (14 measured).
+    # tube generator's list of vertex ids, a pointer per vertex (5.7-6.0
+    # traced bytes per edge at these sizes). Input sorted as pairs, which a
+    # tube's never is, adds about 78 (measured on reversed input).
     @pytest.mark.parametrize("m, n", [(60, 60), (120, 60)])
     def test_transient_memory_is_one_pointer_array(self, m, n):
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            g = build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, m, n))
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert retained - before >= 8 * g.edge_count  # the stored edge tuple alone
-        assert peak - retained <= 10 * g.edge_count
+        g, kept, peak = traced_armchair_build(m, n)
+        assert kept >= 16 * g.edge_count  # the stored id list alone, two pointers an edge
+        assert peak - kept <= 10 * g.edge_count
+
+    # A built tube stores its edges as one flat list of ids that share the
+    # tube's int per vertex: 44 traced bytes an edge kept, the ids list (16),
+    # the ints (21) and the degree list (5), and a peak of 50. Edges stored as
+    # a tuple of 2-tuples kept 90 and peaked at 99.
+    @pytest.mark.parametrize("m, n", [(120, 60), (200, 120)])
+    def test_peak_and_kept_memory_per_edge(self, m, n):
+        g, kept, peak = traced_armchair_build(m, n)
+        assert peak < 64 * g.edge_count
+        assert kept < 48 * g.edge_count
 
 
 class TestAccessors:
@@ -246,6 +281,14 @@ class TestAccessors:
         g = Graph(2, [(0, 1)])
         with pytest.raises(AttributeError):
             g.extra = 1
+
+    # .edges and .degrees build a new tuple on each call, from the stored lists
+    @given(graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_calls_return_equal_tuples(self, g: Graph):
+        assert type(g.edges) is type(g.degrees) is tuple
+        assert g.edges == g.edges
+        assert g.degrees == g.degrees
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)
