@@ -56,11 +56,11 @@ __all__ = [
 # running for hours. The slowest grids per edge hold one or two n values,
 # where the oracle builds every tube and, with two, checks the first
 # against the last: verify --kind both on 2:80 x 39:40 (1,574,154 edges)
-# took 1.0 to 1.3 s, 1.2 to 1.6 million edges per second, so this allows
-# 13 to 17 s. With many n values the oracle builds two tubes per m and
+# took 0.86 to 1.36 s, 1.2 to 1.8 million edges per second, so this allows
+# 11 to 17 s. With many n values the oracle builds two tubes per m and
 # reads the n between off a one-row window of the last: 2:26 x 1:25
-# (735,000 edges) took 0.12 to 0.22 s (each the best of 7 runs in one
-# process, in runs minutes apart; 2-CPU Xeon VM, Python 3.11.7).
+# (735,000 edges) took 0.10 to 0.19 s (each the best of 7 runs in one
+# process, ten processes minutes apart; 2-CPU Xeon VM, Python 3.11.7).
 MAX_VERIFY_EDGES = 20_000_000
 
 
@@ -302,7 +302,8 @@ def _oracle_values(kind: NanotubeKind, m: int, ns: range) -> list[Fraction]:
     vertices below its step. Both are checked exactly first: h's edges must
     be g's edges whose larger endpoint is below h's vertex count. Then each
     n between is read off a one-row window of g (_prefix_partitions) at its
-    step.
+    step; the walk goes on to g's vertex count and stores g's partition for
+    azi(g). A two-n grid starts no walk, whose set-up costs more than azi(g).
     """
     h = build_nanotube(NanotubeSpec(kind, m, ns[0]))
     values = [azi(h).exact]
@@ -317,8 +318,9 @@ def _oracle_values(kind: NanotubeKind, m: int, ns: range) -> list[Fraction]:
             f"{kind.value} tube m={m}, n={ns[0]} is not the subgraph of tube n={ns[-1]} "
             f"on its first {h.vertex_count} vertices, a row per n below its {g.vertex_count}"
         )
-    cuts = range(h.vertex_count + step, g.vertex_count, step)
-    values.extend(index_from_partition(p, AZI).exact for p in _prefix_partitions(g, cuts))
+    if len(ns) > 2:  # the walk's last cut stores g's partition, which azi(g) reads
+        *between, _ = _prefix_partitions(g, range(h.vertex_count + step, g.vertex_count + 1, step))
+        values.extend(index_from_partition(p, AZI).exact for p in between)
     values.append(azi(g).exact)
     return values
 
@@ -348,9 +350,12 @@ def verify_forms(
     ms, ns = _check_grid(tuple(form.kind for form in forms), m_range, n_range)
     grid = [(m, n) for m in ms for n in ns]
     oracles = {
-        kind: [value for m in ms for value in _oracle_values(kind, m, ns)]
+        kind: [(v, v.numerator, v.denominator) for m in ms for v in _oracle_values(kind, m, ns)]
         for kind in dict.fromkeys(form.kind for form in forms)
     }
+    # each PointCheck is filled through its slot descriptors, skipping __init__
+    set_m, set_n, set_claimed, set_oracle, set_difference = (
+        getattr(PointCheck, name).__set__ for name in PointCheck.__match_args__)
     checks = []
     for form in forms:
         # a*m*n + b*m = (ca*n + cb)*m / den, with den the product of the two
@@ -360,11 +365,14 @@ def verify_forms(
         den = a.denominator * b.denominator
         ca, cb = a.numerator * b.denominator, b.numerator * a.denominator
         points = []
-        for (m, n), oracle in zip(grid, oracles[form.kind]):
+        for (m, n), (oracle, o_num, o_den) in zip(grid, oracles[form.kind]):
             num = (ca * n + cb) * m
-            difference = Fraction(num * oracle.denominator - oracle.numerator * den,
-                                  den * oracle.denominator)
-            points.append(PointCheck(m, n, Fraction(num, den), oracle, difference))
+            points.append(point := object.__new__(PointCheck))
+            set_m(point, m)
+            set_n(point, n)
+            set_claimed(point, Fraction(num, den))
+            set_oracle(point, oracle)
+            set_difference(point, Fraction(num * o_den - o_num * den, den * o_den))
         checks.append(FormCheck(form, tuple(points)))
     return DiscrepancyReport(m_range, n_range, tuple(checks))
 

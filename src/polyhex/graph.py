@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import accumulate, chain, islice
-from operator import add, lt, sub
+from itertools import accumulate, chain, islice, repeat
+from operator import add, sub
 from types import MappingProxyType
 
 Edge = tuple[int, int]
@@ -62,10 +62,11 @@ class Graph:
     """Undirected simple graph, immutable after construction.
 
     Stores the sorted canonical edges as one flat list of vertex ids, u0,
-    v0, u1, v1, ..., and the degree of every vertex as a list, which is all
-    that degree partitions and edge-function sums read; .edges and .degrees
-    build a tuple of either on each call. The edge partition is computed on
-    the first edge_partition call and kept, so azi, randic and abc on one
+    v0, u1, v1, ..., and the degree of every vertex as a list; .edges and
+    .degrees build a tuple of either on each call. The loop that checks each
+    edge also checks that the canonical pairs strictly rise (a tube's do);
+    only other input is sorted and scanned for duplicates. The partition is
+    kept from the first edge_partition call, so azi, randic and abc on one
     graph count its edges once.
 
     Construction raises a GraphError (a ValueError) for bad input, in this
@@ -95,18 +96,21 @@ class Graph:
         ids: list[int] = []
         extend = ids.extend
         degrees = [0] * vertex_count
+        ordered, low, high = True, -1, -1  # (low, high): the canonical pair before
         try:
             for u, v in edges:
                 if u < v:
-                    if u < 0 or v >= vertex_count:
-                        raise VertexOutOfRangeError((u, v), vertex_count)
-                    extend((u, v))
+                    lo, hi = u, v
                 elif v < u:
-                    if v < 0 or u >= vertex_count:
-                        raise VertexOutOfRangeError((u, v), vertex_count)
-                    extend((v, u))
+                    lo, hi = v, u
                 else:
                     raise SelfLoopError((u, v))
+                if lo < 0 or hi >= vertex_count:
+                    raise VertexOutOfRangeError((u, v), vertex_count)
+                if lo <= low and (lo < low or hi <= high):
+                    ordered = False
+                low, high = lo, hi
+                extend((lo, hi))
                 degrees[u] += 1
                 degrees[v] += 1
         except GraphError:
@@ -115,11 +119,7 @@ class Graph:
             # a non-pair edge fails to unpack, a non-int endpoint fails to
             # compare or to index the degree list
             raise GraphError(f"edges must be pairs of int vertex ids ({exc})") from exc
-        # Input in strictly increasing canonical order (a tube's) is already
-        # sorted and free of duplicates. zip reuses its result tuple, so this
-        # check makes no tuple per edge; only other input is sorted as pairs.
-        pairs = zip(islice(ids, 0, None, 2), islice(ids, 1, None, 2))
-        if not all(map(lt, pairs, zip(islice(ids, 2, None, 2), islice(ids, 3, None, 2)))):
+        if not ordered:
             canonical = sorted(zip(ids[::2], ids[1::2]))
             for a, b in zip(canonical, islice(canonical, 1, None)):
                 if a == b:
@@ -239,14 +239,14 @@ _set_classes = EdgePartition.classes.__set__  # for _unchecked: no lookup by nam
 
 def _degree_codes(
     us: Iterable[int], vs: Iterable[int], scaled: Sequence[int], degrees: Sequence[int]
-) -> Counter[int]:
-    """Count edges u-v, u and v read in step from us and vs, by the int scaled[u] + degrees[v].
+) -> Iterator[int]:
+    """The int scaled[u] + degrees[v] of each edge u-v, u and v read in step from us and vs.
 
     scaled[v] is degrees[v] * base for a base above every degree, so
     _partition_from_codes can decode each count to its degree pair. No
     tuple is made per edge.
     """
-    return Counter(map(add, map(scaled.__getitem__, us), map(degrees.__getitem__, vs)))
+    return map(add, map(scaled.__getitem__, us), map(degrees.__getitem__, vs))
 
 
 def _partition_from_codes(codes: Mapping[int, int], base: int) -> EdgePartition:
@@ -272,31 +272,29 @@ def edge_partition(g: Graph) -> EdgePartition:
         base = max(degrees, default=0) + 1
         scaled = [d * base for d in degrees]
         us, vs = islice(g._ids, 0, None, 2), islice(g._ids, 1, None, 2)
-        g._partition = _partition_from_codes(_degree_codes(us, vs, scaled, degrees), base)
+        g._partition = _partition_from_codes(Counter(_degree_codes(us, vs, scaled, degrees)), base)
     return g._partition
 
 
 def _prefix_partitions(g: Graph, cuts: Sequence[int]) -> Iterator[EdgePartition]:
     """Edge partition of g's subgraph induced on vertices 0..c-1, for each cut c.
 
-    The cuts must not decrease and lie in 0..g.vertex_count; with none, g is
-    not read (the verify oracle passes none for a two-n grid). No edge joins
-    ids more than span apart, so a vertex below c - span has all of its
-    neighbours below c, and an edge whose larger endpoint is below c - span
-    has the _degree_codes code it has in g. Such settled edges go into one
-    running count as the cuts pass them. At each cut only the band of edges
-    whose larger endpoint is in c - span .. c-1 is counted again, with each
-    vertex that has an edge reaching c or beyond lowered by those edges. For
-    a tube the span is one row, so a cut costs a row's edges, not the edges
-    below it.
+    The cuts must not decrease and lie in 0..g.vertex_count. No edge joins ids
+    more than span apart, so a vertex below c - span has all of its neighbours
+    below c, and an edge whose larger endpoint is below c - span has the
+    _degree_codes code it has in g. Such settled edges go into one running
+    count as the cuts pass them. At each cut only the band of edges whose
+    larger endpoint is in c - span .. c-1 is counted again, onto a copy of that
+    count, with each vertex that has an edge reaching c or beyond lowered by
+    those edges. For a tube the span is one row, so a cut costs a row's edges,
+    not the edges below it. A cut at g.vertex_count gives g's partition, stored
+    on g as edge_partition stores it unless g has one.
     """
-    if not cuts:
-        return
     lows, highs = g._ids[::2], g._ids[1::2]
     span = max(map(sub, highs, lows), default=0)
     # below[c] is the number of edges whose larger endpoint is below c
     per_high = Counter(highs)
-    below = list(accumulate(map(per_high.__getitem__, range(g.vertex_count)), initial=0))
+    below = list(accumulate(map(per_high.get, range(g.vertex_count), repeat(0)), initial=0))
     # each edge's two ends, in order of its larger endpoint (a stable sort)
     order = sorted(range(len(highs)), key=highs.__getitem__)
     lows, highs = list(map(lows.__getitem__, order)), list(map(highs.__getitem__, order))
@@ -306,15 +304,19 @@ def _prefix_partitions(g: Graph, cuts: Sequence[int]) -> Iterator[EdgePartition]
     settled: Counter[int] = Counter()
     done = 0
     for cut in cuts:
-        low = below[max(cut - span, 0)]
+        low, top = below[max(cut - span, 0)], below[cut]
         settled.update(_degree_codes(lows[done:low], highs[done:low], scaled, degrees))
         done = low
-        reaching = [u for u in lows[below[cut] : below[min(cut + span, g.vertex_count)]] if u < cut]
+        reaching = [u for u in lows[top : below[min(cut + span, g.vertex_count)]] if u < cut]
         for u in reaching:
             degrees[u] -= 1
             scaled[u] -= base
-        band = _degree_codes(lows[low : below[cut]], highs[low : below[cut]], scaled, degrees)
+        codes = settled.copy()
+        codes.update(_degree_codes(lows[low:top], highs[low:top], scaled, degrees))
         for u in reaching:
             degrees[u] += 1
             scaled[u] += base
-        yield _partition_from_codes(settled + band, base)
+        partition = _partition_from_codes(codes, base)
+        if cut == g.vertex_count and g._partition is None:
+            g._partition = partition
+        yield partition

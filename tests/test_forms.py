@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyhex.cli
 import polyhex.forms
+import polyhex.tubes
 from polyhex import (
     DEFAULT_FIT_SAMPLES,
     MAX_BUILD_EDGES,
@@ -34,8 +36,10 @@ from polyhex import (
     verify_forms,
     verify_published_forms,
 )
+from polyhex.graph import _prefix_partitions
 
 import oracles
+import test_acceptance
 
 A = Fraction(2187, 64)
 FITTED_B = {NanotubeKind.ARMCHAIR: Fraction(807, 32), NanotubeKind.ZIGZAG: Fraction(295, 32)}
@@ -367,6 +371,41 @@ class TestVerification:
                 vertex_count = 1 + max(map(max, edges))
                 assert p.oracle == oracles.azi_reference(vertex_count, edges)
 
+    # A two-n grid has no n between, so it starts no walk, whose set-up costs
+    # more than partitioning the last tube once; its values stay exact.
+    def test_two_n_grid_starts_no_walk(self, monkeypatch):
+        def no_walk(g, cuts):
+            raise AssertionError("a two-n grid started the walk")
+
+        monkeypatch.setattr(polyhex.forms, "_prefix_partitions", no_walk)
+        report = verify_forms(published_forms(), (2, 4), (6, 7))
+        for check in report.checks:
+            assert [(p.m, p.n) for p in check.points] == [(m, n) for m in (2, 3, 4) for n in (6, 7)]
+            for p in check.points:
+                assert p.oracle == oracle_value(check.form.kind, p.m, p.n)
+
+    # With an n between, the walk runs on to the last tube's vertex count and
+    # stores its partition there, so azi of the last tube counts no edge again.
+    @pytest.mark.parametrize("kind", list(NanotubeKind))
+    def test_last_tube_is_partitioned_once(self, monkeypatch, kind):
+        built, walked = [], []
+
+        def recording_build(spec):
+            built.append(build_nanotube(spec))
+            return built[-1]
+
+        def recording_walk(g, cuts):
+            for partition in _prefix_partitions(g, cuts):
+                walked.append(partition)
+                yield partition
+
+        monkeypatch.setattr(polyhex.forms, "build_nanotube", recording_build)
+        monkeypatch.setattr(polyhex.forms, "_prefix_partitions", recording_walk)
+        values = polyhex.forms._oracle_values(kind, 3, range(1, 6))
+        assert values == [oracle_value(kind, 3, n) for n in range(1, 6)]
+        assert len(built) == 2 and len(walked) == 4
+        assert edge_partition(built[-1]) is walked[-1]
+
     # A two-n grid reads no n between, but its first tube is checked too.
     def test_oracle_refuses_a_last_tube_that_does_not_extend_the_first(self, monkeypatch):
         def build_missing_first_edge(spec):
@@ -644,3 +683,56 @@ class TestCrossKind:
         zig = fit_closed_form(NanotubeKind.ZIGZAG, "azi", DEFAULT_FIT_SAMPLES)
         assert arm.a == zig.a
         assert arm.b - zig.b == 16
+
+
+# Every class count replaced by a wrong one, in each degree class at every
+# (m, n). Each kind keeps its rows beyond n and both strides, which build
+# the edges, and the sums of its counts, which make the edge count that
+# build_nanotube's size refusal and `build`'s JSON header read.
+WRONG_CLASS_COUNTS = {
+    NanotubeKind.ARMCHAIR: (2, 2, 1, {(2, 2): (0, 3), (2, 3): (0, 2), (3, 3): (3, -1)}),
+    NanotubeKind.ZIGZAG: (1, 1, 2, {(2, 3): (0, 3), (3, 3): (3, -1)}),
+}
+
+
+class TestOracleIndependence:
+    """The oracle reads built graphs only, never the class counts it judges."""
+
+    def outputs(self, capsys) -> tuple[dict, dict, dict]:
+        """Oracle values (walk, two-n and one-n), built graphs and `build` stdout."""
+        values, graphs, printed = {}, {}, {}
+        for kind in NanotubeKind:
+            for m in (2, 5):
+                for ns in (range(1, 9), range(7, 9), range(4, 5)):
+                    values[kind, m, ns] = polyhex.forms._oracle_values(kind, m, ns)
+                for n in range(1, 9):
+                    g = build_nanotube(NanotubeSpec(kind, m, n))
+                    graphs[kind, m, n] = (g.vertex_count, g.edges)
+            for fmt in ("json", "dot"):
+                argv = ["build", "--kind", kind.value, "--m", "5", "--n", "4", "--format", fmt]
+                assert polyhex.cli.main(argv) == 0
+                printed[kind, fmt] = capsys.readouterr().out
+        return values, graphs, printed
+
+    def test_wrong_class_counts_change_no_oracle_value_graph_or_build_byte(
+        self, monkeypatch, capsys
+    ):
+        for kind, (*rule, classes) in polyhex.tubes._KINDS.items():
+            *wrong_rule, wrong = WRONG_CLASS_COUNTS[kind]
+            assert wrong_rule == rule and wrong.keys() == classes.keys()
+            # each count is off by a nonzero multiple of m at every (m, n),
+            # and the counts still sum to the edge count
+            for (w_mn, w_m), (c_mn, c_m) in zip(wrong.values(), classes.values()):
+                assert w_mn == c_mn and w_m != c_m
+            assert sum(w[1] for w in wrong.values()) == sum(c[1] for c in classes.values())
+        before = self.outputs(capsys)
+        monkeypatch.setattr(polyhex.tubes, "_KINDS", WRONG_CLASS_COUNTS)
+        assert self.outputs(capsys) == before
+
+    # Acceptance criterion 7 trusts tube_edge_partition only after checking
+    # it against built graphs on a sampled sub-grid; that check must fail.
+    def test_wrong_class_counts_fail_the_spot_validation(self, monkeypatch, capsys):
+        monkeypatch.setattr(polyhex.tubes, "_KINDS", WRONG_CLASS_COUNTS)
+        with pytest.raises(AssertionError, match=r"^assert \{"):
+            test_acceptance.test_criterion_7_performance()
+        assert capsys.readouterr().out.startswith("criterion 7: FAIL")

@@ -194,6 +194,36 @@ class TestConstruction:
             Graph(vertex_count, edges)
         assert type(info.value) is GraphError
 
+    # Each comparison of the order check in the constructor's loop, against
+    # the canonical pair before: an equal low with a falling high, a repeated
+    # pair given in the other orientation, a falling low with a rising high,
+    # a first edge at low 0, and strictly rising pairs given high end first.
+    # Only input that is not strictly rising is sorted and scanned for
+    # duplicates after the loop.
+    @pytest.mark.parametrize(
+        "vertex_count, edges, fault",
+        [
+            (3, [(0, 2), (0, 1)], (None, None)),
+            (3, [(0, 1), (1, 0)], (DuplicateEdgeError, (0, 1))),
+            (4, [(1, 2), (0, 3)], (None, None)),
+            (2, [(0, 1)], (None, None)),
+            (3, [(0, 1), (0, 2), (1, 2)], (None, None)),
+            (3, [(1, 0), (2, 0), (2, 1)], (None, None)),
+        ],
+        ids=["equal-low-falling-high", "reversed-duplicate", "falling-low",
+             "first-at-low-0", "rising", "rising-reversed"],
+    )
+    def test_order_check_matches_naive_checker(self, vertex_count, edges, fault):
+        assert naive_fault(vertex_count, edges) == fault
+        if fault[0] is not None:
+            with pytest.raises(fault[0]) as info:
+                Graph(vertex_count, edges)
+            assert info.value.edge == fault[1]
+            return
+        g = Graph(vertex_count, edges)
+        assert g.edges == tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+        assert list(g.degrees) == oracles.degrees_from_edges(vertex_count, edges)
+
     # Once Graph(10**10, []) asked for an 80 GB degree list, and raised
     # MemoryError under an address-space limit; the refusal allocates nothing.
     @pytest.mark.parametrize("vertex_count", [_MAX_VERTICES + 1, 10**10, 10**300])
@@ -531,3 +561,26 @@ class TestConnectivity:
     def test_matches_component_count(self, g: Graph):
         components = oracles.component_count(g.vertex_count, list(g.edges))
         assert oracles.is_connected(g) == (components <= 1)
+
+    # A cut at the vertex count gives g's own partition, stored on g as
+    # edge_partition would store it: the verify oracle's azi(g) reads it.
+    # Cuts below it store nothing, and a partition g has is kept.
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, 3, 4)),
+         lambda: build_nanotube(NanotubeSpec(NanotubeKind.ZIGZAG, 2, 5)),
+         lambda: path_with_chords(9, 8)],
+        ids=["armchair-3-4", "zigzag-2-5", "path-with-end-chord"],
+    )
+    def test_last_cut_stores_the_partition_on_g(self, make):
+        g = make()
+        v = g.vertex_count
+        walked = walk_from(g, [v // 2, v])
+        assert edge_partition(g) is walked[-1]
+        assert walked[-1] == edge_partition(Graph(v, g.edges))
+        below = make()
+        walk_from(below, [0, v // 2, v - 1])
+        assert below._partition is None
+        stored = edge_partition(below)
+        assert walk_from(below, [v - 1, v])[-1] == stored
+        assert edge_partition(below) is stored
