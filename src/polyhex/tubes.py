@@ -15,13 +15,13 @@ in odd ones, joined to the next row at every column.
 
 With open tube ends (no caps), every count of either family, vertices and
 the edges of each degree class, is c_mn*m*n + c_m*m for integer
-coefficients that depend on the kind alone. _KINDS below holds every fact
-about a kind: its rows beyond n, its two strides and its class counts. One
-function, _tube_rows, evaluates a kind's entry: at one m it turns every
-count into a*n + b, with the vertex count 2m times the row count and the
-edge count the sum of the class counts, then gives the row of each n asked
-for. grid_tubes calls it once per m; the per-tube count functions read the
-row of their one tube off it, through _tube_counts. Any construction with
+coefficients that depend on the kind alone. Two tables hold a kind's facts:
+_RULES its rows beyond n and two strides, from which each tube is built and
+sized (_sizes), and _CLASS_COUNTS the counts of its degree classes, which
+the verify oracle judges against built tubes and never reads. One function,
+_tube_rows, evaluates both once per m, each count as a*n + b, then gives the
+row of each n asked for; grid_tubes calls it once per m and
+tube_edge_partition reads its one tube's row off it. Any construction with
 these counts is equivalent for every degree-based index.
 
 Prefix property: for n <= N, tube (m, n) is the subgraph of tube (m, N)
@@ -38,7 +38,7 @@ the smaller tube's edges are the larger tube's edges below its count.
 
 Domain: m >= 2 and n >= 1 for both kinds. Zigzag m = 2 is accepted although
 it is not hexagonal: its rows are 4-cycles, so its girth is 4 (every other
-tube here has girth 6). Its degree classes still follow the counts in _KINDS,
+tube here has girth 6). Its degree classes still follow _CLASS_COUNTS,
 so every degree-based index, and every closed form in m and n, holds there
 as it does for m >= 3.
 """
@@ -142,57 +142,67 @@ def _as_tuple(items: Iterable, what: str) -> tuple:
     return tuple(iterator)
 
 
-# Per kind: the rows beyond n, the ring and rung strides (_edge_id_rows), then
-# each degree class's edge count (c_mn, c_m) in sorted class order. A tube
-# has n + extra rows of 2m vertices, and a class count is (c_mn*n + c_m)*m.
-_KINDS: dict[NanotubeKind, tuple[int, int, int, dict[DegreePair, tuple[int, int]]]] = {
-    NanotubeKind.ARMCHAIR: (2, 2, 1, {(2, 2): (0, 2), (2, 3): (0, 4), (3, 3): (3, -2)}),
-    NanotubeKind.ZIGZAG: (1, 1, 2, {(2, 3): (0, 4), (3, 3): (3, -2)}),
+# Per kind, the rule its tubes are built from (_edge_id_rows) and sized by
+# (_sizes): the rows beyond n, then the ring and rung strides.
+_RULES: dict[NanotubeKind, tuple[int, int, int]] = {
+    NanotubeKind.ARMCHAIR: (2, 2, 1), NanotubeKind.ZIGZAG: (1, 1, 2)
+}
+# Per kind, each degree class's edge count (c_mn, c_m), in sorted class order:
+# the class count is (c_mn*n + c_m)*m. Only _tube_rows reads it.
+_CLASS_COUNTS: dict[NanotubeKind, dict[DegreePair, tuple[int, int]]] = {
+    NanotubeKind.ARMCHAIR: {(2, 2): (0, 2), (2, 3): (0, 4), (3, 3): (3, -2)},
+    NanotubeKind.ZIGZAG: {(2, 3): (0, 4), (3, 3): (3, -2)},
 }
 
 
+def _sizes(kind: NanotubeKind, m: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The (a, b) of kind's vertex and edge counts, each a*n + b at m, from the rule alone:
+    n + extra rows of 2m vertices, 2m/ring ring edges a row, 2m/rung rungs a row but the last."""
+    extra, ring, rung = _RULES[kind]
+    rings, rungs = 2 * m // ring, 2 * m // rung
+    return (2 * m, 2 * m * extra), (rings + rungs, (rings + rungs) * extra - rungs)
+
+
 def _tube_rows(
-    entry: tuple[int, int, int, dict[DegreePair, tuple[int, int]]], m: int, ns: Iterable[int]
+    kind: NanotubeKind, m: int, ns: Iterable[int]
 ) -> Iterator[tuple[int, int, int, int, EdgePartition]]:
     """The grid_tubes row (m, n, vertex count, edge count, edge partition) of each n in ns.
 
-    entry is the _KINDS entry of the tubes' kind. Every count is a*n + b,
-    with a and b evaluated here once for the m: (c_mn*m, c_m*m) per class,
-    their sums for the edges, and 2m times (1, extra) for the vertices. Every
-    class count is positive for m >= 2 and n >= 1, as c_mn >= 0 and
-    c_mn + c_m >= 1 (both checked by the tests), so the partition needs no
-    check of its own.
+    Every count is a*n + b, with a and b evaluated here once for the m: the
+    vertex and edge counts' by _sizes, each class's as (c_mn*m, c_m*m) from
+    _CLASS_COUNTS. Every class count is positive for m >= 2 and n >= 1, as
+    c_mn >= 0 and c_mn + c_m >= 1 (both checked by the tests), so the
+    partition needs no check of its own.
     """
-    extra, _, _, classes = entry
-    coefficients = [(pair, c_mn * m, c_m * m) for pair, (c_mn, c_m) in classes.items()]
-    vertex_a, vertex_b = 2 * m, 2 * m * extra
-    edge_a, edge_b = sum(a for _, a, _ in coefficients), sum(b for _, _, b in coefficients)
+    (vertex_a, vertex_b), (edge_a, edge_b) = _sizes(kind, m)
+    coefficients = [(pair, c_mn * m, c_m * m) for pair, (c_mn, c_m) in _CLASS_COUNTS[kind].items()]
     unchecked = EdgePartition._unchecked
     for n in ns:
         yield (m, n, vertex_a * n + vertex_b, edge_a * n + edge_b,
                unchecked({pair: a * n + b for pair, a, b in coefficients}))
 
 
-def _tube_counts(spec: NanotubeSpec) -> tuple[int, int, int, int, EdgePartition]:
-    """The grid_tubes row of the one tube spec, from _tube_rows; spec is checked first."""
-    return next(_tube_rows(_KINDS[_spec_kind(spec)], spec.m, (spec.n,)))
+def _tube_size(spec: NanotubeSpec) -> tuple[int, int]:
+    """The vertex and edge counts of the one tube spec, by _sizes; spec is checked first."""
+    (vertex_a, vertex_b), (edge_a, edge_b) = _sizes(_spec_kind(spec), spec.m)
+    return vertex_a * spec.n + vertex_b, edge_a * spec.n + edge_b
 
 
 def tube_vertex_count(spec: NanotubeSpec) -> int:
-    return _tube_counts(spec)[2]
+    return _tube_size(spec)[0]
 
 
 def tube_edge_count(spec: NanotubeSpec) -> int:
-    return _tube_counts(spec)[3]
+    return _tube_size(spec)[1]
 
 
 def tube_edge_partition(spec: NanotubeSpec) -> EdgePartition:
-    """Degree-class edge counts from _KINDS, no graph built.
+    """Degree-class edge counts from _CLASS_COUNTS, no graph built.
 
     This is the O(1) fast path for index computation on large tubes; it is
     held equal to edge_partition(build_nanotube(spec)) by the test grid.
     """
-    return _tube_counts(spec)[4]
+    return next(_tube_rows(_spec_kind(spec), spec.m, (spec.n,)))[4]
 
 
 def grid_edge_count(
@@ -200,11 +210,11 @@ def grid_edge_count(
 ) -> int:
     """Total edges of the tubes of each distinct kind over an inclusive (m, n) grid.
 
-    Computed in O(1): summing c_mn*m*n + c_m*m over the grid gives
-    sum(m) * (c_mn*sum(n) + c_m*len(n-range)) per degree class, and each sum
-    is its range's length times the mean of its endpoints. The ranges are
-    checked with validate_ranges first; a kind that is not a NanotubeKind is
-    refused with InvalidSpecError.
+    Computed in O(1) from the rule: each kind's edge count is (a*n + b)*m,
+    with (a, b) its _sizes at m = 1, so its grid sum is
+    sum(m) * (a*sum(n) + b*len(n-range)), each sum its range's length times
+    the mean of its endpoints. The ranges are checked with validate_ranges
+    first; a kind that is not a NanotubeKind is refused with InvalidSpecError.
     """
     ms, ns = validate_ranges(m_range, n_range)
     distinct = {_check_kind(kind) for kind in _as_tuple(kinds, "kinds")}
@@ -212,11 +222,7 @@ def grid_edge_count(
     m_count, n_count = ms.stop - ms.start, ns.stop - ns.start
     m_sum = (ms[0] + ms[-1]) * m_count // 2
     n_sum = (ns[0] + ns[-1]) * n_count // 2
-    return sum(
-        m_sum * (c_mn * n_sum + c_m * n_count)
-        for kind in distinct
-        for c_mn, c_m in _KINDS[kind][3].values()
-    )
+    return sum(m_sum * (a * n_sum + b * n_count) for a, b in (_sizes(k, 1)[1] for k in distinct))
 
 
 def grid_tubes(
@@ -229,12 +235,12 @@ def grid_tubes(
     field from for NanotubeSpec(kind, m, n). The ranges are checked with
     validate_ranges, and a kind that is not a NanotubeKind is refused with
     InvalidSpecError, when this is called rather than at the first next();
-    the kind's counts are looked up once and evaluated once per m, by
-    _tube_rows, and no NanotubeSpec is made.
+    the kind's counts are evaluated once per m, by _tube_rows, and no
+    NanotubeSpec is made.
     """
     ms, ns = validate_ranges(m_range, n_range)
-    entry = _KINDS[_check_kind(kind)]
-    return chain.from_iterable(_tube_rows(entry, m, ns) for m in ms)
+    _check_kind(kind)
+    return chain.from_iterable(_tube_rows(kind, m, ns) for m in ms)
 
 
 # The tube's edge ids in sorted canonical order, u0, v0, u1, v1, ... with
@@ -246,7 +252,7 @@ def grid_tubes(
 # one int object per vertex. The wrap, the ring edge at column 2m - 1, is
 # (r*2m, r*2m + 2m - 1), so it moves to column 0.
 def _edge_id_rows(kind: NanotubeKind, m: int, n: int) -> Iterator[list[int]]:
-    extra, ring, rung, _ = _KINDS[kind]
+    extra, ring, rung = _RULES[kind]
     width, rows = 2 * m, n + extra
     ids = list(range(rows * width))
     for r in range(rows):
@@ -274,7 +280,7 @@ def _tube_edges(kind: NanotubeKind, m: int, n: int) -> Iterator[Edge]:
 
 def _build_counts(spec: NanotubeSpec) -> tuple[int, int]:
     """The vertex and edge counts of spec's tube, refused past MAX_BUILD_EDGES edges."""
-    _, _, vertex_count, edge_count, _ = _tube_counts(spec)
+    vertex_count, edge_count = _tube_size(spec)
     if edge_count > MAX_BUILD_EDGES:
         raise TubeTooLargeError(
             f"{spec.kind.value} tube m={spec.m}, n={spec.n} has {edge_count} edges, "

@@ -25,6 +25,7 @@ from polyhex import (
     NanotubeSpec,
     Provenance,
     SingularSystemError,
+    TubeTooLargeError,
     azi,
     build_nanotube,
     edge_partition,
@@ -33,6 +34,7 @@ from polyhex import (
     grid_edge_count,
     published_forms,
     tube_edge_count,
+    tube_vertex_count,
     verify_forms,
     verify_published_forms,
 )
@@ -686,53 +688,66 @@ class TestCrossKind:
 
 
 # Every class count replaced by a wrong one, in each degree class at every
-# (m, n). Each kind keeps its rows beyond n and both strides, which build
-# the edges, and the sums of its counts, which make the edge count that
-# build_nanotube's size refusal and `build`'s JSON header read.
+# (m, n), and with them the sums of each kind's counts. Tubes are built and
+# sized by the rule (tubes._RULES), so no size, graph or `build` byte moves.
 WRONG_CLASS_COUNTS = {
-    NanotubeKind.ARMCHAIR: (2, 2, 1, {(2, 2): (0, 3), (2, 3): (0, 2), (3, 3): (3, -1)}),
-    NanotubeKind.ZIGZAG: (1, 1, 2, {(2, 3): (0, 3), (3, 3): (3, -1)}),
+    NanotubeKind.ARMCHAIR: {(2, 2): (0, 3), (2, 3): (0, 2), (3, 3): (3, 1)},
+    NanotubeKind.ZIGZAG: {(2, 3): (0, 5), (3, 3): (3, -1)},
 }
 
 
 class TestOracleIndependence:
-    """The oracle reads built graphs only, never the class counts it judges."""
+    """The oracle and every size read the building rule, never the class counts judged."""
 
-    def outputs(self, capsys) -> tuple[dict, dict, dict]:
-        """Oracle values (walk, two-n and one-n), built graphs and `build` stdout."""
-        values, graphs, printed = {}, {}, {}
+    def outputs(self, capsys) -> tuple[dict, dict, dict, dict]:
+        """Oracle values (walk, two-n and one-n), built graphs, `build` stdout and sizes.
+
+        The sizes are the per-tube and grid counts and the MAX_BUILD_EDGES
+        refusal of a tube just over it, raised before any edge is made.
+        """
+        values, graphs, printed, sizes = {}, {}, {}, {}
         for kind in NanotubeKind:
             for m in (2, 5):
                 for ns in (range(1, 9), range(7, 9), range(4, 5)):
                     values[kind, m, ns] = polyhex.forms._oracle_values(kind, m, ns)
                 for n in range(1, 9):
-                    g = build_nanotube(NanotubeSpec(kind, m, n))
+                    spec = NanotubeSpec(kind, m, n)
+                    g = build_nanotube(spec)
                     graphs[kind, m, n] = (g.vertex_count, g.edges)
+                    sizes[spec] = (tube_vertex_count(spec), tube_edge_count(spec))
             for fmt in ("json", "dot"):
                 argv = ["build", "--kind", kind.value, "--m", "5", "--n", "4", "--format", fmt]
                 assert polyhex.cli.main(argv) == 0
                 printed[kind, fmt] = capsys.readouterr().out
-        return values, graphs, printed
+            for grid in (((2, 9), (1, 8)), ((7, 30), (4, 11))):
+                sizes[kind, grid] = grid_edge_count([kind], *grid)
+        sizes["both"] = grid_edge_count(NanotubeKind, (2, 40), (1, 40))
+        # 3mn + 4m and 3mn + 2m edges: 5,002,000 and 5,003,000
+        for kind, n in ((NanotubeKind.ARMCHAIR, 1666), (NanotubeKind.ZIGZAG, 1667)):
+            with pytest.raises(TubeTooLargeError) as refused:
+                build_nanotube(NanotubeSpec(kind, 1000, n))
+            sizes[kind, "refused"] = str(refused.value)
+        return values, graphs, printed, sizes
 
     def test_wrong_class_counts_change_no_oracle_value_graph_or_build_byte(
         self, monkeypatch, capsys
     ):
-        for kind, (*rule, classes) in polyhex.tubes._KINDS.items():
-            *wrong_rule, wrong = WRONG_CLASS_COUNTS[kind]
-            assert wrong_rule == rule and wrong.keys() == classes.keys()
+        for kind, classes in polyhex.tubes._CLASS_COUNTS.items():
+            wrong = WRONG_CLASS_COUNTS[kind]
+            assert wrong.keys() == classes.keys()
             # each count is off by a nonzero multiple of m at every (m, n),
-            # and the counts still sum to the edge count
+            # and so is their sum, so any size read off the counts would move
             for (w_mn, w_m), (c_mn, c_m) in zip(wrong.values(), classes.values()):
                 assert w_mn == c_mn and w_m != c_m
-            assert sum(w[1] for w in wrong.values()) == sum(c[1] for c in classes.values())
+            assert sum(w[1] for w in wrong.values()) != sum(c[1] for c in classes.values())
         before = self.outputs(capsys)
-        monkeypatch.setattr(polyhex.tubes, "_KINDS", WRONG_CLASS_COUNTS)
+        monkeypatch.setattr(polyhex.tubes, "_CLASS_COUNTS", WRONG_CLASS_COUNTS)
         assert self.outputs(capsys) == before
 
     # Acceptance criterion 7 trusts tube_edge_partition only after checking
     # it against built graphs on a sampled sub-grid; that check must fail.
     def test_wrong_class_counts_fail_the_spot_validation(self, monkeypatch, capsys):
-        monkeypatch.setattr(polyhex.tubes, "_KINDS", WRONG_CLASS_COUNTS)
+        monkeypatch.setattr(polyhex.tubes, "_CLASS_COUNTS", WRONG_CLASS_COUNTS)
         with pytest.raises(AssertionError, match=r"^assert \{"):
             test_acceptance.test_criterion_7_performance()
         assert capsys.readouterr().out.startswith("criterion 7: FAIL")

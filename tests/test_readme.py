@@ -1,7 +1,9 @@
-"""README's Python examples run, and every value they show is the one they print.
+"""README's examples run, and every value they show is the one they print.
 
-A value comment ends a line of code: `g.vertex_count  # 110` claims that
-the expression's repr is `110`. A comment on a line of its own is prose.
+In a Python block, a value comment ends a line of code: `g.vertex_count  # 110`
+claims that the expression's repr is `110`. A comment on a line of its own is
+prose. In the command-line block, a comment line that follows a command shows
+the start of its output, up to `...`.
 """
 
 from __future__ import annotations
@@ -9,8 +11,11 @@ from __future__ import annotations
 import ast
 import io
 import re
+import shlex
 import tokenize
 from pathlib import Path
+
+from polyhex.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,3 +49,29 @@ def test_every_value_comment_is_the_repr_of_its_expression():
             claims.append(comment)
         assert not comments, f"value comments inside a statement: {comments}"
     assert len(claims) == 9
+
+
+def cli_examples() -> list[tuple[list[str], str | None]]:
+    """The argv of each `polyhex` line of the command-line block, and the output shown below it."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```$", text, re.S | re.M).group(1)
+    examples: list = []
+    for line in block.splitlines():
+        if line.startswith("polyhex "):
+            examples.append((shlex.split(line, comments=True)[1:], None))
+        elif line.startswith("# "):
+            examples[-1] = (examples[-1][0], line[2:])
+    return examples
+
+
+def test_every_cli_example_runs_and_prints_what_it_shows(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # sweep writes its --out file here
+    examples = cli_examples()
+    shown = [output for _, output in examples if output is not None]
+    assert len(examples) == 9 and len(shown) == 1
+    for argv, output in examples:
+        # verify exits 1: the published forms disagree with the oracle
+        assert main(argv) == (1 if argv[0] == "verify" else 0), argv
+        out = capsys.readouterr().out
+        if output is not None:
+            assert out.startswith(output.split("...")[0]), argv

@@ -274,6 +274,27 @@ class TestPartition:
         else:
             assert counts == {(2, 3): 4 * m, (3, 3): 3 * m * n - 2 * m}
 
+    # Every count is (a*n + b)*m, so comparing the (a, b) pairs per unit m
+    # checks the class counts against the building rule at every m >= 2 and
+    # n >= 1, not only on a grid. Both checks also pass with
+    # (c22, c23, c33) moved by t*(1, -2, 1) for any t, so they do not prove
+    # the table: the checks against built graphs above do.
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_class_counts_fit_the_rule_for_every_tube(self, kind):
+        vertices, edges = polyhex.tubes._sizes(kind, 1)
+        for m in (2, 3, 7, 10**12):
+            assert polyhex.tubes._sizes(kind, m) == tuple(
+                (a * m, b * m) for a, b in (vertices, edges)
+            )
+        classes = polyhex.tubes._CLASS_COUNTS[kind]
+        assert set(classes) <= {(2, 2), (2, 3), (3, 3)}
+        assert tuple(map(sum, zip(*classes.values()))) == edges
+        c22, c23, c33 = (classes.get(pair, (0, 0)) for pair in ((2, 2), (2, 3), (3, 3)))
+        for i in (0, 1):  # the m*n coefficients, then the m ones
+            degree_2, degree_3 = 3 * vertices[i] - 2 * edges[i], 2 * edges[i] - 2 * vertices[i]
+            assert 2 * c22[i] + c23[i] == 2 * degree_2
+            assert c23[i] + 2 * c33[i] == 3 * degree_3
+
 
 class TestGridTubes:
     @pytest.mark.parametrize(
@@ -297,7 +318,7 @@ class TestGridTubes:
     # tube_edge_partition and grid_tubes, to what the checked constructor
     # makes of the same counts.
     def test_count_table_needs_no_partition_check(self):
-        for kind, (*_, classes) in polyhex.tubes._KINDS.items():
+        for kind, classes in polyhex.tubes._CLASS_COUNTS.items():
             pairs = list(classes)
             assert pairs == sorted(pairs), kind
             for (lo, hi), (c_mn, c_m) in classes.items():
