@@ -47,9 +47,11 @@ INDEX_LIST = ",".join(INDEX_NAMES)  # as --indices takes them
 
 # Most rows one sweep may write. Sweep writes each row as it is computed, so
 # its memory does not grow with the grid (tracemalloc peak near 70 KB at
-# 4,000 and at 100,000 rows) and this cap bounds time only: about 13 us per
-# row (wall clock of a whole 100,000-row sweep process, median of 15 runs,
-# 2-CPU Xeon VM, Python 3.11.7), so a sweep at the cap takes under 30 s.
+# 4,000 and at 100,000 rows) and this cap bounds time only: about 18 us per
+# row (wall clock of a whole `sweep --kind both --m-range 2:201 --n-range
+# 1:250` process, 100,000 rows, start-up included: median of 15 runs, quartiles
+# 16 and 18 us; 2-CPU Xeon VM, Python 3.11.7), so a sweep at the cap takes
+# under 30 s.
 MAX_SWEEP_ROWS = 1_000_000
 
 # Lines per % format in `build`. Beside the tube's ids, one row of edges and one
@@ -113,8 +115,7 @@ def _index_rows(
         for f in functions:
             value = index_from_partition(partition, f)
             if f.exact:
-                q = value.exact
-                num, den = q.numerator, q.denominator
+                num, den = value._ratio  # lowest terms, as the Fraction exact would be
                 cells += num, den, _exact_decimal(num, den)
             else:
                 cells.append(value.approx)
@@ -221,7 +222,7 @@ def _report_fields(report: DiscrepancyReport) -> dict:
         {
             **_form_fields(check.form),
             "verdict": "consistent" if check.consistent else "inconsistent",
-            "mismatches": sum(1 for p in check.points if p.difference),
+            "mismatches": sum(1 for p in check.points if p._ints[4]),  # difference numerators
             "points": [],
         }
         for check in report.checks
@@ -271,15 +272,8 @@ def _write_report(report: DiscrepancyReport) -> None:
     out.write(pieces[0])
     for check, piece in zip(report.checks, pieces[1:]):
         out.write('"points": [\n')
-        out.write(",\n".join([
-            _POINT_RECORD % (
-                p.m, p.n,
-                p.claimed.numerator, p.claimed.denominator,
-                p.oracle.numerator, p.oracle.denominator,
-                p.difference.numerator, p.difference.denominator,
-            )
-            for p in check.points
-        ]))
+        # each point's _ints are its claimed, oracle and difference num/den pairs
+        out.write(",\n".join([_POINT_RECORD % (p.m, p.n, *p._ints) for p in check.points]))
         out.write("\n      ]")
         out.write(piece)
     out.write("\n")

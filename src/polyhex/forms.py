@@ -15,9 +15,17 @@ import enum
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain, compress
+from math import gcd
 
 from .graph import _prefix_partitions, _Value
-from .indices import AZI, EDGE_FUNCTIONS, azi, index_from_partition
+from .indices import (
+    AZI,
+    EDGE_FUNCTIONS,
+    _exact_ratio,
+    _is_exact_number,
+    azi,
+    index_from_partition,
+)
 from .tubes import (
     InvalidSpecError,
     NanotubeKind,
@@ -79,11 +87,6 @@ class SingularSystemError(ValueError):
 
 class InconsistentSamplesError(ValueError):
     """No exact a*mn + b*m reproduces the sample values; the ansatz fails."""
-
-
-def _is_exact_number(value: object) -> bool:
-    """True for an int or a Fraction; bool and float are not exact numbers here."""
-    return type(value) is int or isinstance(value, Fraction)
 
 
 def _check_index_name(index_name: str) -> None:
@@ -240,17 +243,37 @@ def fit_closed_form(
 
 
 class PointCheck(_Value):
-    """One grid point: the form's claim against the built-graph oracle."""
+    """One grid point: the form's claim against the built-graph oracle.
 
-    __slots__ = __match_args__ = ("m", "n", "claimed", "oracle", "difference")
+    claimed, oracle and difference are held as _ints, six ints: each one's
+    numerator and denominator in lowest terms, with positive denominators;
+    reading one makes its Fraction. A value that is not an int or a
+    Fraction is refused with ValueError, and an int is read back as a
+    Fraction.
+    """
+
+    __slots__ = ("m", "n", "_ints")
+    __match_args__ = ("m", "n", "claimed", "oracle", "difference")
 
     def __init__(self, m: int, n: int, claimed: Fraction, oracle: Fraction,
                  difference: Fraction) -> None:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "claimed", claimed)
-        object.__setattr__(self, "oracle", oracle)
-        object.__setattr__(self, "difference", difference)
+        object.__setattr__(self, "_ints", (*_exact_ratio(claimed, "claimed"),
+                                           *_exact_ratio(oracle, "oracle"),
+                                           *_exact_ratio(difference, "difference")))
+
+    @property
+    def claimed(self) -> Fraction:
+        return Fraction(*self._ints[0:2])
+
+    @property
+    def oracle(self) -> Fraction:
+        return Fraction(*self._ints[2:4])
+
+    @property
+    def difference(self) -> Fraction:
+        return Fraction(*self._ints[4:6])
 
 
 class FormCheck(_Value):
@@ -262,7 +285,7 @@ class FormCheck(_Value):
 
     @property
     def consistent(self) -> bool:
-        return all(p.difference == 0 for p in self.points)
+        return not any(p._ints[4] for p in self.points)  # each difference's numerator
 
 
 class DiscrepancyReport(_Value):
@@ -292,8 +315,11 @@ def _check_grid(
     return validate_ranges(m_range, n_range)
 
 
-def _oracle_values(kind: NanotubeKind, m: int, ns: range) -> list[Fraction]:
+def _oracle_values(kind: NanotubeKind, m: int, ns: range) -> list[tuple[int, int]]:
     """Brute-force AZI of tube (kind, m, n) for each n in ns, from at most two builds.
+
+    Each value is the (numerator, denominator) pair, in lowest terms, that
+    its IndexValue holds (IndexValue._ratio).
 
     Only h = tube (m, ns[0]) and g = tube (m, ns[-1]) are built, and azi is
     called once on each. Each n adds one row, so g's vertex count must be
@@ -306,7 +332,7 @@ def _oracle_values(kind: NanotubeKind, m: int, ns: range) -> list[Fraction]:
     azi(g). A two-n grid starts no walk, whose set-up costs more than azi(g).
     """
     h = build_nanotube(NanotubeSpec(kind, m, ns[0]))
-    values = [azi(h).exact]
+    values = [azi(h)._ratio]
     if len(ns) == 1:
         return values
     g = build_nanotube(NanotubeSpec(kind, m, ns[-1]))
@@ -320,8 +346,8 @@ def _oracle_values(kind: NanotubeKind, m: int, ns: range) -> list[Fraction]:
         )
     if len(ns) > 2:  # the walk's last cut stores g's partition, which azi(g) reads
         *between, _ = _prefix_partitions(g, range(h.vertex_count + step, g.vertex_count + 1, step))
-        values.extend(index_from_partition(p, AZI).exact for p in between)
-    values.append(azi(g).exact)
+        values.extend(index_from_partition(p, AZI)._ratio for p in between)
+    values.append(azi(g)._ratio)
     return values
 
 
@@ -350,29 +376,31 @@ def verify_forms(
     ms, ns = _check_grid(tuple(form.kind for form in forms), m_range, n_range)
     grid = [(m, n) for m in ms for n in ns]
     oracles = {
-        kind: [(v, v.numerator, v.denominator) for m in ms for v in _oracle_values(kind, m, ns)]
+        kind: [pair for m in ms for pair in _oracle_values(kind, m, ns)]
         for kind in dict.fromkeys(form.kind for form in forms)
     }
     # each PointCheck is filled through its slot descriptors, skipping __init__
-    set_m, set_n, set_claimed, set_oracle, set_difference = (
-        getattr(PointCheck, name).__set__ for name in PointCheck.__match_args__)
+    set_m, set_n, set_ints = PointCheck.m.__set__, PointCheck.n.__set__, PointCheck._ints.__set__
     checks = []
     for form in forms:
         # a*m*n + b*m = (ca*n + cb)*m / den, with den the product of the two
-        # denominators, so each point needs integer arithmetic only; the grid
-        # was checked above, so no point is re-validated.
+        # denominators, so each point needs integer arithmetic only, and one
+        # gcd reduces each of claimed and difference; the grid was checked
+        # above, so no point is re-validated.
         a, b = form.a, form.b
         den = a.denominator * b.denominator
         ca, cb = a.numerator * b.denominator, b.numerator * a.denominator
         points = []
-        for (m, n), (oracle, o_num, o_den) in zip(grid, oracles[form.kind]):
+        for (m, n), (o_num, o_den) in zip(grid, oracles[form.kind]):
             num = (ca * n + cb) * m
+            divisor = gcd(num, den)
+            c_num, c_den = num // divisor, den // divisor
+            d_num, d_den = c_num * o_den - o_num * c_den, c_den * o_den
+            divisor = gcd(d_num, d_den)
             points.append(point := object.__new__(PointCheck))
             set_m(point, m)
             set_n(point, n)
-            set_claimed(point, Fraction(num, den))
-            set_oracle(point, oracle)
-            set_difference(point, Fraction(num * o_den - o_num * den, den * o_den))
+            set_ints(point, (c_num, c_den, o_num, o_den, d_num // divisor, d_den // divisor))
         checks.append(FormCheck(form, tuple(points)))
     return DiscrepancyReport(m_range, n_range, tuple(checks))
 

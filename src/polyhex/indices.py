@@ -6,9 +6,10 @@ count * f(class) over the degree classes of an EdgePartition, whether the
 partition was read off a built graph or came from the tube count formulas.
 The augmented Zagreb index uses exact rational arithmetic end to end (its
 terms are rational, and exactness is what makes closed-form adjudication
-unambiguous); the Randic and atom-bond connectivity indices sum irrational
-terms with math.fsum in sorted degree-class order, so results are
-deterministic.
+unambiguous): the sum is one integer numerator over one denominator, reduced
+once, and its IndexValue holds that pair, making a Fraction only when exact
+is read. The Randic and atom-bond connectivity indices sum irrational terms
+with math.fsum in sorted degree-class order, so results are deterministic.
 
 Each term function caches its value per degree pair (a tube has at most
 three pairs), and edge_partition caches the partition on its Graph, so
@@ -103,18 +104,43 @@ def abc_term(d_u: int, d_v: int) -> float:
     return math.ldexp(math.sqrt((num << 2 * k) / den), -k)
 
 
-class IndexValue(_Value):
-    """An index result: float always, exact rational when the index has one."""
+def _is_exact_number(value: object) -> bool:
+    """True for an int or a Fraction; bool and float are not exact numbers here."""
+    return type(value) is int or isinstance(value, Fraction)
 
-    __slots__ = __match_args__ = ("exact", "approx")
+
+def _exact_ratio(value: object, what: str) -> tuple[int, int]:
+    """(numerator, denominator) of an exact number (_is_exact_number), else ValueError."""
+    if not _is_exact_number(value):
+        raise ValueError(f"{what} must be an int or a Fraction (got {value!r})")
+    return value.numerator, value.denominator
+
+
+class IndexValue(_Value):
+    """An index result: float always, exact rational when the index has one.
+
+    The exact value is held as _ratio, its (numerator, denominator) in lowest
+    terms with a positive denominator, or None when the index has no exact
+    value; reading exact makes the Fraction. An exact that is not None, an
+    int or a Fraction is refused with ValueError, and an int is read back as
+    a Fraction.
+    """
+
+    __slots__ = ("_ratio", "approx")
+    __match_args__ = ("exact", "approx")
 
     def __init__(self, exact: Fraction | None, approx: float) -> None:
-        object.__setattr__(self, "exact", exact)
+        ratio = None if exact is None else _exact_ratio(exact, "an exact index value")
+        object.__setattr__(self, "_ratio", ratio)
         object.__setattr__(self, "approx", approx)
+
+    @property
+    def exact(self) -> Fraction | None:
+        return None if self._ratio is None else Fraction(*self._ratio)
 
 
 # index_from_partition fills an IndexValue through these, skipping __init__
-_set_exact, _set_approx = IndexValue.exact.__set__, IndexValue.approx.__set__
+_set_ratio, _set_approx = IndexValue._ratio.__set__, IndexValue.approx.__set__
 
 
 class EdgeFunction(_Value):
@@ -162,10 +188,10 @@ def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValu
     """Sum count * f(d_min, d_max) over the partition's degree classes.
 
     Exact edge functions accumulate one integer numerator over the running
-    lcm of the term denominators and reduce once; the float approximation
-    is num / den, which int true division rounds correctly. The others sum
-    with math.fsum in sorted degree-class order, so the result is
-    deterministic. A partition that is not an EdgePartition, or an f that is
+    lcm of the term denominators; the float approximation is num / den,
+    which int true division rounds correctly, and one gcd then reduces the
+    pair the IndexValue holds. The others sum with math.fsum in sorted
+    degree-class order, so the result is deterministic. A partition that is not an EdgePartition, or an f that is
     not an EdgeFunction, raises ValueError, and so does an exact f whose
     term has no numerator and denominator, another whose term is not a
     number, or a value too large for a float.
@@ -189,12 +215,14 @@ def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValu
                 num, den = num * (lcm // den), lcm
             num += count * term_num * (den // term_den)
         try:  # zero-cost until it raises on 3.11+, as is the one below
-            exact, approx = Fraction(num, den), num / den
+            approx = num / den
         except OverflowError:
             raise ValueError(f"the {f.name} index is too large for a float") from None
+        divisor = math.gcd(num, den)
+        ratio = num // divisor, den // divisor
     else:  # count * f(class) for each class, in the partition's sorted order
         try:
-            exact, approx = None, math.fsum(map(mul, classes.values(), starmap(term, classes)))
+            ratio, approx = None, math.fsum(map(mul, classes.values(), starmap(term, classes)))
         except (TypeError, OverflowError):
             for pair in classes:
                 if not isinstance(q := term(*pair), numbers.Real):
@@ -202,6 +230,6 @@ def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValu
                                      "which is not a number") from None
             raise ValueError(f"the {f.name} index is too large for a float") from None
     value = object.__new__(IndexValue)
-    _set_exact(value, exact)
+    _set_ratio(value, ratio)
     _set_approx(value, approx)
     return value

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import polyhex.cli
 import polyhex.forms
 import polyhex.graph
+import polyhex.indices
 import polyhex.tubes
 from polyhex import (
     ClosedForm,
@@ -728,6 +729,61 @@ class TestSweep:
         assert code == 2
         assert "empty range 5:4" in err
         assert not out_path.exists()
+
+
+class _CountingMeta(type(Fraction)):
+    # every Fraction passes isinstance against the counting class, as the
+    # checks in polyhex that read the patched name need
+    def __instancecheck__(cls, instance):
+        return isinstance(instance, Fraction)
+
+
+class CountingFraction(Fraction, metaclass=_CountingMeta):
+    """A Fraction that counts the Fractions made through it."""
+
+    made = 0
+
+    def __new__(cls, *args, **kwargs):
+        CountingFraction.made += 1
+        return super().__new__(cls, *args, **kwargs)
+
+
+@pytest.fixture
+def count_fractions(monkeypatch):
+    """Make the Fraction name in indices, forms and cli count; empty the AZI term cache."""
+    for module in (polyhex.indices, polyhex.forms, polyhex.cli):
+        monkeypatch.setattr(module, "Fraction", CountingFraction)
+    polyhex.indices.azi_term.cache_clear()
+    yield
+    polyhex.indices.azi_term.cache_clear()  # so no counting Fraction stays cached
+
+
+# Exact results stay integer pairs on the sweep rows and verify points: a
+# grid many times larger makes no more Fractions. Sweep makes one per AZI
+# term cache fill, verify those and its published and fitted forms'.
+class TestNoFractionPerRowOrPoint:
+    def fractions_made(self, capsys, argv: list[str], code: int) -> int:
+        polyhex.indices.azi_term.cache_clear()
+        CountingFraction.made = 0
+        assert main(argv) == code
+        capsys.readouterr()
+        return CountingFraction.made
+
+    def test_sweep(self, capsys, tmp_path, count_fractions):
+        made = [
+            self.fractions_made(capsys, ["sweep", "--m-range", m_range, "--n-range", n_range,
+                                         "--out", str(tmp_path / "x.csv")], 0)
+            for m_range, n_range in (("2:9", "1:8"), ("2:30", "1:30"))
+        ]
+        assert made == [polyhex.indices.azi_term.cache_info().currsize] * 2
+        assert made[0] > 0
+
+    def test_verify(self, capsys, count_fractions):
+        made = [
+            self.fractions_made(capsys, ["verify", "--m-range", m_range, "--n-range", n_range], 1)
+            for m_range, n_range in (("2:5", "1:4"), ("2:12", "1:12"))
+        ]
+        assert made[0] == made[1] > polyhex.indices.azi_term.cache_info().currsize
 
 
 # (kind, m, n, format, SHA-256 of build stdout), from the implementation whose

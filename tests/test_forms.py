@@ -404,7 +404,9 @@ class TestVerification:
         monkeypatch.setattr(polyhex.forms, "build_nanotube", recording_build)
         monkeypatch.setattr(polyhex.forms, "_prefix_partitions", recording_walk)
         values = polyhex.forms._oracle_values(kind, 3, range(1, 6))
-        assert values == [oracle_value(kind, 3, n) for n in range(1, 6)]
+        # each value is the (numerator, denominator) pair of the oracle's Fraction
+        assert [Fraction(*pair) for pair in values] == [oracle_value(kind, 3, n) for n in range(1, 6)]
+        assert all(Fraction(*pair).as_integer_ratio() == pair for pair in values)
         assert len(built) == 2 and len(walked) == 4
         assert edge_partition(built[-1]) is walked[-1]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -23,7 +24,9 @@ from polyhex import (
     Provenance,
     grid_tubes,
     index_from_partition,
+    published_forms,
     tube_edge_partition,
+    verify_forms,
 )
 
 Q = Fraction(3, 4)
@@ -127,6 +130,31 @@ def test_only_edge_function_has_an_instance_dict(cls):
     assert hasattr(make(cls), "__dict__") is (cls is EdgeFunction)
 
 
+# Exact fields are held as integer pairs, so they take an int or a Fraction
+# only, and read an int back as the equal Fraction.
+@pytest.mark.parametrize("cls, args", [
+    (IndexValue, (0.75, 0.75)),
+    (IndexValue, (True, 1.0)),
+    (IndexValue, ("3/4", 0.75)),
+    (PointCheck, (2, 1, 0.75, Q, Fraction(0))),
+    (PointCheck, (2, 1, Q, None, Fraction(0))),
+    (PointCheck, (2, 1, Q, Q, False)),
+], ids=["IndexValue float", "IndexValue bool", "IndexValue str",
+        "PointCheck float", "PointCheck None", "PointCheck bool"])
+def test_exact_fields_refuse_what_is_not_an_int_or_fraction(cls, args):
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        cls(*args)
+
+
+def test_int_exact_fields_read_back_as_fractions():
+    assert IndexValue(3, 3.0) == IndexValue(Fraction(3), 3.0)
+    assert type(IndexValue(3, 3.0).exact) is Fraction
+    point = PointCheck(2, 1, 3, -1, 4)
+    assert (point.claimed, point.oracle, point.difference) == (3, -1, 4)
+    assert {type(q) for q in (point.claimed, point.oracle, point.difference)} == {Fraction}
+    assert repr(point) == repr(PointCheck(2, 1, Fraction(3), Fraction(-1), Fraction(4)))
+
+
 def test_unchecked_partition_equals_checked():
     classes = {(2, 2): 4, (2, 3): 8, (3, 3): 13}
     assert EdgePartition._unchecked(classes) == EdgePartition(classes)
@@ -148,10 +176,32 @@ def lean_and_public():
     for f in (AZI, RANDIC):
         value = index_from_partition(partition, f)
         yield pytest.param(value, IndexValue(value.exact, value.approx), id=f.name)
+    # custom exact sums: -3/5 (from 4/15 less 13/15), and 2*(2/3) - 4*(1/3) = 0 over 3
+    for name, terms, classes in (
+        ("negative", {(2, 2): Fraction(2, 15), (2, 3): Fraction(-13, 60)}, {(2, 2): 2, (2, 3): 4}),
+        ("zero", {(2, 2): Fraction(2, 3), (2, 3): Fraction(-1, 3)}, {(2, 2): 2, (2, 3): 4}),
+    ):
+        f = EdgeFunction(name, lambda d_u, d_v, terms=terms: terms[d_u, d_v], exact=True)
+        value = index_from_partition(EdgePartition(classes), f)
+        yield pytest.param(value, IndexValue(value.exact, value.approx), id=f"exact {name}")
+    # verify points of each kind, for a form that matches the oracle and one that does not;
+    # n = 1, 2 and 3 are read off the first tube, the last tube's window and the last tube
+    fitted = {NanotubeKind.ARMCHAIR: Fraction(807, 32), NanotubeKind.ZIGZAG: Fraction(295, 32)}
+    forms = [form for form in published_forms() if form.provenance is Provenance.STATED]
+    forms += [ClosedForm(kind, "azi", Fraction(2187, 64), b, Provenance.FITTED)
+              for kind, b in fitted.items()]
+    for check in verify_forms(forms, (2, 2), (1, 3)).checks:
+        assert check.consistent is (check.form.provenance is Provenance.FITTED)
+        for p in check.points:
+            yield pytest.param(
+                p, PointCheck(p.m, p.n, p.claimed, p.oracle, p.difference),
+                id=f"{check.form.kind.value} {check.form.provenance.value} ({p.m}, {p.n})",
+            )
 
 
-# index_from_partition and the count rows skip __init__; what they make must
-# not be told apart from what the constructors make.
+# index_from_partition, verify_forms and the count rows skip __init__; what
+# they make must not be told apart from what the constructors make, and
+# holds its exact values as the constructors do.
 @pytest.mark.parametrize("lean, public", lean_and_public())
 def test_lean_values_behave_like_constructed_ones(lean, public):
     assert type(lean) is type(public)
@@ -165,8 +215,14 @@ def test_lean_values_behave_like_constructed_ones(lean, public):
         assert hash(lean) == hash(public)
     for twin in (copy.copy(lean), copy.deepcopy(lean), pickle.loads(pickle.dumps(lean))):
         assert type(twin) is type(public) and twin == public and repr(twin) == repr(public)
+    for slot in type(lean).__slots__:
+        assert getattr(lean, slot) == getattr(public, slot)
+    for name in ("exact", "claimed", "oracle", "difference"):
+        if (q := getattr(lean, name, None)) is not None:
+            assert type(q) is Fraction and q.denominator > 0
+            assert math.gcd(q.numerator, q.denominator) == 1
     assert not hasattr(lean, "__dict__")
-    for name in (*type(lean).__match_args__, "other"):
+    for name in (*type(lean).__match_args__, *type(lean).__slots__, "other"):
         with pytest.raises(AttributeError):
             setattr(lean, name, None)
         with pytest.raises(AttributeError):
