@@ -22,7 +22,6 @@ from .indices import (
     AZI,
     EDGE_FUNCTIONS,
     _exact_ratio,
-    _is_exact_number,
     azi,
     index_from_partition,
 )
@@ -120,9 +119,7 @@ class ClosedForm(_Value):
         _check_index_name(index_name)
         object.__setattr__(self, "index_name", index_name)
         for name, value in (("a", a), ("b", b)):
-            if not _is_exact_number(value):
-                raise ValueError(f"coefficient {name} must be an int or a Fraction (got {value!r})")
-            object.__setattr__(self, name, Fraction(value))
+            object.__setattr__(self, name, Fraction(*_exact_ratio(value, f"coefficient {name}")))
         if not isinstance(provenance, Provenance):
             raise ValueError(f"provenance must be a Provenance (got {provenance!r})")
         object.__setattr__(self, "provenance", provenance)
@@ -188,11 +185,8 @@ def fit_from_values(
     if len(samples) != len(values):
         raise ValueError("samples and values must have equal length")
     j = _check_samples(samples)
-    for value in values:
-        if not _is_exact_number(value):
-            raise ValueError(f"value must be an int or a Fraction (got {value!r})")
     # a*n + b = y, with y = value/m, is a line through the points (n, y)
-    ys = [Fraction(value, m) for (m, _), value in zip(samples, values)]
+    ys = [Fraction(*_exact_ratio(value, "value")) / m for (m, _), value in zip(samples, values)]
     n_0, n_j = samples[0][1], samples[j][1]
     a = (ys[j] - ys[0]) / (n_j - n_0)
     b = ys[0] - a * n_0

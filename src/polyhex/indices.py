@@ -105,7 +105,7 @@ def abc_term(d_u: int, d_v: int) -> float:
 
 
 def _is_exact_number(value: object) -> bool:
-    """True for an int or a Fraction; bool and float are not exact numbers here."""
+    """The one rule for an exact number: an int (no bool or other subclass) or a Fraction."""
     return type(value) is int or isinstance(value, Fraction)
 
 
@@ -146,7 +146,7 @@ _set_ratio, _set_approx = IndexValue._ratio.__set__, IndexValue.approx.__set__
 class EdgeFunction(_Value):
     """A symmetric per-edge term f(d_u, d_v) plus how to accumulate it.
 
-    An exact term returns values with numerator and denominator (Fraction or int).
+    An exact term returns an int or a Fraction (_is_exact_number).
     """
 
     # No __slots__: benchmarks/tracing.py finds .term in the instance __dict__.
@@ -191,10 +191,11 @@ def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValu
     lcm of the term denominators; the float approximation is num / den,
     which int true division rounds correctly, and one gcd then reduces the
     pair the IndexValue holds. The others sum with math.fsum in sorted
-    degree-class order, so the result is deterministic. A partition that is not an EdgePartition, or an f that is
-    not an EdgeFunction, raises ValueError, and so does an exact f whose
-    term has no numerator and denominator, another whose term is not a
-    number, or a value too large for a float.
+    degree-class order, so the result is deterministic. A partition that is
+    not an EdgePartition, or an f that is not an EdgeFunction, raises
+    ValueError, and so does an exact f whose term is not an int or a
+    Fraction (_is_exact_number), another whose term is not a number, or a
+    value too large for a float.
     """
     if not isinstance(partition, EdgePartition):
         raise ValueError(f"partition must be an EdgePartition (got {type(partition).__name__})")
@@ -204,12 +205,10 @@ def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValu
     if f.exact:
         num, den = 0, 1
         for pair, count in classes.items():
-            q = term(*pair)
-            try:
-                term_num, term_den = q.numerator, q.denominator
-            except AttributeError:
+            if not _is_exact_number(q := term(*pair)):
                 raise ValueError(f"exact edge function {f.name!r} gave {q!r} at {pair}, "
-                                 "which has no numerator and denominator") from None
+                                 "which is not an int or a Fraction")
+            term_num, term_den = q.numerator, q.denominator
             if den % term_den:  # else den is already a common multiple
                 lcm = math.lcm(den, term_den)
                 num, den = num * (lcm // den), lcm

@@ -115,9 +115,9 @@ class NanotubeSpec(_Value):
 
     def __init__(self, kind: NanotubeKind, m: int, n: int) -> None:
         _check_kind(kind)
-        if not isinstance(m, int) or isinstance(m, bool):
+        if type(m) is not int:
             raise InvalidSpecError(f"m must be an int (got {m!r})")
-        if not isinstance(n, int) or isinstance(n, bool):
+        if type(n) is not int:
             raise InvalidSpecError(f"n must be an int (got {n!r})")
         if m < 2:
             raise InvalidSpecError(f"m must be >= 2 (got {m})")

@@ -37,6 +37,17 @@ from polyhex import (
 
 import oracles
 
+
+class Ratio:
+    """Has a numerator and a denominator, but is neither an int nor a Fraction."""
+
+    def __init__(self, numerator, denominator):
+        self.numerator, self.denominator = numerator, denominator
+
+    def __repr__(self):
+        return f"Ratio({self.numerator}, {self.denominator})"
+
+
 degree_pairs = st.tuples(st.integers(1, 9), st.integers(1, 9))
 partitions = st.dictionaries(
     st.tuples(st.integers(1, 8), st.integers(1, 8))
@@ -282,6 +293,24 @@ class TestPartitionEvaluation:
         with pytest.raises(ValueError, match=r"exact edge function 'x' gave 0\.5 at \(2, 2\)"):
             index_from_partition(part, EdgeFunction("x", randic_term, True))
         assert index_from_partition(part, EdgeFunction("x", max, True)).exact == 80
+
+    # Each was once read off its numerator and denominator: True was summed
+    # as 1, a float numerator raised TypeError and a zero denominator
+    # ZeroDivisionError.
+    @pytest.mark.parametrize(
+        "q", [True, Ratio(1.5, 2), Ratio(1, 0)], ids=["bool", "float-numerator", "zero-denominator"]
+    )
+    def test_exact_term_that_is_not_an_int_or_a_fraction_named(self, q):
+        part = EdgePartition({(2, 2): 1, (2, 3): 3})
+        f = EdgeFunction("x", lambda a, b: 1 if a == 2 == b else q, exact=True)
+        with pytest.raises(ValueError, match=r"exact edge function 'x' gave .* at \(2, 3\), "
+                                             "which is not an int or a Fraction"):
+            index_from_partition(part, f)
+
+    def test_fraction_subclass_term_summed(self):
+        part = EdgePartition({(2, 2): 1, (2, 3): 3})
+        half = type("Half", (Fraction,), {})(1, 2)
+        assert index_from_partition(part, EdgeFunction("x", lambda a, b: half, True)).exact == 2
 
     # Each once raised OverflowError from the float approximation, which
     # reached the command line as a traceback.

@@ -3,18 +3,24 @@
 In a Python block, a value comment ends a line of code: `g.vertex_count  # 110`
 claims that the expression's repr is `110`. A comment on a line of its own is
 prose. In the command-line block, a comment line that follows a command shows
-the start of its output, up to `...`.
+the start of its output, up to `...`. Each row of the refusal table is a call
+and the exception class it raises.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import io
 import re
 import shlex
 import tokenize
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+import polyhex
 from polyhex.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -75,3 +81,34 @@ def test_every_cli_example_runs_and_prints_what_it_shows(tmp_path, monkeypatch, 
         out = capsys.readouterr().out
         if output is not None:
             assert out.startswith(output.split("...")[0]), argv
+
+
+def refusal_rows() -> list[tuple[str, str]]:
+    """The call and the exception name of each row of the Refusals table."""
+    text = README.read_text(encoding="utf-8")
+    table = re.search(r"^### Refusals\n.*?^\| Call \| Raises \|.*?\n\|[-|]+\|\n((?:\|.*\n)+)",
+                      text, re.S | re.M).group(1)
+    return re.findall(r"^\| `(.+?)` \| `(\w+)` \|", table, re.M)
+
+
+ROWS = refusal_rows()
+
+
+def test_refusal_table_is_read_whole():
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("### Refusals"):]
+    assert len(ROWS) == len(re.findall(r"^\| `", table, re.M)) == 39
+
+
+@pytest.mark.parametrize("call, raises", ROWS, ids=[call for call, _ in ROWS])
+def test_every_refusal_row_raises_its_exception(call, raises):
+    namespace = {name: getattr(polyhex, name) for name in polyhex.__all__}
+    namespace["Fraction"] = Fraction
+    expected = namespace.get(raises) or getattr(builtins, raises)
+    assert issubclass(expected, ValueError)
+    try:
+        eval(call, namespace)
+    except Exception as exc:
+        assert type(exc) is expected, f"{call} raised {exc!r}"
+    else:
+        raise AssertionError(f"{call} raised nothing")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import tracemalloc
 
 import pytest
@@ -32,6 +33,7 @@ from polyhex import (
 import oracles
 
 KINDS = (NanotubeKind.ARMCHAIR, NanotubeKind.ZIGZAG)
+Three = enum.IntEnum("Three", {"THREE": 3})  # an int subclass, equal to 3
 
 specs = st.tuples(
     st.sampled_from(KINDS), st.integers(2, 7), st.integers(1, 7)
@@ -59,6 +61,11 @@ class TestSpecValidation:
             (lambda: NanotubeSpec("armchair", 5, 9), "kind must be a NanotubeKind"),
             (lambda: NanotubeSpec(NanotubeKind.ZIGZAG, 2.5, 1), r"m must be an int \(got 2.5\)"),
             (lambda: NanotubeSpec(NanotubeKind.ARMCHAIR, 3, True), r"n must be an int \(got True\)"),
+            # once accepted, although grid_tubes refused the same m
+            (lambda: NanotubeSpec(NanotubeKind.ZIGZAG, Three.THREE, 2),
+             r"m must be an int \(got <Three.THREE: 3>\)"),
+            (lambda: grid_tubes(NanotubeKind.ZIGZAG, (Three.THREE, 3), (2, 2)),
+             r"m range must be a pair of ints"),
             (
                 lambda: ClosedForm(
                     NanotubeKind.ARMCHAIR, "azi", Fraction(2187, 64), Fraction(807, 32),
@@ -67,7 +74,8 @@ class TestSpecValidation:
                 r"m must be an int \(got 2.5\)",
             ),
         ],
-        ids=["kind-as-string", "float-m", "bool-n", "closed-form-float-m"],
+        ids=["kind-as-string", "float-m", "bool-n", "int-enum-m", "grid-int-enum-m",
+             "closed-form-float-m"],
     )
     def test_wrong_types_rejected(self, make, message):
         with pytest.raises(InvalidSpecError, match=message):
