@@ -31,9 +31,11 @@ from .tubes import (
     NanotubeSpec,
     _as_tuple,
     _check_kind,
+    _edge_id_rows,
     build_nanotube,
     grid_edge_count,
     tube_edge_count,
+    tube_vertex_count,
     validate_ranges,
 )
 
@@ -60,14 +62,14 @@ __all__ = [
 # summed over its tubes (grid_edge_count, in O(1)), however few of them the
 # oracle builds. Every tube of a large grid or a long sample list passes
 # build_nanotube's per-tube cap, so only this bound keeps such a call from
-# running for hours. The slowest grids per edge hold one or two n values,
-# where the oracle builds every tube and, with two, checks the first
-# against the last: verify --kind both on 2:80 x 39:40 (1,574,154 edges)
-# took 0.86 to 1.36 s, 1.2 to 1.8 million edges per second, so this allows
-# 11 to 17 s. With many n values the oracle builds two tubes per m and
-# reads the n between off a one-row window of the last: 2:26 x 1:25
-# (735,000 edges) took 0.10 to 0.19 s (each the best of 7 runs in one
-# process, ten processes minutes apart; 2-CPU Xeon VM, Python 3.11.7).
+# running for hours. The oracle builds one tube per kind and m, at the last
+# n, so the slowest grids per edge hold one or two n values, where that tube
+# holds all or half of the grid's edges: verify --kind both on 2:80 x 39:40
+# (1,574,154 edges) took 0.66 to 0.81 s and on 2:80 x 40:40 (796,794 edges)
+# 0.29 to 0.45 s, 1.8 to 2.8 million edges per second, so this allows 7 to
+# 11 s. With many n values each n costs about a row's edges: 2:26 x 1:25
+# (735,000 edges) took 0.07 to 0.12 s (each the best of 7 runs of cli.main
+# in one process, ten processes; 2-CPU Xeon VM, Python 3.11.7).
 MAX_VERIFY_EDGES = 20_000_000
 
 
@@ -241,9 +243,9 @@ class PointCheck(_Value):
 
     claimed, oracle and difference are held as _ints, six ints: each one's
     numerator and denominator in lowest terms, with positive denominators;
-    reading one makes its Fraction. A value that is not an int or a
-    Fraction is refused with ValueError, and an int is read back as a
-    Fraction.
+    reading one makes its Fraction. An m or n that is not an int, or a
+    value that is not an int or a Fraction, is refused with ValueError, and
+    an int value is read back as a Fraction.
     """
 
     __slots__ = ("m", "n", "_ints")
@@ -251,6 +253,8 @@ class PointCheck(_Value):
 
     def __init__(self, m: int, n: int, claimed: Fraction, oracle: Fraction,
                  difference: Fraction) -> None:
+        if type(m) is not int or type(n) is not int:
+            raise ValueError(f"a point's m and n must be ints (got {m!r}, {n!r})")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_ints", (*_exact_ratio(claimed, "claimed"),
@@ -270,10 +274,24 @@ class PointCheck(_Value):
         return Fraction(*self._ints[4:6])
 
 
+def _check_items(items: tuple, cls: type, what: str) -> None:
+    """Refuse, with ValueError, items that are not a tuple of cls instances."""
+    for item in items if isinstance(items, tuple) else (items,):
+        if not isinstance(item, cls):
+            raise ValueError(f"{what} must be a tuple of {cls.__name__}s "
+                             f"(got {type(item).__name__})")
+
+
 class FormCheck(_Value):
+    """One form's points; ValueError for a form that is not a ClosedForm or
+    points that are not a tuple of PointChecks."""
+
     __slots__ = __match_args__ = ("form", "points")
 
     def __init__(self, form: ClosedForm, points: tuple[PointCheck, ...]) -> None:
+        if not isinstance(form, ClosedForm):
+            raise ValueError(f"form must be a ClosedForm (got {form!r})")
+        _check_items(points, PointCheck, "points")
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "points", points)
 
@@ -283,10 +301,15 @@ class FormCheck(_Value):
 
 
 class DiscrepancyReport(_Value):
+    """Every form's check on one grid; ranges are refused as validate_ranges
+    refuses them, and checks that are not a tuple of FormChecks with ValueError."""
+
     __slots__ = __match_args__ = ("m_range", "n_range", "checks")
 
     def __init__(self, m_range: tuple[int, int], n_range: tuple[int, int],
                  checks: tuple[FormCheck, ...]) -> None:
+        validate_ranges(m_range, n_range)
+        _check_items(checks, FormCheck, "checks")
         object.__setattr__(self, "m_range", m_range)
         object.__setattr__(self, "n_range", n_range)
         object.__setattr__(self, "checks", checks)
@@ -310,39 +333,34 @@ def _check_grid(
 
 
 def _oracle_values(kind: NanotubeKind, m: int, ns: range) -> list[tuple[int, int]]:
-    """Brute-force AZI of tube (kind, m, n) for each n in ns, from at most two builds.
+    """Brute-force AZI of tube (kind, m, n) for each n in ns, from one build.
 
     Each value is the (numerator, denominator) pair, in lowest terms, that
-    its IndexValue holds (IndexValue._ratio).
-
-    Only h = tube (m, ns[0]) and g = tube (m, ns[-1]) are built, and azi is
-    called once on each. Each n adds one row, so g's vertex count must be
-    len(ns) - 1 equal steps past h's, and by the prefix property
-    (polyhex.tubes) every tube between is g's subgraph induced on the
-    vertices below its step. Both are checked exactly first: h's edges must
-    be g's edges whose larger endpoint is below h's vertex count. Then each
-    n between is read off a one-row window of g (_prefix_partitions) at its
-    step; the walk goes on to g's vertex count and stores g's partition for
-    azi(g). A two-n grid starts no walk, whose set-up costs more than azi(g).
+    its IndexValue holds (IndexValue._ratio). Only g = tube (m, ns[-1]) is
+    built, and azi is called on g alone. Each n adds one row, so g's vertex
+    count must be len(ns) - 1 equal steps past the first tube's, and by the
+    prefix property (polyhex.tubes) each tube is g's subgraph induced on the
+    vertices below its step. Both are checked exactly first: the ids that
+    build_nanotube would give the first tube (_edge_id_rows) must be g's
+    edges whose larger endpoint is below its vertex count, so they pass
+    every check Graph makes. Then each n is read off a one-row window of g
+    (_prefix_partitions) at its step; the last cut stores g's partition,
+    which azi(g) reads.
     """
-    h = build_nanotube(NanotubeSpec(kind, m, ns[0]))
-    values = [azi(h)._ratio]
-    if len(ns) == 1:
-        return values
     g = build_nanotube(NanotubeSpec(kind, m, ns[-1]))
-    step, uneven = divmod(g.vertex_count - h.vertex_count, len(ns) - 1)
-    ids = g._ids  # flat, u0, v0, u1, v1, ...: an edge is kept when v is below h's count
-    kept = compress(zip(ids[::2], ids[1::2]), map(h.vertex_count.__gt__, ids[1::2]))
-    if uneven or step < 1 or h._ids != list(chain.from_iterable(kept)):
+    if len(ns) == 1:
+        return [azi(g)._ratio]
+    first = tube_vertex_count(NanotubeSpec(kind, m, ns[0]))
+    step, uneven = divmod(g.vertex_count - first, len(ns) - 1)
+    ids = g._ids  # flat, u0, v0, u1, v1, ...: an edge is kept when v is below first
+    kept = chain.from_iterable(compress(zip(ids[::2], ids[1::2]), map(first.__gt__, ids[1::2])))
+    if uneven or step < 1 or [*chain.from_iterable(_edge_id_rows(kind, m, ns[0]))] != [*kept]:
         raise RuntimeError(
             f"{kind.value} tube m={m}, n={ns[0]} is not the subgraph of tube n={ns[-1]} "
-            f"on its first {h.vertex_count} vertices, a row per n below its {g.vertex_count}"
+            f"on its first {first} vertices, a row per n below its {g.vertex_count}"
         )
-    if len(ns) > 2:  # the walk's last cut stores g's partition, which azi(g) reads
-        *between, _ = _prefix_partitions(g, range(h.vertex_count + step, g.vertex_count + 1, step))
-        values.extend(index_from_partition(p, AZI)._ratio for p in between)
-    values.append(azi(g)._ratio)
-    return values
+    *below, _ = _prefix_partitions(g, range(first, g.vertex_count + 1, step))
+    return [*(index_from_partition(p, AZI)._ratio for p in below), azi(g)._ratio]
 
 
 def verify_forms(
@@ -354,10 +372,9 @@ def verify_forms(
     is consistent iff all differences are zero. An item that is not a
     ClosedForm is refused with ValueError, and a grid whose tubes would
     together have more than MAX_VERIFY_EDGES edges with GridTooLargeError,
-    both before any tube is built. For each kind and m, only the tubes at
-    the grid's first and last n are built (one tube when the n-range holds
-    one value), and the values between are read off a one-row window of
-    the last tube (_oracle_values).
+    both before any tube is built. For each kind and m, only the tube at
+    the grid's last n is built, and the values below it are read off a
+    one-row window of that tube (_oracle_values).
     """
     forms = _as_tuple(forms, "forms")
     for form in forms:
@@ -409,8 +426,8 @@ def verify_published_forms(
     The grid is checked (ranges and MAX_VERIFY_EDGES) before the fits build
     their sample tubes. Each fit builds its own samples, even where the grid
     holds them too: the 8 default sample tubes have at most 30 edges. Then
-    verify_forms builds, for each kind and m, the tubes at the grid's first
-    and last n only.
+    verify_forms builds, for each kind and m, the tube at the grid's last n
+    only.
     """
     selected = tuple(NanotubeKind) if kinds is None else _as_tuple(kinds, "kinds")
     _check_grid(selected, m_range, n_range)

@@ -122,8 +122,8 @@ class IndexValue(_Value):
     The exact value is held as _ratio, its (numerator, denominator) in lowest
     terms with a positive denominator, or None when the index has no exact
     value; reading exact makes the Fraction. An exact that is not None, an
-    int or a Fraction is refused with ValueError, and an int is read back as
-    a Fraction.
+    int or a Fraction, or an approx that is not a float, is refused with
+    ValueError, and an int is read back as a Fraction.
     """
 
     __slots__ = ("_ratio", "approx")
@@ -131,6 +131,8 @@ class IndexValue(_Value):
 
     def __init__(self, exact: Fraction | None, approx: float) -> None:
         ratio = None if exact is None else _exact_ratio(exact, "an exact index value")
+        if not isinstance(approx, float):
+            raise ValueError(f"approx must be a float (got {approx!r})")
         object.__setattr__(self, "_ratio", ratio)
         object.__setattr__(self, "approx", approx)
 

@@ -30,11 +30,12 @@ both kinds because ids are row-major, a larger n only appends rows at the
 high end, and each run of the rule depends on r only through r mod its
 stride: whether two vertices of rows present in both tubes are joined
 depends on their rows, columns and m alone, never on n. The verify
-oracle (polyhex.forms) relies on it to build two tubes per m, not one per
-grid point. As no edge joins ids more than one row (2m) apart, it reads
-every n between off a one-row window moving up the larger tube a row per n,
-after checking that the two vertex counts are whole rows apart and that
-the smaller tube's edges are the larger tube's edges below its count.
+oracle (polyhex.forms) relies on it to build one tube per m, the one at the
+grid's last n, not one per grid point. As no edge joins ids more than one
+row (2m) apart, it reads every n off a one-row window moving up that tube a
+row per n, after checking that the first n's vertex count is whole rows
+below the tube's and that the ids _edge_id_rows makes for the first n are
+the tube's edges below that count.
 
 Domain: m >= 2 and n >= 1 for both kinds. Zigzag m = 2 is accepted although
 it is not hexagonal: its rows are 4-cycles, so its girth is 4 (every other

@@ -902,12 +902,13 @@ class TestDeterminism:
     # branched on the kind and whose verify cached oracle values per point;
     # the verify-off-samples grid, from the implementation whose fits and grid
     # shared their oracle values, holds none of the default fit samples. The
-    # verify-two-n and verify-one-n grids hold two n values and one, where
-    # the oracle builds every grid tube and walks no edge; their digests are
+    # verify-two-n and verify-one-n grids hold two n values and one: the
+    # oracle reads the two-n grid's first n off a window of the one tube it
+    # builds per m, and walks no edge of the one-n grid's; their digests are
     # from the implementation that built one tube per grid point. The
-    # verify-wide-m grid reads ten of its twelve n per m off the last tube, at
-    # m up to 24; its digest is from the implementation that walked the last
-    # tube's edges one cut at a time.
+    # verify-wide-m grid reads eleven of its twelve n per m off a window of
+    # the last tube, at m up to 24; its digest is from the implementation
+    # that walked the last tube's edges one cut at a time.
     @pytest.mark.parametrize(
         "argv, exit_code, digest",
         [

@@ -337,10 +337,9 @@ class TestVerification:
             assert p.oracle == ORACLE_VALUES[kind, p.m, p.n]
             assert p.difference == p.claimed - p.oracle
 
-    # The oracle builds, per kind and m, the tubes at the grid's first and
-    # last n, in that order (one tube when they are equal), after each fit
-    # builds its own samples; every n between comes from the walk.
-    def test_builds_first_and_last_n_per_kind_and_m(self, monkeypatch):
+    # The oracle builds, per kind and m, the one tube at the grid's last n,
+    # after each fit builds its own samples; every n below comes from the walk.
+    def test_builds_the_last_n_per_kind_and_m(self, monkeypatch):
         built = []
 
         def counting_build(spec):
@@ -353,8 +352,7 @@ class TestVerification:
             built.clear()
             verify_published_forms((2, 9), n_range)
             assert built == fits + [
-                NanotubeSpec(kind, m, n)
-                for kind in NanotubeKind for m in range(2, 10) for n in dict.fromkeys(n_range)
+                NanotubeSpec(kind, m, n_range[1]) for kind in NanotubeKind for m in range(2, 10)
             ]
 
     # Every oracle value, read off a built tube or off the walk, equals the
@@ -373,21 +371,25 @@ class TestVerification:
                 vertex_count = 1 + max(map(max, edges))
                 assert p.oracle == oracles.azi_reference(vertex_count, edges)
 
-    # A two-n grid has no n between, so it starts no walk, whose set-up costs
-    # more than partitioning the last tube once; its values stay exact.
-    def test_two_n_grid_starts_no_walk(self, monkeypatch):
-        def no_walk(g, cuts):
-            raise AssertionError("a two-n grid started the walk")
+    # A two-n grid walks its one tube once, cutting at the first tube's
+    # vertex count and at its own; its values stay exact.
+    def test_two_n_grid_walks_its_tube_once(self, monkeypatch):
+        walks = []
 
-        monkeypatch.setattr(polyhex.forms, "_prefix_partitions", no_walk)
+        def recording_walk(g, cuts):
+            walks.append(list(cuts))
+            return _prefix_partitions(g, cuts)
+
+        monkeypatch.setattr(polyhex.forms, "_prefix_partitions", recording_walk)
         report = verify_forms(published_forms(), (2, 4), (6, 7))
+        assert [len(cuts) for cuts in walks] == [2] * 6  # per kind, one walk per m
         for check in report.checks:
             assert [(p.m, p.n) for p in check.points] == [(m, n) for m in (2, 3, 4) for n in (6, 7)]
             for p in check.points:
                 assert p.oracle == oracle_value(check.form.kind, p.m, p.n)
 
-    # With an n between, the walk runs on to the last tube's vertex count and
-    # stores its partition there, so azi of the last tube counts no edge again.
+    # The walk cuts once per n, the last at the tube's vertex count, where it
+    # stores the tube's partition, so azi of the tube counts no edge again.
     @pytest.mark.parametrize("kind", list(NanotubeKind))
     def test_last_tube_is_partitioned_once(self, monkeypatch, kind):
         built, walked = [], []
@@ -407,10 +409,10 @@ class TestVerification:
         # each value is the (numerator, denominator) pair of the oracle's Fraction
         assert [Fraction(*pair) for pair in values] == [oracle_value(kind, 3, n) for n in range(1, 6)]
         assert all(Fraction(*pair).as_integer_ratio() == pair for pair in values)
-        assert len(built) == 2 and len(walked) == 4
+        assert len(built) == 1 and len(walked) == 5
         assert edge_partition(built[-1]) is walked[-1]
 
-    # A two-n grid reads no n between, but its first tube is checked too.
+    # A two-n grid's first tube is checked against its last too.
     def test_oracle_refuses_a_last_tube_that_does_not_extend_the_first(self, monkeypatch):
         def build_missing_first_edge(spec):
             g = build_nanotube(spec)
@@ -470,6 +472,34 @@ class TestVerification:
             match=f"{kind.value} tube m=3, n=1 is not the subgraph of tube n=4 on its first",
         ):
             verify_forms([f for f in published_forms() if f.kind is kind], (3, 3), (1, 4))
+
+    # The first tube is never built: its ids come from the builder's rows, so
+    # rows that lose an edge or swap two ids are refused, before any window
+    # is read, against the one tube built.
+    @pytest.mark.parametrize("n_range", [(1, 2), (2, 5)], ids=["two-n", "four-n"])
+    @pytest.mark.parametrize("corruption", ["lose-an-edge", "swap-two-ids"])
+    def test_oracle_refuses_first_tube_rows_that_differ(self, monkeypatch, n_range, corruption):
+        def corrupt_first_rows(kind, m, n):
+            rows = [list(row) for row in polyhex.tubes._edge_id_rows(kind, m, n)]
+            if corruption == "lose-an-edge":
+                del rows[0][:2]
+            else:
+                rows[0][1], rows[0][3] = rows[0][3], rows[0][1]
+            return iter(rows)
+
+        def no_window(g, cuts):
+            raise AssertionError("window read past refused first-tube rows")
+
+        monkeypatch.setattr(polyhex.forms, "_edge_id_rows", corrupt_first_rows)
+        monkeypatch.setattr(polyhex.forms, "_prefix_partitions", no_window)
+        first, last = n_range
+        for kind in NanotubeKind:
+            with pytest.raises(
+                RuntimeError,
+                match=f"{kind.value} tube m=3, n={first} is not the subgraph of tube n={last} "
+                f"on its first {tube_vertex_count(NanotubeSpec(kind, 3, first))} vertices",
+            ):
+                verify_forms([f for f in published_forms() if f.kind is kind], (3, 3), n_range)
 
     def test_checks_for_filters_by_provenance(self):
         report = verify_published_forms((2, 2), (1, 2))

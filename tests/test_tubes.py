@@ -458,8 +458,8 @@ class TestStructure:
         a, b = build_nanotube(spec), build_nanotube(spec)
         assert (a.vertex_count, a.edges) == (b.vertex_count, b.edges)
 
-    # The verify oracle reads each tube between the grid's first and last n
-    # off the last one's edges (polyhex.forms._oracle_values).
+    # The verify oracle reads each tube below the grid's last n off that
+    # tube's edges (polyhex.forms._oracle_values).
     @given(st.sampled_from(KINDS), st.integers(2, 7), st.integers(1, 8), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
     def test_smaller_n_is_an_induced_prefix(self, kind, m, n, extra):

@@ -146,6 +146,36 @@ def test_exact_fields_refuse_what_is_not_an_int_or_fraction(cls, args):
         cls(*args)
 
 
+# Every other field is checked too, so a bad value is refused when it is
+# made, not when a later read trips over it.
+FORM = ClosedForm(*FORM_ARGS)
+POINT = PointCheck(*POINT_ARGS)
+
+
+@pytest.mark.parametrize("cls, args, message", [
+    (IndexValue, (None, "no"), "approx must be a float"),
+    (IndexValue, (Q, 1), "approx must be a float"),
+    (PointCheck, ("x", None, 1, 1, 0), "m and n must be ints"),
+    (PointCheck, (2, True, 1, 1, 0), "m and n must be ints"),
+    (FormCheck, (None, (POINT,)), "form must be a ClosedForm"),
+    (FormCheck, (FORM, 5), r"points must be a tuple of PointChecks \(got int\)"),
+    (FormCheck, (FORM, [POINT]), r"points must be a tuple of PointChecks \(got list\)"),
+    (FormCheck, (FORM, (POINT, None)), r"points must be a tuple of PointChecks \(got NoneType\)"),
+    (DiscrepancyReport, ((3, 2), (1, 2), ()), "empty range 3:2 for m"),
+    (DiscrepancyReport, ((2, 3), (0, 2), ()), "n must be >= 1"),
+    (DiscrepancyReport, ((2, 3), (1, 2), 7), r"checks must be a tuple of FormChecks \(got int\)"),
+    (DiscrepancyReport, ((2, 3), (1, 2), (FormCheck(FORM, ()), POINT)),
+     r"checks must be a tuple of FormChecks \(got PointCheck\)"),
+], ids=["IndexValue str approx", "IndexValue int approx", "PointCheck str m",
+        "PointCheck bool n", "FormCheck None form", "FormCheck int points",
+        "FormCheck list points", "FormCheck None point", "DiscrepancyReport empty m range",
+        "DiscrepancyReport n below 1", "DiscrepancyReport int checks",
+        "DiscrepancyReport point as check"])
+def test_other_fields_refuse_what_they_do_not_hold(cls, args, message):
+    with pytest.raises(ValueError, match=message):
+        cls(*args)
+
+
 def test_int_exact_fields_read_back_as_fractions():
     assert IndexValue(3, 3.0) == IndexValue(Fraction(3), 3.0)
     assert type(IndexValue(3, 3.0).exact) is Fraction
@@ -185,7 +215,7 @@ def lean_and_public():
         value = index_from_partition(EdgePartition(classes), f)
         yield pytest.param(value, IndexValue(value.exact, value.approx), id=f"exact {name}")
     # verify points of each kind, for a form that matches the oracle and one that does not;
-    # n = 1, 2 and 3 are read off the first tube, the last tube's window and the last tube
+    # n = 1 and 2 are read off the last tube's window, n = 3 off the last tube
     fitted = {NanotubeKind.ARMCHAIR: Fraction(807, 32), NanotubeKind.ZIGZAG: Fraction(295, 32)}
     forms = [form for form in published_forms() if form.provenance is Provenance.STATED]
     forms += [ClosedForm(kind, "azi", Fraction(2187, 64), b, Provenance.FITTED)
