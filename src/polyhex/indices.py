@@ -1,9 +1,11 @@
 """Degree-based topological indices as edge-function sums.
 
-Every index here has the shape sum over edges uv of f(d_u, d_v), and f
-depends only on the endpoint degree pair, so every index is summed one way:
-count * f(class) over the degree classes of an EdgePartition, whether the
-partition was read off a built graph or came from the tube count formulas.
+The index set is closed: AZI, RANDIC and ABC, registered by name in
+EDGE_FUNCTIONS, are the only edge functions, and no other can be passed in.
+Each has the shape sum over edges uv of f(d_u, d_v), and f depends only on
+the endpoint degree pair, so every index is summed one way: count * f(class)
+over the degree classes of an EdgePartition, whether the partition was read
+off a built graph or came from the tube count formulas.
 The augmented Zagreb index uses exact rational arithmetic end to end (its
 terms are rational, and exactness is what makes closed-form adjudication
 unambiguous): the sum is one integer numerator over one denominator, reduced
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 from collections.abc import Callable
 from fractions import Fraction
@@ -33,7 +34,6 @@ __all__ = [
     "ABC",
     "AZI",
     "EDGE_FUNCTIONS",
-    "EdgeFunction",
     "IndexValue",
     "RANDIC",
     "UndefinedTermError",
@@ -104,14 +104,12 @@ def abc_term(d_u: int, d_v: int) -> float:
     return math.ldexp(math.sqrt((num << 2 * k) / den), -k)
 
 
-def _is_exact_number(value: object) -> bool:
-    """The one rule for an exact number: an int (no bool or other subclass) or a Fraction."""
-    return type(value) is int or isinstance(value, Fraction)
-
-
 def _exact_ratio(value: object, what: str) -> tuple[int, int]:
-    """(numerator, denominator) of an exact number (_is_exact_number), else ValueError."""
-    if not _is_exact_number(value):
+    """(numerator, denominator) of an exact number, else ValueError.
+
+    The one rule for an exact number: an int (no bool or other subclass) or a Fraction.
+    """
+    if not (type(value) is int or isinstance(value, Fraction)):
         raise ValueError(f"{what} must be an int or a Fraction (got {value!r})")
     return value.numerator, value.denominator
 
@@ -148,7 +146,8 @@ _set_ratio, _set_approx = IndexValue._ratio.__set__, IndexValue.approx.__set__
 class EdgeFunction(_Value):
     """A symmetric per-edge term f(d_u, d_v) plus how to accumulate it.
 
-    An exact term returns an int or a Fraction (_is_exact_number).
+    Module-internal: its only instances are AZI, RANDIC and ABC, and copy,
+    deepcopy and pickle give back the same one.
     """
 
     # No __slots__: benchmarks/tracing.py finds .term in the instance __dict__.
@@ -156,12 +155,12 @@ class EdgeFunction(_Value):
 
     def __init__(self, name: str, term: Callable[[int, int], Fraction | float],
                  exact: bool) -> None:
-        if not (isinstance(name, str) and callable(term) and isinstance(exact, bool)):
-            raise ValueError("an EdgeFunction needs a str name, a callable term and a bool "
-                             f"exact (got {name!r}, {term!r}, {exact!r})")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "term", term)
         object.__setattr__(self, "exact", exact)
+
+    def __reduce__(self) -> str:  # the module global of that name
+        return self.name.upper()
 
 
 AZI = EdgeFunction("azi", azi_term, exact=True)
@@ -189,27 +188,25 @@ def abc(g: Graph) -> IndexValue:
 def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValue:
     """Sum count * f(d_min, d_max) over the partition's degree classes.
 
-    Exact edge functions accumulate one integer numerator over the running
-    lcm of the term denominators; the float approximation is num / den,
-    which int true division rounds correctly, and one gcd then reduces the
-    pair the IndexValue holds. The others sum with math.fsum in sorted
-    degree-class order, so the result is deterministic. A partition that is
-    not an EdgePartition, or an f that is not an EdgeFunction, raises
-    ValueError, and so does an exact f whose term is not an int or a
-    Fraction (_is_exact_number), another whose term is not a number, or a
-    value too large for a float.
+    f must be AZI, RANDIC or ABC itself (a copy or a pickle of one is the
+    same object); anything else, and a partition that is not an
+    EdgePartition, raises ValueError, as does a value too large for a float.
+    AZI's Fraction terms accumulate one integer numerator over the running
+    lcm of their denominators; the float approximation is num / den, which
+    int true division rounds correctly, and one gcd then reduces the pair
+    the IndexValue holds. RANDIC and ABC sum with math.fsum in sorted
+    degree-class order, so the result is deterministic.
     """
     if not isinstance(partition, EdgePartition):
         raise ValueError(f"partition must be an EdgePartition (got {type(partition).__name__})")
-    if not isinstance(f, EdgeFunction):
-        raise ValueError(f"f must be an EdgeFunction such as AZI (got {f!r})")
+    # by identity: a membership test would compare fields through _Value.__eq__
+    if f is not AZI and f is not RANDIC and f is not ABC:
+        raise ValueError(f"f must be AZI, RANDIC or ABC (got {f!r})")
     classes, term = partition.classes, f.term
     if f.exact:
         num, den = 0, 1
         for pair, count in classes.items():
-            if not _is_exact_number(q := term(*pair)):
-                raise ValueError(f"exact edge function {f.name!r} gave {q!r} at {pair}, "
-                                 "which is not an int or a Fraction")
+            q = term(*pair)
             term_num, term_den = q.numerator, q.denominator
             if den % term_den:  # else den is already a common multiple
                 lcm = math.lcm(den, term_den)
@@ -224,11 +221,7 @@ def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValu
     else:  # count * f(class) for each class, in the partition's sorted order
         try:
             ratio, approx = None, math.fsum(map(mul, classes.values(), starmap(term, classes)))
-        except (TypeError, OverflowError):
-            for pair in classes:
-                if not isinstance(q := term(*pair), numbers.Real):
-                    raise ValueError(f"edge function {f.name!r} gave {q!r} at {pair}, "
-                                     "which is not a number") from None
+        except OverflowError:
             raise ValueError(f"the {f.name} index is too large for a float") from None
     value = object.__new__(IndexValue)
     _set_ratio(value, ratio)

@@ -930,9 +930,19 @@ class TestDeterminism:
              "3add6b90d5b60890be109cbb6e6a1aee85d907e10591eef32b3738d09b5daf9a"),
             (("verify", "--kind", "both", "--m-range", "20:24", "--n-range", "1:12"), 1,
              "151d642eec5536704d49cf8312776bfcb8d50ca16d7540b5f9c8ae82554be30f"),
+            # The 2:40 x 1:40 headline grid reads 39 n per (kind, m) off a window
+            # of its last tube. It and the next two were pinned by the CI
+            # workflow alone before they joined this table.
+            (("verify", "--kind", "both", "--m-range", "2:40", "--n-range", "1:40"), 1,
+             "50a13916cc172de8d5dcc56e823a6c284e0607159293ae5ce57374e6f6c3a7d2"),
+            (("verify", "--kind", "both", "--m-range", "2:9", "--n-range", "3:8"), 1,
+             "ae8e01f63745fb295408ff7c83977c5efe7af3f983b0fc6c1b909d715182734e"),
+            (("verify", "--kind", "both", "--m-range", "20:24", "--n-range", "11:12"), 1,
+             "f5bc345b379bf1ba51629620b894e1c05411469d55a39c44a0160e225e13789f"),
         ],
         ids=["verify", "partition-armchair", "partition-zigzag", "fit-zigzag", "fit-armchair",
-             "verify-off-samples", "verify-two-n", "verify-one-n", "verify-wide-m"],
+             "verify-off-samples", "verify-two-n", "verify-one-n", "verify-wide-m",
+             "verify-headline", "verify-small", "verify-wide-m-two-n"],
     )
     def test_stdout_matches_pinned_digest(self, capsys, argv, exit_code, digest):
         code, out, _ = run_cli(capsys, *argv)
@@ -1034,6 +1044,26 @@ class TestDeterminism:
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
             "26216ad45b4b8d2198f2867ea3a7a0575f5b74b3b848f383d61e095e1fd49801"
         )
+
+    # SHA-256 of both kinds' CSV over the headline 2:200 x 1:200 grid (79,600
+    # rows) and a small one, pinned by the CI workflow alone before they
+    # joined this table.
+    @pytest.mark.parametrize(
+        "m_range, n_range, digest",
+        [
+            ("2:200", "1:200", "fda01edc46603eb90ac41ec1855315f4507cb25bc77031829bf56bb6723bf022"),
+            ("2:9", "1:8", "03968904c93ea89fd6b28c59f0a188710d61d0e21330d9fac7da396b113772c9"),
+        ],
+        ids=["headline", "small"],
+    )
+    def test_sweep_both_csv_matches_pinned_digest(self, capsys, tmp_path, m_range, n_range, digest):
+        out_path = tmp_path / "grid.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--kind", "both", "--m-range", m_range, "--n-range", n_range,
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 # Command-line ints: mostly small ones, then huge ones (10**20 and up), and

@@ -13,7 +13,7 @@ from polyhex import forms, graph, indices, tubes
 
 PUBLIC_NAMES = [
     "ABC", "AZI", "ClosedForm", "DEFAULT_FIT_SAMPLES", "DiscrepancyReport",
-    "DuplicateEdgeError", "EDGE_FUNCTIONS", "EdgeFunction", "EdgePartition",
+    "DuplicateEdgeError", "EDGE_FUNCTIONS", "EdgePartition",
     "FormCheck", "Graph", "GraphError", "GridTooLargeError",
     "InconsistentSamplesError", "IndexValue", "InvalidSpecError",
     "MAX_BUILD_EDGES", "MAX_VERIFY_EDGES", "NanotubeKind", "NanotubeSpec",
@@ -29,7 +29,7 @@ MODULES = (forms, graph, indices, tubes)
 
 
 def test_exports_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 47
     assert sorted(polyhex.__all__) == PUBLIC_NAMES
 
 

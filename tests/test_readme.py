@@ -97,7 +97,7 @@ ROWS = refusal_rows()
 def test_refusal_table_is_read_whole():
     text = README.read_text(encoding="utf-8")
     table = text[text.index("### Refusals"):]
-    assert len(ROWS) == len(re.findall(r"^\| `", table, re.M)) == 45
+    assert len(ROWS) == len(re.findall(r"^\| `", table, re.M)) == 39
 
 
 @pytest.mark.parametrize("call, raises", ROWS, ids=[call for call, _ in ROWS])

@@ -14,7 +14,6 @@ from polyhex import (
     RANDIC,
     ClosedForm,
     DiscrepancyReport,
-    EdgeFunction,
     EdgePartition,
     FormCheck,
     IndexValue,
@@ -22,12 +21,14 @@ from polyhex import (
     NanotubeSpec,
     PointCheck,
     Provenance,
+    azi_term,
     grid_tubes,
     index_from_partition,
     published_forms,
     tube_edge_partition,
     verify_forms,
 )
+from polyhex.indices import EdgeFunction
 
 Q = Fraction(3, 4)
 FORM_ARGS = (NanotubeKind.ARMCHAIR, "azi", Fraction(2187, 64), -4, Provenance.STATED)
@@ -53,8 +54,8 @@ CASES = {
     ),
     IndexValue: ((Q, 0.75), "IndexValue(exact=Fraction(3, 4), approx=0.75)"),
     EdgeFunction: (
-        ("azi", max, True),
-        "EdgeFunction(name='azi', term=<built-in function max>, exact=True)",
+        ("azi", azi_term, True),
+        f"EdgeFunction(name='azi', term={azi_term!r}, exact=True)",
     ),
     ClosedForm: (FORM_ARGS, FORM_REPR),
     PointCheck: (POINT_ARGS, POINT_REPR),
@@ -118,7 +119,8 @@ def test_repr(cls):
 
 @CLASSES
 def test_copies_equal_the_original(cls):
-    value = make(cls)
+    # an EdgeFunction copies and pickles as the registry object of its name
+    value = AZI if cls is EdgeFunction else make(cls)
     assert copy.copy(value) == value
     assert copy.deepcopy(value) == value
     assert pickle.loads(pickle.dumps(value)) == value
@@ -206,13 +208,9 @@ def lean_and_public():
     for f in (AZI, RANDIC):
         value = index_from_partition(partition, f)
         yield pytest.param(value, IndexValue(value.exact, value.approx), id=f.name)
-    # custom exact sums: -3/5 (from 4/15 less 13/15), and 2*(2/3) - 4*(1/3) = 0 over 3
-    for name, terms, classes in (
-        ("negative", {(2, 2): Fraction(2, 15), (2, 3): Fraction(-13, 60)}, {(2, 2): 2, (2, 3): 4}),
-        ("zero", {(2, 2): Fraction(2, 3), (2, 3): Fraction(-1, 3)}, {(2, 2): 2, (2, 3): 4}),
-    ):
-        f = EdgeFunction(name, lambda d_u, d_v, terms=terms: terms[d_u, d_v], exact=True)
-        value = index_from_partition(EdgePartition(classes), f)
+    # AZI sums over 64 that reduce: 8 * 27/8 + 64 * 729/64 = 756, and 0 with no edges
+    for name, classes in (("reduced", {(1, 3): 8, (3, 3): 64}), ("zero", {})):
+        value = index_from_partition(EdgePartition(classes), AZI)
         yield pytest.param(value, IndexValue(value.exact, value.approx), id=f"exact {name}")
     # verify points of each kind, for a form that matches the oracle and one that does not;
     # n = 1 and 2 are read off the last tube's window, n = 3 off the last tube
