@@ -162,6 +162,12 @@ class EdgeFunction(_Value):
     def __reduce__(self) -> str:  # the module global of that name
         return self.name.upper()
 
+    def __repr__(self) -> str:  # the term by name: a function's repr holds its address
+        term = getattr(self.term, "__qualname__", None)
+        if type(term) is not str:
+            term = repr(self.term)
+        return f"EdgeFunction(name={self.name!r}, term={term}, exact={self.exact!r})"
+
 
 AZI = EdgeFunction("azi", azi_term, exact=True)
 RANDIC = EdgeFunction("randic", randic_term, exact=False)

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import errno
 import gc
-import hashlib
 import io
 import json
 import os
@@ -43,10 +43,12 @@ from polyhex.cli import (
     _cell_slots,
     _exact_decimal,
     _write_report,
+    build_parser,
     main,
 )
 from polyhex.indices import EDGE_FUNCTIONS
 
+import golden
 import oracles
 
 
@@ -786,42 +788,9 @@ class TestNoFractionPerRowOrPoint:
         assert made[0] == made[1] > polyhex.indices.azi_term.cache_info().currsize
 
 
-# (kind, m, n, format, SHA-256 of build stdout), from the implementation whose
-# generators looped once per edge and whose JSON encoder was given lists.
-BUILD_DIGESTS = [
-    ("armchair", 5, 9, "json",
-     "fbae264555ae66c3acfdbdb3d8990e298bef8db2b798e73743acecd26d370f13"),
-    ("armchair", 5, 9, "dot",
-     "aee843d8f916357403ddfc31166cfa8ec7a654834fda61889273eb364a70949e"),
-    ("zigzag", 4, 7, "json",
-     "8c35883cae459d961f6e564f81b1eb0e52782dbca666ca2e8dd4448acf0bc34d"),
-    ("zigzag", 2, 3, "dot",
-     "43bebfb2ea17a3f8039e270587854b78df0874658a1fe33a6bc2cd28563dd747"),
-    # From the implementation that encoded the whole JSON document in
-    # one json.dumps call; each spans several 1,024-edge chunks.
-    ("armchair", 40, 30, "json",
-     "275787d8d5e585cdd54bca59df547dfcf3d825dd3001fa7773df7eb9a36af429"),
-    ("zigzag", 33, 31, "json",
-     "f8898646af1b86fb1f3bf295d3cb113dbffb835f4ef941f07f6379c88c655517"),
-    # From the implementation with one edge generator per kind; the
-    # smallest tubes, where each ring's runs are shortest.
-    ("armchair", 2, 1, "json",
-     "4342d538e7d134d2ca1c35a068d2ff5211c85745dd5036ac4019d4256f26de81"),
-    ("armchair", 2, 1, "dot",
-     "684ceb2934fec67c77844f1e2f9af5438e32f39d9134f1c582f93b48f2ad4bb3"),
-    ("zigzag", 2, 1, "json",
-     "310b5c9a3c4e1982593a04ec90b5f9adce4d754cfd748f68cff43cc17b9a0bc9"),
-    # From the implementation that called json.dumps once per 1,024
-    # edges and made each DOT line with an f-string.
-    ("armchair", 300, 300, "json",
-     "314e29239709dd80e8ffa128812c138e3e790aaa4c952975b45316c7c0577eca"),
-    ("zigzag", 300, 300, "json",
-     "9e5e547de9910eac90ca5f523cf4ba89d813eba5da0f148294173d4e8a971c94"),
-    ("armchair", 300, 300, "dot",
-     "2478589640af04e1359126ce1a85902b21b0afd82bcfdf3b4796f5ab570789cd"),
-    ("zigzag", 300, 300, "dot",
-     "6a2e4fbd3196cdd289e98d932edc627097e69d700e42c27a04faed443f2e9757"),
-]
+GOLDEN = {row.command: row for row in golden.ROWS}
+UNLIMITED_ROWS = [row for row in golden.ROWS if row.limit_mb is None]
+BUILD_ROWS = [row for row in UNLIMITED_ROWS if row.command.startswith("build --kind")]
 
 
 class TestDeterminism:
@@ -839,171 +808,40 @@ class TestDeterminism:
         assert run_process(*argv, "--out", str(csv_b)).returncode == 0
         assert csv_a.read_bytes() == csv_b.read_bytes()
 
-    # SHA-256 of outputs from the implementation before terms were memoized;
-    # two runs of one build cannot show a cached term that moved a digit.
-    def test_index_stdout_matches_pinned_digest(self, capsys):
-        code, out, _ = run_cli(capsys, "index", "--kind", "armchair", "--m", "5", "--n", "9")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "49f7b6fea106f58d0f7a3b22054b38e10afdd4e6a77073250782e65f91fe5154"
-        )
-
-    # SHA-256 of build stdout from the implementation whose generators looped
-    # once per edge and whose JSON encoder was given lists.
-    @pytest.mark.parametrize("kind, m, n, fmt, digest", BUILD_DIGESTS)
-    def test_build_stdout_matches_pinned_digest(self, capsys, kind, m, n, fmt, digest):
-        code, out, _ = run_cli(
-            capsys, "build", "--kind", kind, "--m", str(m), "--n", str(n), "--format", fmt,
-        )
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
     # `build` prints the pinned bytes with no Graph to build: it streams the
     # tube's sorted edges, while build_nanotube, verify and fit go through Graph.
-    @pytest.mark.parametrize("kind, m, n, fmt, digest", BUILD_DIGESTS)
-    def test_build_constructs_no_graph(self, capsys, monkeypatch, kind, m, n, fmt, digest):
+    @pytest.mark.parametrize("row", BUILD_ROWS,
+                             ids=lambda row: "-".join([*row.command.split()[2::2], row.digest]))
+    def test_build_constructs_no_graph(self, monkeypatch, tmp_path, row):
         def no_graph(graph, *args):
             raise AssertionError("build constructed a Graph")
 
         monkeypatch.setattr(polyhex.graph.Graph, "__init__", no_graph)
-        self.test_build_stdout_matches_pinned_digest(capsys, kind, m, n, fmt, digest)
+        assert golden.run_in_process(row, tmp_path) == []
 
-    # SHA-256 of index-subset CSVs from the implementation that held every
-    # row until the end; pins the blank cells of unselected indices.
-    @pytest.mark.parametrize(
-        "kind, indices, digest",
-        [
-            ("zigzag", "abc,azi",
-             "02b975db79d163ff9c077939b4d2429c0af9ffd467826d4ab546cab824fad119"),
-            ("armchair", "randic",
-             "7a641107775a8501cbe70a5384c1e5a401dc4c11d0557774b7d1e0aa1b018fc8"),
-            # From the implementation that wrote every cell through a %s slot
-            # and concatenated a tuple of cells per index.
-            ("both", "azi",
-             "4244f02e438d9a68d26788c1d4191195733d460fe2e2b4afa6422d8c2d49a148"),
-            ("both", "abc",
-             "07a9c45bf33e7690146cd5f22bd27403223d57ee94268b9929eef9466f74f1fd"),
-            ("both", "abc,randic",
-             "321c3483d48530fbd5cb9f8a5f6ec07fc5af278acb669a082c5c828300ab2968"),
-            ("both", "randic,azi",
-             "a98c3e881941db5dc64230ecf1e784b9ce219bbcbe827fc44939732da4d686bb"),
-        ],
-    )
-    def test_sweep_subset_csv_matches_pinned_digest(self, capsys, tmp_path, kind, indices, digest):
-        out_path = tmp_path / "subset.csv"
-        code, _, _ = run_cli(
-            capsys, "sweep", "--kind", kind, "--indices", indices,
-            "--m-range", "2:30", "--n-range", "1:30", "--out", str(out_path),
-        )
-        assert code == 0
-        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+    # Every row of tests/golden.py; a row with a limit runs only in a fresh
+    # process, where the limit can be set.
+    @pytest.mark.parametrize("row", UNLIMITED_ROWS,
+                             ids=lambda row: f"{row.command.split()[0]}-{row.digest[:8]}")
+    def test_pinned_output_in_process(self, tmp_path, row):
+        assert golden.run_in_process(row, tmp_path) == []
 
-    # SHA-256 of stdout from the implementation whose count functions each
-    # branched on the kind and whose verify cached oracle values per point;
-    # the verify-off-samples grid, from the implementation whose fits and grid
-    # shared their oracle values, holds none of the default fit samples. The
-    # verify-two-n and verify-one-n grids hold two n values and one: the
-    # oracle reads the two-n grid's first n off a window of the one tube it
-    # builds per m, and walks no edge of the one-n grid's; their digests are
-    # from the implementation that built one tube per grid point. The
-    # verify-wide-m grid reads eleven of its twelve n per m off a window of
-    # the last tube, at m up to 24; its digest is from the implementation
-    # that walked the last tube's edges one cut at a time.
-    @pytest.mark.parametrize(
-        "argv, exit_code, digest",
-        [
-            (("verify", "--kind", "both", "--m-range", "2:9", "--n-range", "1:8"), 1,
-             "09f9402415ad00d93b6c5f6d5e5d8cc2102be865ba815e7599e328ad8986797c"),
-            (("partition", "--kind", "armchair", "--m", "7", "--n", "5"), 0,
-             "68f34d0d1c27ede115db6348e9029c5184c5f218484c05185a9bee8a9bbe35d0"),
-            (("partition", "--kind", "zigzag", "--m", "7", "--n", "5"), 0,
-             "7562f23de02336ccf43171c0ec42a6b31a427fb8832f02d8c72de1b9e607ba98"),
-            (("fit", "--kind", "zigzag"), 0,
-             "e359c95ba0aff4c5f8b88b59a29a33a56800dcb717a58dc0d6b7f5c9794d59f1"),
-            (("fit", "--kind", "armchair", "--samples", "4,2", "5,3", "6,7"), 0,
-             "fd190427203c02902cf883295c9f7feaf39ef270f489163b3490cfb611033a42"),
-            (("verify", "--kind", "both", "--m-range", "5:9", "--n-range", "3:7"), 1,
-             "316e6735639943f83ec58aa8fd2cddd6bf47a89307c94cd4dd8626342965067c"),
-            (("verify", "--kind", "both", "--m-range", "2:9", "--n-range", "6:7"), 1,
-             "fb0ae419414d9a298b2f00b3069f8cf2d280987b5592577d80dd34e5d522c2ba"),
-            (("verify", "--kind", "both", "--m-range", "3:8", "--n-range", "4:4"), 1,
-             "3add6b90d5b60890be109cbb6e6a1aee85d907e10591eef32b3738d09b5daf9a"),
-            (("verify", "--kind", "both", "--m-range", "20:24", "--n-range", "1:12"), 1,
-             "151d642eec5536704d49cf8312776bfcb8d50ca16d7540b5f9c8ae82554be30f"),
-            # The 2:40 x 1:40 headline grid reads 39 n per (kind, m) off a window
-            # of its last tube. It and the next two were pinned by the CI
-            # workflow alone before they joined this table.
-            (("verify", "--kind", "both", "--m-range", "2:40", "--n-range", "1:40"), 1,
-             "50a13916cc172de8d5dcc56e823a6c284e0607159293ae5ce57374e6f6c3a7d2"),
-            (("verify", "--kind", "both", "--m-range", "2:9", "--n-range", "3:8"), 1,
-             "ae8e01f63745fb295408ff7c83977c5efe7af3f983b0fc6c1b909d715182734e"),
-            (("verify", "--kind", "both", "--m-range", "20:24", "--n-range", "11:12"), 1,
-             "f5bc345b379bf1ba51629620b894e1c05411469d55a39c44a0160e225e13789f"),
-        ],
-        ids=["verify", "partition-armchair", "partition-zigzag", "fit-zigzag", "fit-armchair",
-             "verify-off-samples", "verify-two-n", "verify-one-n", "verify-wide-m",
-             "verify-headline", "verify-small", "verify-wide-m-two-n"],
-    )
-    def test_stdout_matches_pinned_digest(self, capsys, argv, exit_code, digest):
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == exit_code
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    def test_pinned_outputs_in_fresh_processes(self, capsys):
+        small = GOLDEN["index --kind armchair --m 5 --n 9"]
+        refusal = GOLDEN[f"index --kind armchair --m {golden.HUGE} --n {golden.HUGE}"]
+        assert golden.main([small, refusal]) == 0
+        assert golden.main([small._replace(digest="0" * 64)]) == 1
+        assert f"FAIL {small.command}: SHA-256 {small.digest}" in capsys.readouterr().out
 
-    # SHA-256 of verify stdout from the implementation that encoded the whole
-    # report, every point a dict, with json.dumps(indent=2).
-    @pytest.mark.parametrize(
-        "kind, digest",
-        [
-            ("both", "280a3cc41ca5b5ee37f5cffcd8edd4e8c5708e8cb34bf2f13dd21533b83027ca"),
-            ("armchair", "6e3935aa65c7169387234e2be919de8396f30a61cec5198df18c92d341ed152a"),
-            ("zigzag", "7b5394587d4ddb0cf4c9385ec4a8dab87a300e98f5b29dc7cb6ce91db58ad9af"),
-        ],
-    )
-    def test_verify_stdout_matches_pinned_digest(self, capsys, kind, digest):
-        code, out, _ = run_cli(
-            capsys, "verify", "--kind", kind, "--m-range", "2:26", "--n-range", "1:25",
-        )
-        assert code == 1
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    # SHA-256 of --help stdout at 80 columns, and of single-index stdout, from
-    # the implementation whose parsers spelled out every kind and index name
-    # and whose index and sweep commands each formatted index values; the
-    # help digests are the same on Python 3.10, 3.11, 3.12 and 3.13.
-    @pytest.mark.parametrize(
-        "command, digest",
-        [
-            ((), "414fa8c6a66a79f2d944252ce2024e0201931f8cf97be0831e58862e0209d3ee"),
-            (("build",), "1b89c2fd018b25363ffc77b1773240361e0b572c9717f51725d2bc60f6ff75a4"),
-            (("partition",), "8bb779adc82e122b403184c01d4c806a5124c8053f116be6016a8d84089445a6"),
-            (("index",), "7284da3da4fb0783efd0204d350919244b702979a2038b08124a5bc3761256b4"),
-            (("fit",), "27aad7ac8b0f653fc2272cf8579660f5e7017cce4c0472470d517a91c0d8a901"),
-            (("verify",), "d3a5c959a02368a0541f5a5b77d629edf8af119c6ed2d779653b1719dfc6aea0"),
-            (("sweep",), "2cf55d96d031743d9db17561aee2ed893a14a74d73728ff9d434687b2fff4b6b"),
-        ],
-        ids=["polyhex", "build", "partition", "index", "fit", "verify", "sweep"],
-    )
-    def test_help_matches_pinned_digest(self, capsys, monkeypatch, command, digest):
-        monkeypatch.setenv("COLUMNS", "80")
-        with pytest.raises(SystemExit) as excinfo:
-            main([*command, "--help"])
-        assert excinfo.value.code == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
-    @pytest.mark.parametrize(
-        "index, digest",
-        [
-            ("azi", "a972ba480706cbed51152aaabc6a03da7902b9e4306ca88ecd70109ca17ee8a1"),
-            ("randic", "b72138551c1a5e791c1bef29e7eec84403f8071e39575029d08ba75c6d494081"),
-            ("abc", "29a1dfb05eb38b875d96332089f20accdd2c551abb209272b9265c4af62488e1"),
-        ],
-    )
-    def test_single_index_matches_pinned_digest(self, capsys, index, digest):
-        code, out, _ = run_cli(
-            capsys, "index", "--kind", "zigzag", "--m", "3", "--n", "4", "--index", index,
-        )
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    def test_pinned_outputs_cover_every_subcommand_once_per_argv(self):
+        argvs = [tuple(row.command.split()) for row in golden.ROWS]
+        assert len(set(argvs)) == len(argvs)
+        assert ("--help",) in argvs
+        (subparsers,) = [action for action in build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        for command in subparsers.choices:
+            assert (command, "--help") in argvs
+            assert sum(argv[0] == command for argv in argvs) > 1, f"{command} has only --help"
 
     # The last stderr line of each refusal, from the implementation with one
     # argument parser per separator.
@@ -1034,36 +872,6 @@ class TestDeterminism:
         assert code == 2
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == message
-
-    def test_sweep_csv_matches_pinned_digest(self, capsys, tmp_path):
-        out_path = tmp_path / "grid.csv"
-        code, _, _ = run_cli(
-            capsys, "sweep", "--m-range", "2:12", "--n-range", "1:12", "--out", str(out_path),
-        )
-        assert code == 0
-        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
-            "26216ad45b4b8d2198f2867ea3a7a0575f5b74b3b848f383d61e095e1fd49801"
-        )
-
-    # SHA-256 of both kinds' CSV over the headline 2:200 x 1:200 grid (79,600
-    # rows) and a small one, pinned by the CI workflow alone before they
-    # joined this table.
-    @pytest.mark.parametrize(
-        "m_range, n_range, digest",
-        [
-            ("2:200", "1:200", "fda01edc46603eb90ac41ec1855315f4507cb25bc77031829bf56bb6723bf022"),
-            ("2:9", "1:8", "03968904c93ea89fd6b28c59f0a188710d61d0e21330d9fac7da396b113772c9"),
-        ],
-        ids=["headline", "small"],
-    )
-    def test_sweep_both_csv_matches_pinned_digest(self, capsys, tmp_path, m_range, n_range, digest):
-        out_path = tmp_path / "grid.csv"
-        code, _, _ = run_cli(
-            capsys, "sweep", "--kind", "both", "--m-range", m_range, "--n-range", n_range,
-            "--out", str(out_path),
-        )
-        assert code == 0
-        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 # Command-line ints: mostly small ones, then huge ones (10**20 and up), and

@@ -324,8 +324,14 @@ class TestPartitionEvaluation:
     )
     def test_lookalike_edge_function_refused(self, lookalike):
         part = EdgePartition({(2, 2): 10, (2, 3): 20})
-        with pytest.raises(ValueError, match=r"f must be AZI, RANDIC or ABC \(got EdgeFunction\("):
+        refusal = r"f must be AZI, RANDIC or ABC \(got EdgeFunction\("
+        with pytest.raises(ValueError, match=refusal) as excinfo:
             index_from_partition(part, lookalike)
+        assert "0x" not in str(excinfo.value)  # the same message in every run
+
+    # The term prints by name, not by the address of its cache wrapper.
+    def test_repr_is_the_same_in_every_run(self):
+        assert repr(AZI) == "EdgeFunction(name='azi', term=azi_term, exact=True)"
 
     # copy, deepcopy and pickle give back the registry object itself, which
     # index_from_partition accepts.

@@ -55,7 +55,7 @@ CASES = {
     IndexValue: ((Q, 0.75), "IndexValue(exact=Fraction(3, 4), approx=0.75)"),
     EdgeFunction: (
         ("azi", azi_term, True),
-        f"EdgeFunction(name='azi', term={azi_term!r}, exact=True)",
+        "EdgeFunction(name='azi', term=azi_term, exact=True)",
     ),
     ClosedForm: (FORM_ARGS, FORM_REPR),
     PointCheck: (POINT_ARGS, POINT_REPR),
