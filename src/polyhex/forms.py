@@ -12,19 +12,16 @@ reports every variant against the oracle point by point.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import chain, compress
-from math import gcd
+from itertools import chain, compress, repeat
+from math import gcd, lcm
+from operator import add, gt, mul, not_
 
-from .graph import _prefix_partitions, _Value
-from .indices import (
-    AZI,
-    EDGE_FUNCTIONS,
-    _exact_ratio,
-    azi,
-    index_from_partition,
-)
+from .graph import Graph, _degree_codes, _partition_from_codes, _Value
+from .indices import EDGE_FUNCTIONS, _exact_ratio, azi, azi_term
 from .tubes import (
     InvalidSpecError,
     NanotubeKind,
@@ -58,18 +55,17 @@ __all__ = [
 ]
 
 
-# Most edges one verification grid, or the samples of one fit, may have,
-# summed over its tubes (grid_edge_count, in O(1)), however few of them the
-# oracle builds. Every tube of a large grid or a long sample list passes
-# build_nanotube's per-tube cap, so only this bound keeps such a call from
-# running for hours. The oracle builds one tube per kind and m, at the last
-# n, so the slowest grids per edge hold one or two n values, where that tube
-# holds all or half of the grid's edges: verify --kind both on 2:80 x 39:40
-# (1,574,154 edges) took 0.66 to 0.81 s and on 2:80 x 40:40 (796,794 edges)
-# 0.29 to 0.45 s, 1.8 to 2.8 million edges per second, so this allows 7 to
-# 11 s. With many n values each n costs about a row's edges: 2:26 x 1:25
-# (735,000 edges) took 0.07 to 0.12 s (each the best of 7 runs of cli.main
-# in one process, ten processes; 2-CPU Xeon VM, Python 3.11.7).
+# Most edges one verification grid, or one fit's samples, may have, summed
+# over its tubes (grid_edge_count, O(1)) however few the oracle builds: each
+# tube passes build_nanotube's cap, so only this bound keeps a large grid
+# or sample list from running for hours. The oracle builds one tube per kind
+# and m, at the last n, so the slowest grids per edge hold one or two n,
+# where that tube holds all or half of the grid's edges: verify --kind both
+# on 2:80 x 39:40 (1,574,154 edges) took 0.47 to 0.56 s and on 2:80 x 40:40
+# (796,794 edges) 0.26 to 0.35 s, 2.3 to 3.4 million edges per second, so
+# this allows 6 to 9 s. Each further n costs about a row's edges: 2:26 x
+# 1:25 (735,000 edges) took 0.055 to 0.063 s (each the best of 7 runs of
+# cli.main in one process, ten processes; 2-CPU Xeon VM, Python 3.11.7).
 MAX_VERIFY_EDGES = 20_000_000
 
 
@@ -332,35 +328,84 @@ def _check_grid(
     return validate_ranges(m_range, n_range)
 
 
-def _oracle_values(kind: NanotubeKind, m: int, ns: range) -> list[tuple[int, int]]:
-    """Brute-force AZI of tube (kind, m, n) for each n in ns, from one build.
+class _AziTerms(dict):
+    """Each _degree_codes code's AZI term as a numerator over den, which each (d_u + d_v - 2)**3
+    of degrees below base divides; read once from azi_term, so (1, 1) raises UndefinedTermError."""
 
-    Each value is the (numerator, denominator) pair, in lowest terms, that
-    its IndexValue holds (IndexValue._ratio). Only g = tube (m, ns[-1]) is
-    built, and azi is called on g alone. Each n adds one row, so g's vertex
-    count must be len(ns) - 1 equal steps past the first tube's, and by the
-    prefix property (polyhex.tubes) each tube is g's subgraph induced on the
-    vertices below its step. Both are checked exactly first: the ids that
-    build_nanotube would give the first tube (_edge_id_rows) must be g's
-    edges whose larger endpoint is below its vertex count, so they pass
-    every check Graph makes. Then each n is read off a one-row window of g
-    (_prefix_partitions) at its step; the last cut stores g's partition,
-    which azi(g) reads.
+    def __init__(self, base: int) -> None:
+        self.base, self.den = base, lcm(*range(1, 2 * base - 3)) ** 3
+
+    def __missing__(self, code: int) -> int:
+        q = azi_term(*divmod(code, self.base))
+        self[code] = term = q.numerator * (self.den // q.denominator)
+        return term
+
+
+def _walk_rows(g: Graph, cuts: range) -> list[tuple[int, int]]:
+    """Exact AZI, as IndexValue._ratio, of g's subgraph on vertices 0..c-1 for each cut c.
+
+    The cuts end at g.vertex_count and split the vertices into rows of
+    cuts.step, and an edge that ends past the row after its own is refused
+    with RuntimeError before any value is read. Each row's edges are a slice
+    of g._ids. An edge that ends below a cut's row keeps its code in g
+    (_degree_codes) and is counted once; each cut sums again only its band,
+    the edges from the row before into its row and its row's edges that stay
+    in it, with its row's vertices lowered by their edges to the next row.
+    The last count, of every edge, is stored on g as edge_partition stores it.
+    """
+    lows, highs, step = g._ids[::2], g._ids[1::2], cuts.step
+    tops = range(cuts[0] % step, cuts.stop, step)  # each row ends below its top
+    starts = [0, *map(bisect_left, repeat(lows), tops)]  # row i's edges: starts[i]..starts[i+1]
+    if any(max(highs[a:b], default=t) >= t + step for a, b, t in zip(starts, starts[1:], tops)):
+        raise RuntimeError(f"{g!r} has an edge longer than a row of {step} vertices")
+    degrees = g._degrees.copy()  # this row's are lowered for each band, then restored
+    terms = _AziTerms(base := max(degrees, default=0) + 1)
+    scaled = [d * base for d in degrees]
+    i = max(cuts[0] // step - 1, 0)  # the row before the first cut's, if there is one
+    counts = Counter(_degree_codes(lows[: starts[i]], highs[: starts[i]], scaled, degrees))
+    values, reach_us, reach_vs = [], [], []
+    for top, start, end in zip(tops[i:], starts[i:], starts[i + 1 :]):
+        us, vs = lows[start:end], highs[start:end]
+        inside = [*map(gt, repeat(top), vs)]
+        band_us, band_vs = reach_us + [*compress(us, inside)], reach_vs + [*compress(vs, inside)]
+        reach_us, reach_vs = [*compress(us, map(not_, inside))], [*compress(vs, map(not_, inside))]
+        if top >= cuts[0]:
+            for u in reach_us:
+                degrees[u] -= 1
+            num = sum(map(mul, counts.values(), map(terms.__getitem__, counts)))
+            u_parts = map(mul, map(degrees.__getitem__, band_us), repeat(base))
+            num += sum(map(terms.__getitem__, map(add, u_parts, map(degrees.__getitem__, band_vs))))
+            for u in reach_us:
+                degrees[u] += 1
+            values.append((num // (divisor := gcd(num, terms.den)), terms.den // divisor))
+        counts.update(_degree_codes(band_us, band_vs, scaled, degrees))
+    g._partition = _partition_from_codes(counts, base)
+    return values
+
+
+def _oracle_values(kind: NanotubeKind, m: int, ns: range) -> list[tuple[int, int]]:
+    """Brute-force AZI of tube (kind, m, n), as IndexValue._ratio, for each n in ns.
+
+    Only g = tube (m, ns[-1]) is built. Each tube is g's subgraph on its first
+    vertices, a row more per n (the prefix property, polyhex.tubes), so g's
+    vertex count must be len(ns) - 1 equal steps past the first tube's, and
+    g's edges below that are the builder's ids for the first tube
+    (_edge_id_rows), which pass every check Graph makes. _walk_rows reads each
+    n off g, storing the partition that azi(g) reads.
     """
     g = build_nanotube(NanotubeSpec(kind, m, ns[-1]))
     if len(ns) == 1:
         return [azi(g)._ratio]
     first = tube_vertex_count(NanotubeSpec(kind, m, ns[0]))
     step, uneven = divmod(g.vertex_count - first, len(ns) - 1)
-    ids = g._ids  # flat, u0, v0, u1, v1, ...: an edge is kept when v is below first
+    ids = g._ids[: 2 * bisect_left(g._ids[::2], first)]  # u0, v0, ... of the edges from below first
     kept = chain.from_iterable(compress(zip(ids[::2], ids[1::2]), map(first.__gt__, ids[1::2])))
     if uneven or step < 1 or [*chain.from_iterable(_edge_id_rows(kind, m, ns[0]))] != [*kept]:
         raise RuntimeError(
             f"{kind.value} tube m={m}, n={ns[0]} is not the subgraph of tube n={ns[-1]} "
             f"on its first {first} vertices, a row per n below its {g.vertex_count}"
         )
-    *below, _ = _prefix_partitions(g, range(first, g.vertex_count + 1, step))
-    return [*(index_from_partition(p, AZI)._ratio for p in below), azi(g)._ratio]
+    return [*_walk_rows(g, range(first, g.vertex_count + 1, step))[:-1], azi(g)._ratio]
 
 
 def verify_forms(
@@ -373,8 +418,8 @@ def verify_forms(
     ClosedForm is refused with ValueError, and a grid whose tubes would
     together have more than MAX_VERIFY_EDGES edges with GridTooLargeError,
     both before any tube is built. For each kind and m, only the tube at
-    the grid's last n is built, and the values below it are read off a
-    one-row window of that tube (_oracle_values).
+    the grid's last n is built, and the values below it are read off its
+    rows, one row per n (_oracle_values).
     """
     forms = _as_tuple(forms, "forms")
     for form in forms:
@@ -427,7 +472,7 @@ def verify_published_forms(
     their sample tubes. Each fit builds its own samples, even where the grid
     holds them too: the 8 default sample tubes have at most 30 edges. Then
     verify_forms builds, for each kind and m, the tube at the grid's last n
-    only.
+    only, and walks its rows for the n below.
     """
     selected = tuple(NanotubeKind) if kinds is None else _as_tuple(kinds, "kinds")
     _check_grid(selected, m_range, n_range)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import accumulate, chain, islice, repeat
-from operator import add, sub
+from itertools import chain, islice
+from operator import add
 from types import MappingProxyType
 
 Edge = tuple[int, int]
@@ -274,49 +274,3 @@ def edge_partition(g: Graph) -> EdgePartition:
         us, vs = islice(g._ids, 0, None, 2), islice(g._ids, 1, None, 2)
         g._partition = _partition_from_codes(Counter(_degree_codes(us, vs, scaled, degrees)), base)
     return g._partition
-
-
-def _prefix_partitions(g: Graph, cuts: Sequence[int]) -> Iterator[EdgePartition]:
-    """Edge partition of g's subgraph induced on vertices 0..c-1, for each cut c.
-
-    The cuts must not decrease and lie in 0..g.vertex_count. No edge joins ids
-    more than span apart, so a vertex below c - span has all of its neighbours
-    below c, and an edge whose larger endpoint is below c - span has the
-    _degree_codes code it has in g. Such settled edges go into one running
-    count as the cuts pass them. At each cut only the band of edges whose
-    larger endpoint is in c - span .. c-1 is counted again, onto a copy of that
-    count, with each vertex that has an edge reaching c or beyond lowered by
-    those edges. For a tube the span is one row, so a cut costs a row's edges,
-    not the edges below it. A cut at g.vertex_count gives g's partition, stored
-    on g as edge_partition stores it unless g has one.
-    """
-    lows, highs = g._ids[::2], g._ids[1::2]
-    span = max(map(sub, highs, lows), default=0)
-    # below[c] is the number of edges whose larger endpoint is below c
-    per_high = Counter(highs)
-    below = list(accumulate(map(per_high.get, range(g.vertex_count), repeat(0)), initial=0))
-    # each edge's two ends, in order of its larger endpoint (a stable sort)
-    order = sorted(range(len(highs)), key=highs.__getitem__)
-    lows, highs = list(map(lows.__getitem__, order)), list(map(highs.__getitem__, order))
-    degrees = g._degrees.copy()
-    base = max(degrees, default=0) + 1
-    scaled = [d * base for d in degrees]
-    settled: Counter[int] = Counter()
-    done = 0
-    for cut in cuts:
-        low, top = below[max(cut - span, 0)], below[cut]
-        settled.update(_degree_codes(lows[done:low], highs[done:low], scaled, degrees))
-        done = low
-        reaching = [u for u in lows[top : below[min(cut + span, g.vertex_count)]] if u < cut]
-        for u in reaching:
-            degrees[u] -= 1
-            scaled[u] -= base
-        codes = settled.copy()
-        codes.update(_degree_codes(lows[low:top], highs[low:top], scaled, degrees))
-        for u in reaching:
-            degrees[u] += 1
-            scaled[u] += base
-        partition = _partition_from_codes(codes, base)
-        if cut == g.vertex_count and g._partition is None:
-            g._partition = partition
-        yield partition

@@ -32,10 +32,9 @@ stride: whether two vertices of rows present in both tubes are joined
 depends on their rows, columns and m alone, never on n. The verify
 oracle (polyhex.forms) relies on it to build one tube per m, the one at the
 grid's last n, not one per grid point. As no edge joins ids more than one
-row (2m) apart, it reads every n off a one-row window moving up that tube a
-row per n, after checking that the first n's vertex count is whole rows
-below the tube's and that the ids _edge_id_rows makes for the first n are
-the tube's edges below that count.
+row (2m) apart, it reads every n off that tube a row at a time, once the
+first n's vertex count is checked to be whole rows below the tube's and the
+ids _edge_id_rows makes for the first n to be the tube's edges below it.
 
 Domain: m >= 2 and n >= 1 for both kinds. Zigzag m = 2 is accepted although
 it is not hexagonal: its rows are 4-cycles, so its girth is 4 (every other

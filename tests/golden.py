@@ -96,14 +96,16 @@ ROWS = [
         "2478589640af04e1359126ce1a85902b21b0afd82bcfdf3b4796f5ab570789cd"),
     Row("build --kind zigzag --m 300 --n 300 --format dot", 0,
         "6a2e4fbd3196cdd289e98d932edc627097e69d700e42c27a04faed443f2e9757"),
-    # Near MAX_BUILD_EDGES, `build` streams in 400 MB. Taken with no limit:
-    # armchair from the first implementation that streamed `build` from one
-    # sorted edge generator, zigzag from one that sized tubes by the sums of
-    # its degree-class counts.
+    # Near MAX_BUILD_EDGES, `build` streams in 200 MB, where build_nanotube of
+    # either tube raises MemoryError; both commands also pass in 150 MB, on
+    # Python 3.10, 3.11, 3.12 and 3.13. Taken with no limit: armchair from the
+    # first implementation that streamed `build` from one sorted edge
+    # generator, zigzag from one that sized tubes by the sums of its
+    # degree-class counts.
     Row("build --kind armchair --m 1000 --n 1500", 0,
-        "cf23e959050ceed2c8f782ab0093d6d4986fe6274bdc2b858718e835bc4c6aa4", 400),
+        "cf23e959050ceed2c8f782ab0093d6d4986fe6274bdc2b858718e835bc4c6aa4", 200),
     Row("build --kind zigzag --m 1000 --n 1500", 0,
-        "264b302fa815fe0b8d6cbb4e017a4eeda7db82dc023ec1408f0b4229efd217c3", 400),
+        "264b302fa815fe0b8d6cbb4e017a4eeda7db82dc023ec1408f0b4229efd217c3", 200),
     # From the implementation whose count functions each branched on the kind
     # and whose verify cached oracle values per point.
     Row("partition --kind armchair --m 7 --n 5", 0,
@@ -120,17 +122,17 @@ ROWS = [
     Row("verify --kind both --m-range 5:9 --n-range 3:7", 1,
         "316e6735639943f83ec58aa8fd2cddd6bf47a89307c94cd4dd8626342965067c"),
     # Two n and one: the oracle builds one tube per m and reads an earlier n
-    # off a window of it. From the implementation that built one per point.
+    # off its rows. From the implementation that built one per point.
     Row("verify --kind both --m-range 2:9 --n-range 6:7", 1,
         "fb0ae419414d9a298b2f00b3069f8cf2d280987b5592577d80dd34e5d522c2ba"),
     Row("verify --kind both --m-range 3:8 --n-range 4:4", 1,
         "3add6b90d5b60890be109cbb6e6a1aee85d907e10591eef32b3738d09b5daf9a"),
-    # Reads eleven of its twelve n per m off a window of the last tube, at m
-    # up to 24; from the implementation that walked the last tube's edges one
-    # cut at a time.
+    # Reads eleven of its twelve n per m off the last tube's rows, at m up to
+    # 24; from the implementation that walked the last tube's edges one cut at
+    # a time.
     Row("verify --kind both --m-range 20:24 --n-range 1:12", 1,
         "151d642eec5536704d49cf8312776bfcb8d50ca16d7540b5f9c8ae82554be30f"),
-    # The 2:40 x 1:40 headline grid reads 39 n per (kind, m) off a window of
+    # The 2:40 x 1:40 headline grid reads 39 n per (kind, m) off the rows of
     # its last tube; from the implementation before the oracle partitioned
     # each last tube once.
     Row("verify --kind both --m-range 2:40 --n-range 1:40", 1,
@@ -141,6 +143,11 @@ ROWS = [
         "ae8e01f63745fb295408ff7c83977c5efe7af3f983b0fc6c1b909d715182734e"),
     Row("verify --kind both --m-range 20:24 --n-range 11:12", 1,
         "f5bc345b379bf1ba51629620b894e1c05411469d55a39c44a0160e225e13789f"),
+    # The two-n grid that MAX_VERIFY_EDGES is timed on: 1,574,154 edges, nearly
+    # all settled below the first n's rows. From the implementation that
+    # sorted each last tube's edges by larger endpoint before walking it.
+    Row("verify --kind both --m-range 2:80 --n-range 39:40", 1,
+        "fc7f7f5fa8858d7e064b49832c22a1710f82a716185dddeed1b27e2d96eeaa65"),
     # From the implementation that encoded the whole report, every point a
     # dict, with json.dumps(indent=2).
     Row("verify --kind both --m-range 2:26 --n-range 1:25", 1,

@@ -38,7 +38,6 @@ from polyhex import (
     verify_forms,
     verify_published_forms,
 )
-from polyhex.graph import _prefix_partitions
 
 import oracles
 import test_acceptance
@@ -371,16 +370,33 @@ class TestVerification:
                 vertex_count = 1 + max(map(max, edges))
                 assert p.oracle == oracles.azi_reference(vertex_count, edges)
 
+    # The oracle's values for any grid of n values in 1..12 at m in 2..9.
+    @given(
+        st.sampled_from(list(NanotubeKind)), st.integers(2, 9),
+        st.integers(1, 12).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 12))),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_walked_value_matches_the_loop_reference(self, kind, m, n_range):
+        references = {
+            NanotubeKind.ARMCHAIR: oracles.armchair_edges_reference,
+            NanotubeKind.ZIGZAG: oracles.zigzag_edges_reference,
+        }
+        ns = range(n_range[0], n_range[1] + 1)
+        for n, pair in zip(ns, polyhex.forms._oracle_values(kind, m, ns), strict=True):
+            edges = references[kind](m, n)
+            assert Fraction(*pair) == oracles.azi_reference(1 + max(map(max, edges)), edges)
+
     # A two-n grid walks its one tube once, cutting at the first tube's
     # vertex count and at its own; its values stay exact.
     def test_two_n_grid_walks_its_tube_once(self, monkeypatch):
         walks = []
+        walk_rows = polyhex.forms._walk_rows
 
         def recording_walk(g, cuts):
-            walks.append(list(cuts))
-            return _prefix_partitions(g, cuts)
+            walks.append(cuts)
+            return walk_rows(g, cuts)
 
-        monkeypatch.setattr(polyhex.forms, "_prefix_partitions", recording_walk)
+        monkeypatch.setattr(polyhex.forms, "_walk_rows", recording_walk)
         report = verify_forms(published_forms(), (2, 4), (6, 7))
         assert [len(cuts) for cuts in walks] == [2] * 6  # per kind, one walk per m
         for check in report.checks:
@@ -393,24 +409,46 @@ class TestVerification:
     @pytest.mark.parametrize("kind", list(NanotubeKind))
     def test_last_tube_is_partitioned_once(self, monkeypatch, kind):
         built, walked = [], []
+        walk_rows = polyhex.forms._walk_rows
 
         def recording_build(spec):
             built.append(build_nanotube(spec))
             return built[-1]
 
         def recording_walk(g, cuts):
-            for partition in _prefix_partitions(g, cuts):
-                walked.append(partition)
-                yield partition
+            walked.append((cuts, walk_rows(g, cuts), g._partition))
+            return walked[-1][1]
 
         monkeypatch.setattr(polyhex.forms, "build_nanotube", recording_build)
-        monkeypatch.setattr(polyhex.forms, "_prefix_partitions", recording_walk)
+        monkeypatch.setattr(polyhex.forms, "_walk_rows", recording_walk)
         values = polyhex.forms._oracle_values(kind, 3, range(1, 6))
         # each value is the (numerator, denominator) pair of the oracle's Fraction
         assert [Fraction(*pair) for pair in values] == [oracle_value(kind, 3, n) for n in range(1, 6)]
         assert all(Fraction(*pair).as_integer_ratio() == pair for pair in values)
-        assert len(built) == 1 and len(walked) == 5
-        assert edge_partition(built[-1]) is walked[-1]
+        [(cuts, walked_values, stored)] = walked
+        assert len(built) == 1 and cuts[-1] == built[-1].vertex_count and len(cuts) == 5
+        assert walked_values == values
+        assert edge_partition(built[-1]) is stored
+        assert stored == edge_partition(Graph(built[-1].vertex_count, built[-1].edges))
+
+    # An edge that reaches past the next row would be missed by every band,
+    # so the walk refuses it, whether it starts in a row the walk steps
+    # through or below them all, before any value is read or partition stored.
+    @pytest.mark.parametrize("starts_in", ["a-row", "the-first-rows"])
+    @pytest.mark.parametrize("kind", list(NanotubeKind))
+    def test_oracle_refuses_an_edge_longer_than_a_row(self, monkeypatch, kind, starts_in):
+        built = []
+
+        def build_with_long_edge(spec):
+            g = build_nanotube(spec)
+            u = tube_vertex_count(NanotubeSpec(kind, 3, 2)) - 1 if starts_in == "a-row" else 0
+            built.append(Graph(g.vertex_count, [*g.edges, (u, g.vertex_count - 1)]))
+            return built[-1]
+
+        monkeypatch.setattr(polyhex.forms, "build_nanotube", build_with_long_edge)
+        with pytest.raises(RuntimeError, match="has an edge longer than a row of 6 vertices$"):
+            verify_forms([f for f in published_forms() if f.kind is kind], (3, 3), (2, 5))
+        assert built[-1]._partition is None
 
     # A two-n grid's first tube is checked against its last too.
     def test_oracle_refuses_a_last_tube_that_does_not_extend_the_first(self, monkeypatch):
@@ -425,7 +463,7 @@ class TestVerification:
 
     # The cuts step one row per n from the first tube's vertex count to the
     # last's, so a last tube one vertex too large (uneven steps) or as large
-    # as the first (no step) is refused before any window is read, although
+    # as the first (no step) is refused before any row is walked, although
     # its edges below the first tube's vertex count are the first tube's.
     @pytest.mark.parametrize(
         "n_range, built_n, extra_vertices", [((1, 3), 3, 1), ((1, 2), 1, 0)],
@@ -440,11 +478,11 @@ class TestVerification:
             g = build_nanotube(NanotubeSpec(spec.kind, spec.m, built_n))
             return Graph(g.vertex_count + extra_vertices, g.edges)
 
-        def no_window(g, cuts):
-            raise AssertionError("window read past a refused last tube")
+        def no_walk(g, cuts):
+            raise AssertionError("rows walked past a refused last tube")
 
         monkeypatch.setattr(polyhex.forms, "build_nanotube", build_last)
-        monkeypatch.setattr(polyhex.forms, "_prefix_partitions", no_window)
+        monkeypatch.setattr(polyhex.forms, "_walk_rows", no_walk)
         with pytest.raises(RuntimeError, match=r"first \d+ vertices, a row per n below its \d+$"):
             verify_forms(published_forms(), (2, 2), n_range)
 
@@ -474,8 +512,8 @@ class TestVerification:
             verify_forms([f for f in published_forms() if f.kind is kind], (3, 3), (1, 4))
 
     # The first tube is never built: its ids come from the builder's rows, so
-    # rows that lose an edge or swap two ids are refused, before any window
-    # is read, against the one tube built.
+    # rows that lose an edge or swap two ids are refused, before any row is
+    # walked, against the one tube built.
     @pytest.mark.parametrize("n_range", [(1, 2), (2, 5)], ids=["two-n", "four-n"])
     @pytest.mark.parametrize("corruption", ["lose-an-edge", "swap-two-ids"])
     def test_oracle_refuses_first_tube_rows_that_differ(self, monkeypatch, n_range, corruption):
@@ -487,11 +525,11 @@ class TestVerification:
                 rows[0][1], rows[0][3] = rows[0][3], rows[0][1]
             return iter(rows)
 
-        def no_window(g, cuts):
-            raise AssertionError("window read past refused first-tube rows")
+        def no_walk(g, cuts):
+            raise AssertionError("rows walked past refused first-tube rows")
 
         monkeypatch.setattr(polyhex.forms, "_edge_id_rows", corrupt_first_rows)
-        monkeypatch.setattr(polyhex.forms, "_prefix_partitions", no_window)
+        monkeypatch.setattr(polyhex.forms, "_walk_rows", no_walk)
         first, last = n_range
         for kind in NanotubeKind:
             with pytest.raises(

@@ -21,12 +21,15 @@ from polyhex import (
     NanotubeSpec,
     SelfLoopError,
     VertexOutOfRangeError,
+    azi,
     build_nanotube,
     edge_partition,
     tube_edge_count,
     tube_vertex_count,
 )
-from polyhex.graph import _MAX_VERTICES, _prefix_partitions
+from polyhex.forms import _walk_rows
+from polyhex.graph import _MAX_VERTICES
+from polyhex.indices import AZI, UndefinedTermError, index_from_partition
 
 import oracles
 
@@ -471,8 +474,27 @@ def induced_prefix(g: Graph, cut: int) -> Graph:
     return Graph(cut, [e for e in g.edges if e[1] < cut])
 
 
-def walk_from(g: Graph, cuts: list[int]) -> list[EdgePartition]:
-    return list(_prefix_partitions(g, cuts))
+def walk_from(g: Graph, cuts: range) -> list[tuple[int, int]] | type[Exception]:
+    """The values _walk_rows reads off g, or the class of the error it raises."""
+    try:
+        return _walk_rows(g, cuts)
+    except (RuntimeError, UndefinedTermError) as exc:
+        return type(exc)
+
+
+def expected_walk(g: Graph, cuts: range) -> list[tuple[int, int]] | type[Exception]:
+    """What the walk must give: the AZI summed off the partition of each prefix
+    built at its cut, or UndefinedTermError where one of those sums raises it.
+    Before that, RuntimeError if an edge ends past the row after its own, with
+    rows of cuts.step vertices that end at the cuts.
+    """
+    if any((v - cuts[0]) // cuts.step >= (u - cuts[0]) // cuts.step + 2 for u, v in g.edges):
+        return RuntimeError
+    try:
+        return [index_from_partition(edge_partition(induced_prefix(g, c)), AZI)._ratio
+                for c in cuts]
+    except UndefinedTermError:
+        return UndefinedTermError
 
 
 def path_with_chords(vertex_count: int, length: int) -> Graph:
@@ -485,16 +507,25 @@ def path_with_chords(vertex_count: int, length: int) -> Graph:
 
 
 class TestPrefixPartitions:
-    """The window behind the verify oracle, against a graph built at every cut."""
+    """The row walk behind the verify oracle, against a graph built at every cut."""
 
+    # cuts a whole number of steps below the vertex count, up to it
     @given(graphs(max_vertices=10), st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_matches_the_partition_of_each_built_prefix(self, g: Graph, data):
-        cuts = sorted(data.draw(st.lists(st.integers(0, g.vertex_count), max_size=6)))
-        assert walk_from(g, cuts) == [edge_partition(induced_prefix(g, c)) for c in cuts]
+        step = data.draw(st.integers(1, max(g.vertex_count, 1)), label="step")
+        rows = data.draw(st.integers(0, g.vertex_count // step), label="rows")
+        cuts = range(g.vertex_count - rows * step, g.vertex_count + 1, step)
+        walked = walk_from(g, cuts)
+        assert walked == expected_walk(g, cuts)
+        if isinstance(walked, list):  # the walk stored g's partition
+            assert g._partition == edge_partition(Graph(g.vertex_count, g.edges))
+        else:
+            assert g._partition is None
 
     # a hub of degree 6 at either end of the ids, isolated vertices, and
-    # every cut from 0 through vertex_count
+    # cuts from zero at every step that divides the vertex count; step 1
+    # cuts at every vertex count, and refuses every edge longer than 1
     @pytest.mark.parametrize(
         "g",
         [
@@ -506,38 +537,26 @@ class TestPrefixPartitions:
         ids=["hub-first", "hub-last", "no-edges", "empty"],
     )
     def test_every_cut_from_zero(self, g: Graph):
-        cuts = list(range(g.vertex_count + 1))
-        walked = walk_from(g, cuts)
-        assert walked == [edge_partition(induced_prefix(g, c)) for c in cuts]
-        assert walked[0] == EdgePartition({})
-        assert walked[-1] == edge_partition(g)
+        v = g.vertex_count
+        for step in (s for s in range(1, max(v, 1) + 1) if v % s == 0):
+            cuts = range(0, v + 1, step)
+            walked = walk_from(g, cuts)
+            assert walked == expected_walk(g, cuts)
+        # the last step makes one row, which holds every edge
+        assert walked[0] == (0, 1)
+        assert walked[-1] == azi(Graph(v, g.edges))._ratio
 
-    # The chords are longer than the gap between cuts, so each cut's band
-    # reaches back over earlier cuts. The chord (0, V-1) settles nothing
-    # before the last cut; shorter chords settle edges along the way.
+    # The chords are longer than the gap between cuts, so a row's band holds
+    # an edge from the row before, or the walk refuses a chord that reaches
+    # past the next row.
     @pytest.mark.parametrize(
         "vertex_count, length", [(3, 2), (8, 7), (13, 12), (13, 4), (14, 6)]
     )
     @pytest.mark.parametrize("step", [1, 2, 3])
     def test_edge_longer_than_the_gap_between_cuts(self, vertex_count, length, step):
         g = path_with_chords(vertex_count, length)
-        cuts = [*range(0, vertex_count, step), vertex_count]
-        assert walk_from(g, cuts) == [edge_partition(induced_prefix(g, c)) for c in cuts]
-
-    # A repeated cut yields the same partition again, and the edges it
-    # settled are not counted twice, with short and long edges.
-    @pytest.mark.parametrize(
-        "g",
-        [path_with_chords(9, 8), path_with_chords(6, 3),
-         build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, 3, 4))],
-        ids=["path-with-end-chord", "path-with-inner-chord", "armchair-3-4"],
-    )
-    def test_repeated_cuts(self, g: Graph):
-        v = g.vertex_count
-        cuts = [0, 0, 2, 2, 2, v // 2, v // 2, v - 1, v, v, v]
-        walked = walk_from(g, cuts)
-        assert walked == [edge_partition(induced_prefix(g, c)) for c in cuts]
-        assert walked[-1] == edge_partition(g)
+        cuts = range(vertex_count % step, vertex_count + 1, step)
+        assert walk_from(g, cuts) == expected_walk(g, cuts)
 
 
 class TestConnectivity:
@@ -562,25 +581,24 @@ class TestConnectivity:
         components = oracles.component_count(g.vertex_count, list(g.edges))
         assert oracles.is_connected(g) == (components <= 1)
 
-    # A cut at the vertex count gives g's own partition, stored on g as
-    # edge_partition would store it: the verify oracle's azi(g) reads it.
-    # Cuts below it store nothing, and a partition g has is kept.
+    # The walk's last cut is the vertex count, where it stores g's own
+    # partition as edge_partition would: the verify oracle's azi(g) reads it.
+    # A refused walk stores nothing.
     @pytest.mark.parametrize(
-        "make",
-        [lambda: build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, 3, 4)),
-         lambda: build_nanotube(NanotubeSpec(NanotubeKind.ZIGZAG, 2, 5)),
-         lambda: path_with_chords(9, 8)],
+        "make, cuts",
+        [(lambda: build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, 3, 4)), range(24, 37, 6)),
+         (lambda: build_nanotube(NanotubeSpec(NanotubeKind.ZIGZAG, 2, 5)), range(16, 25, 4)),
+         (lambda: path_with_chords(9, 8), range(1, 10, 8))],
         ids=["armchair-3-4", "zigzag-2-5", "path-with-end-chord"],
     )
-    def test_last_cut_stores_the_partition_on_g(self, make):
+    def test_last_cut_stores_the_partition_on_g(self, make, cuts):
         g = make()
-        v = g.vertex_count
-        walked = walk_from(g, [v // 2, v])
-        assert edge_partition(g) is walked[-1]
-        assert walked[-1] == edge_partition(Graph(v, g.edges))
-        below = make()
-        walk_from(below, [0, v // 2, v - 1])
-        assert below._partition is None
-        stored = edge_partition(below)
-        assert walk_from(below, [v - 1, v])[-1] == stored
-        assert edge_partition(below) is stored
+        walked = _walk_rows(g, cuts)
+        stored = g._partition
+        assert edge_partition(g) is stored
+        assert stored == edge_partition(Graph(g.vertex_count, g.edges))
+        assert walked[-1] == azi(g)._ratio
+        refused = make()
+        with pytest.raises(RuntimeError, match=r"has an edge longer than a row of 1 vertices$"):
+            _walk_rows(refused, range(g.vertex_count - 1, g.vertex_count + 1))
+        assert refused._partition is None

@@ -52,7 +52,7 @@ SRC = Path(polyhex.__file__).resolve().parents[1]
 # and used: argparse loads some of its modules (shutil, locale) only then.
 STDLIB_ONLY = """
 from __future__ import annotations
-import argparse, json, fractions, enum, functools, itertools, collections, sys
+import argparse, bisect, json, fractions, enum, functools, itertools, collections, sys
 parser = argparse.ArgumentParser(prog="x")
 parser.add_argument("--y")
 parser.parse_args(["--y", "1"])

@@ -213,7 +213,7 @@ def lean_and_public():
         value = index_from_partition(EdgePartition(classes), AZI)
         yield pytest.param(value, IndexValue(value.exact, value.approx), id=f"exact {name}")
     # verify points of each kind, for a form that matches the oracle and one that does not;
-    # n = 1 and 2 are read off the last tube's window, n = 3 off the last tube
+    # n = 1 and 2 are read off the last tube's rows, n = 3 off its stored partition
     fitted = {NanotubeKind.ARMCHAIR: Fraction(807, 32), NanotubeKind.ZIGZAG: Fraction(295, 32)}
     forms = [form for form in published_forms() if form.provenance is Provenance.STATED]
     forms += [ClosedForm(kind, "azi", Fraction(2187, 64), b, Provenance.FITTED)
