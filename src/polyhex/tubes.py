@@ -27,9 +27,10 @@ these counts is equivalent for every degree-based index.
 Prefix property: for n <= N, tube (m, n) is the subgraph of tube (m, N)
 induced on its first tube_vertex_count vertices, ids included. It holds for
 both kinds because ids are row-major, a larger n only appends rows at the
-high end, and each run of the rule depends on r only through r mod its
-stride: whether two vertices of rows present in both tubes are joined
-depends on their rows, columns and m alone, never on n. The verify
+high end, and each row of _edge_id_rows but the last is its parity's
+template, the last its ring edges alone: whether two vertices of rows
+present in both tubes are joined depends on their rows, columns and m
+alone, never on n. The verify
 oracle (polyhex.forms) relies on it to build one tube per m, the one at the
 grid's last n, not one per grid point. As no edge joins ids more than one
 row (2m) apart, it reads every n off that tube a row at a time, once the
@@ -48,6 +49,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable, Iterator
 from itertools import chain
+from operator import itemgetter
 
 from .graph import DegreePair, Edge, EdgePartition, Graph, _Value
 
@@ -70,8 +72,8 @@ __all__ = [
 # Largest tube build_nanotube builds and `build` prints. A build peaks near 50
 # traced bytes per edge and keeps 44 (13.4 and 11.9 MB for the 271,200-edge
 # armchair [300, 300], Python 3.11.7), so this caps it near 0.25 GB. For `build`,
-# which holds no graph, it bounds time and output: 0.9 s and 78 MB of JSON at
-# 4,504,000 edges. Larger tubes' counts and indices come from tube_edge_partition.
+# which holds no graph, it bounds time and output: a 1.1-1.4 s process (2-CPU VM)
+# and 78 MB of JSON at 4,504,000 edges. Larger tubes' counts are tube_edge_partition's.
 MAX_BUILD_EDGES = 5_000_000
 
 
@@ -244,33 +246,26 @@ def grid_tubes(
 
 
 # The tube's edge ids in sorted canonical order, u0, v0, u1, v1, ... with
-# u < v, one flat list per row. A row is m blocks of 2 columns; each edge of a
-# block is one lane (column offset, id step), ring +1 or rung +2m, and a row's
-# lanes depend only on r mod 2 and on whether it is the last row. Each lane is
-# a slice assignment from one ids list, made first (ids made a row at a time
-# raised a pass's peak RSS), so the per-edge work runs in C and edges share
-# one int object per vertex. The wrap, the ring edge at column 2m - 1, is
-# (r*2m, r*2m + 2m - 1), so it moves to column 0.
-def _edge_id_rows(kind: NanotubeKind, m: int, n: int) -> Iterator[list[int]]:
+# u < v, one tuple per row. As positions in rows r and r + 1, row r's edges
+# depend on r only through r mod 2 and on whether it is the last row, so each
+# of those three layouts is one itemgetter applied to the two rows' slice of
+# one ids list, made first (made a row at a time, ids raised a pass's peak
+# RSS): the per-edge work runs in C, and edges share one int per vertex.
+def _edge_id_rows(kind: NanotubeKind, m: int, n: int) -> Iterator[tuple[int, ...]]:
     extra, ring, rung = _RULES[kind]
     width, rows = 2 * m, n + extra
     ids = list(range(rows * width))
-    for r in range(rows):
-        pair = ids[r * width : (r + 2) * width]  # rows r and r + 1
-        lanes = [(c, step) for c in (0, 1) for step, stride in ((1, ring), (width, rung))
-                 if (c - r) % stride == 0 and (step == 1 or r < rows - 1)]
-        size = 2 * len(lanes)
-        row = [0] * (size * m)
-        for j, (c, step) in enumerate(lanes):
-            count = m - ((c, step) == (1, 1))  # the wrap is placed after the loop
-            row[2 * j : size * count : size] = pair[c : c + 2 * count : 2]
-            row[2 * j + 1 : size * count : size] = pair[c + step : c + step + 2 * count : 2]
-        if (1, 1) in lanes:  # drop the last block's empty wrap slot, then fill column 0's
-            at = size * (m - 1) + 2 * lanes.index((1, 1))
-            del row[at : at + 2]
-            at = 2 * (lanes[0] == (0, 1))
-            row[at:at] = pair[0], pair[width - 1]
-        yield row
+
+    def template(r: int) -> itemgetter:
+        edges = [tuple(sorted((c, (c + 1) % width))) for c in range(width) if (c - r) % ring == 0]
+        if r < rows - 1:
+            edges += [(c, c + width) for c in range(width) if (c - r) % rung == 0]
+        return itemgetter(*map(ids.__getitem__, chain.from_iterable(sorted(edges))))
+
+    inner, last = (template(0), template(1)), template(rows - 1)
+    for r in range(rows - 1):  # every row but the last is its parity's template
+        yield inner[r % 2](ids[r * width : (r + 2) * width])
+    yield last(ids[-width:])
 
 
 def _tube_edges(kind: NanotubeKind, m: int, n: int) -> Iterator[Edge]:

@@ -106,6 +106,15 @@ ROWS = [
         "cf23e959050ceed2c8f782ab0093d6d4986fe6274bdc2b858718e835bc4c6aa4", 200),
     Row("build --kind zigzag --m 1000 --n 1500", 0,
         "264b302fa815fe0b8d6cbb4e017a4eeda7db82dc023ec1408f0b4229efd217c3", 200),
+    # The same armchair tube built through build_nanotube and Graph, in 400 MB
+    # of address space: a Graph stores its edges as one flat list of vertex
+    # ids (as a tuple of edge 2-tuples it raised MemoryError). The report pins
+    # the oracle's exact AZI, 205132125/4, the derived form's
+    # (2187/64*n + 807/32)*m; it also passes in 300 MB on Python 3.10, 3.11,
+    # 3.12 and 3.13. From the implementation whose generator filled each row
+    # by slice assignments, one per lane of edges.
+    Row("verify --kind armchair --m-range 1000:1000 --n-range 1500:1500", 1,
+        "22c332e9b010bba5f45f6b161e5c65588cda842f5b0e2deff3ecc1341f2bf2aa", 400),
     # From the implementation whose count functions each branched on the kind
     # and whose verify cached oracle values per point.
     Row("partition --kind armchair --m 7 --n 5", 0,

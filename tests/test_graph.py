@@ -507,7 +507,8 @@ def path_with_chords(vertex_count: int, length: int) -> Graph:
 
 
 class TestPrefixPartitions:
-    """The row walk behind the verify oracle, against a graph built at every cut."""
+    """The row walk behind the verify oracle, forms._walk_rows, against a graph built at
+    every cut."""
 
     # cuts a whole number of steps below the vertex count, up to it
     @given(graphs(max_vertices=10), st.data())
@@ -558,6 +559,28 @@ class TestPrefixPartitions:
         cuts = range(vertex_count % step, vertex_count + 1, step)
         assert walk_from(g, cuts) == expected_walk(g, cuts)
 
+    # The walk's last cut is the vertex count, where it stores g's own
+    # partition as edge_partition would: the verify oracle's azi(g) reads it.
+    # A refused walk stores nothing.
+    @pytest.mark.parametrize(
+        "make, cuts",
+        [(lambda: build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, 3, 4)), range(24, 37, 6)),
+         (lambda: build_nanotube(NanotubeSpec(NanotubeKind.ZIGZAG, 2, 5)), range(16, 25, 4)),
+         (lambda: path_with_chords(9, 8), range(1, 10, 8))],
+        ids=["armchair-3-4", "zigzag-2-5", "path-with-end-chord"],
+    )
+    def test_last_cut_stores_the_partition_on_g(self, make, cuts):
+        g = make()
+        walked = _walk_rows(g, cuts)
+        stored = g._partition
+        assert edge_partition(g) is stored
+        assert stored == edge_partition(Graph(g.vertex_count, g.edges))
+        assert walked[-1] == azi(g)._ratio
+        refused = make()
+        with pytest.raises(RuntimeError, match=r"has an edge longer than a row of 1 vertices$"):
+            _walk_rows(refused, range(g.vertex_count - 1, g.vertex_count + 1))
+        assert refused._partition is None
+
 
 class TestConnectivity:
     def test_empty_graph_connected(self):
@@ -580,25 +603,3 @@ class TestConnectivity:
     def test_matches_component_count(self, g: Graph):
         components = oracles.component_count(g.vertex_count, list(g.edges))
         assert oracles.is_connected(g) == (components <= 1)
-
-    # The walk's last cut is the vertex count, where it stores g's own
-    # partition as edge_partition would: the verify oracle's azi(g) reads it.
-    # A refused walk stores nothing.
-    @pytest.mark.parametrize(
-        "make, cuts",
-        [(lambda: build_nanotube(NanotubeSpec(NanotubeKind.ARMCHAIR, 3, 4)), range(24, 37, 6)),
-         (lambda: build_nanotube(NanotubeSpec(NanotubeKind.ZIGZAG, 2, 5)), range(16, 25, 4)),
-         (lambda: path_with_chords(9, 8), range(1, 10, 8))],
-        ids=["armchair-3-4", "zigzag-2-5", "path-with-end-chord"],
-    )
-    def test_last_cut_stores_the_partition_on_g(self, make, cuts):
-        g = make()
-        walked = _walk_rows(g, cuts)
-        stored = g._partition
-        assert edge_partition(g) is stored
-        assert stored == edge_partition(Graph(g.vertex_count, g.edges))
-        assert walked[-1] == azi(g)._ratio
-        refused = make()
-        with pytest.raises(RuntimeError, match=r"has an edge longer than a row of 1 vertices$"):
-            _walk_rows(refused, range(g.vertex_count - 1, g.vertex_count + 1))
-        assert refused._partition is None
