@@ -477,7 +477,7 @@ def verify_published_forms(
     selected = tuple(NanotubeKind) if kinds is None else _as_tuple(kinds, "kinds")
     _check_grid(selected, m_range, n_range)
     forms: list[ClosedForm] = []
-    for kind in selected:
+    for kind in dict.fromkeys(selected):  # each kind once, as in the grid's edge budget
         forms.extend(f for f in published_forms() if f.kind is kind)
         forms.append(fit_closed_form(kind, "azi", DEFAULT_FIT_SAMPLES))
     return verify_forms(forms, m_range, n_range)

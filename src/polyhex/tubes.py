@@ -13,16 +13,16 @@ strides ring 2, rung 1: rows that are perfect matchings around the
 circumference, (r, 2i)-(r, 2i+1) in even rows and (r, 2i+1)-(r, (2i+2) mod 2m)
 in odd ones, joined to the next row at every column.
 
-With open tube ends (no caps), every count of either family, vertices and
-the edges of each degree class, is c_mn*m*n + c_m*m for integer
-coefficients that depend on the kind alone. Two tables hold a kind's facts:
-_RULES its rows beyond n and two strides, from which each tube is built and
-sized (_sizes), and _CLASS_COUNTS the counts of its degree classes, which
-the verify oracle judges against built tubes and never reads. One function,
-_tube_rows, evaluates both once per m, each count as a*n + b, then gives the
-row of each n asked for; grid_tubes calls it once per m and
-tube_edge_partition reads its one tube's row off it. Any construction with
-these counts is equivalent for every degree-based index.
+One table, _RULES, holds a kind's facts: its rows beyond n and two strides,
+from which each tube is built and sized (_sizes). With open ends (no caps),
+each count of vertices or of a degree class's edges is c_mn*m*n + c_m*m, with
+integer coefficients per kind: the rule reads a column c only as c - r mod 2,
+so each count is m times a two-column count, and every vertex of an inner row
+(neither first nor last) has degree 3, so each added row adds the same edges
+to each class (the old last row turns inner; the new one is it turned a
+column). _CLASS_COUNTS reads each class's (c_mn, c_m) off the tubes (2, 1)
+and (2, 2) at import. Any construction with these counts is equivalent for
+every degree-based index.
 
 Prefix property: for n <= N, tube (m, n) is the subgraph of tube (m, N)
 induced on its first tube_vertex_count vertices, ids included. It holds for
@@ -30,18 +30,17 @@ both kinds because ids are row-major, a larger n only appends rows at the
 high end, and each row of _edge_id_rows but the last is its parity's
 template, the last its ring edges alone: whether two vertices of rows
 present in both tubes are joined depends on their rows, columns and m
-alone, never on n. The verify
-oracle (polyhex.forms) relies on it to build one tube per m, the one at the
-grid's last n, not one per grid point. As no edge joins ids more than one
-row (2m) apart, it reads every n off that tube a row at a time, once the
-first n's vertex count is checked to be whole rows below the tube's and the
-ids _edge_id_rows makes for the first n to be the tube's edges below it.
+alone, never on n. The verify oracle (polyhex.forms) relies on it to build
+one tube per m, the one at the grid's last n, not one per grid point. As no
+edge joins ids more than one row (2m) apart, it reads every n off that tube
+a row at a time, once the first n's vertex count is checked to be whole
+rows below the tube's and the ids _edge_id_rows makes for the first n to be
+the tube's edges below it.
 
 Domain: m >= 2 and n >= 1 for both kinds. Zigzag m = 2 is accepted although
 it is not hexagonal: its rows are 4-cycles, so its girth is 4 (every other
-tube here has girth 6). Its degree classes still follow _CLASS_COUNTS,
-so every degree-based index, and every closed form in m and n, holds there
-as it does for m >= 3.
+tube here has girth 6). Its degrees follow the rule as at m >= 3, and
+_CLASS_COUNTS is read at m = 2, so every count-based form holds there.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from collections.abc import Iterable, Iterator
 from itertools import chain
 from operator import itemgetter
 
-from .graph import DegreePair, Edge, EdgePartition, Graph, _Value
+from .graph import DegreePair, Edge, EdgePartition, Graph, _Value, edge_partition
 
 __all__ = [
     "MAX_BUILD_EDGES",
@@ -149,12 +148,6 @@ def _as_tuple(items: Iterable, what: str) -> tuple:
 _RULES: dict[NanotubeKind, tuple[int, int, int]] = {
     NanotubeKind.ARMCHAIR: (2, 2, 1), NanotubeKind.ZIGZAG: (1, 1, 2)
 }
-# Per kind, each degree class's edge count (c_mn, c_m), in sorted class order:
-# the class count is (c_mn*n + c_m)*m. Only _tube_rows reads it.
-_CLASS_COUNTS: dict[NanotubeKind, dict[DegreePair, tuple[int, int]]] = {
-    NanotubeKind.ARMCHAIR: {(2, 2): (0, 2), (2, 3): (0, 4), (3, 3): (3, -2)},
-    NanotubeKind.ZIGZAG: {(2, 3): (0, 4), (3, 3): (3, -2)},
-}
 
 
 def _sizes(kind: NanotubeKind, m: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -170,11 +163,10 @@ def _tube_rows(
 ) -> Iterator[tuple[int, int, int, int, EdgePartition]]:
     """The grid_tubes row (m, n, vertex count, edge count, edge partition) of each n in ns.
 
-    Every count is a*n + b, with a and b evaluated here once for the m: the
-    vertex and edge counts' by _sizes, each class's as (c_mn*m, c_m*m) from
-    _CLASS_COUNTS. Every class count is positive for m >= 2 and n >= 1, as
-    c_mn >= 0 and c_mn + c_m >= 1 (both checked by the tests), so the
-    partition needs no check of its own.
+    Every count is a*n + b, evaluated once for the m: the sizes by the rule
+    (_sizes), each class as (c_mn*m, c_m*m) by the counts read off its tubes
+    (_CLASS_COUNTS). These are positive for m >= 2 and n >= 1, as c_mn >= 0 and
+    c_mn + c_m >= 1 (both checked by the tests): the partition needs no check.
     """
     (vertex_a, vertex_b), (edge_a, edge_b) = _sizes(kind, m)
     coefficients = [(pair, c_mn * m, c_m * m) for pair, (c_mn, c_m) in _CLASS_COUNTS[kind].items()]
@@ -199,11 +191,8 @@ def tube_edge_count(spec: NanotubeSpec) -> int:
 
 
 def tube_edge_partition(spec: NanotubeSpec) -> EdgePartition:
-    """Degree-class edge counts from _CLASS_COUNTS, no graph built.
-
-    This is the O(1) fast path for index computation on large tubes; it is
-    held equal to edge_partition(build_nanotube(spec)) by the test grid.
-    """
+    """Degree-class edge counts in O(1), from the class counts read off the rule's tubes at
+    import: the fast path for index computation on large tubes, with no graph built."""
     return next(_tube_rows(_spec_kind(spec), spec.m, (spec.n,)))[4]
 
 
@@ -292,6 +281,17 @@ def build_nanotube(spec: NanotubeSpec) -> Graph:
     that is not a NanotubeSpec with InvalidSpecError.
     """
     return Graph(_build_counts(spec)[0], _tube_edges(spec.kind, spec.m, spec.n))
+
+
+def _class_counts(kind: NanotubeKind) -> dict[DegreePair, tuple[int, int]]:
+    """Each class's (c_mn, c_m), in sorted class order, off kind's tubes (2, 1) and (2, 2)."""
+    one, two = (edge_partition(build_nanotube(NanotubeSpec(kind, 2, n))).classes for n in (1, 2))
+    return {p: ((two.get(p, 0) - one.get(p, 0)) // 2, one.get(p, 0) - two.get(p, 0) // 2)
+            for p in sorted(one.keys() | two.keys())}
+
+
+# Read once, at import, so that no count builds a tube; only _tube_rows reads it.
+_CLASS_COUNTS = {kind: _class_counts(kind) for kind in NanotubeKind}
 
 
 def validate_ranges(m_range: tuple[int, int], n_range: tuple[int, int]) -> tuple[range, range]:

@@ -5,6 +5,8 @@ A row is a command, its exit code, the SHA-256 of its stdout then its --out file
 Each row runs with COLUMNS=80 and prints no traceback. `python tests/golden.py`,
 standard library only, runs each row in a fresh interpreter under its limit and
 exits 1 naming each failing row; tests/test_cli.py runs those with no limit in process.
+`python tests/golden.py --take <command>` prints a command's row as it runs now, in a
+fresh interpreter with no limit, then its stderr, and exits 1 if that holds a traceback.
 """
 
 from __future__ import annotations
@@ -121,6 +123,12 @@ ROWS = [
         "68f34d0d1c27ede115db6348e9029c5184c5f218484c05185a9bee8a9bbe35d0"),
     Row("partition --kind zigzag --m 7 --n 5", 0,
         "7562f23de02336ccf43171c0ec42a6b31a427fb8832f02d8c72de1b9e607ba98"),
+    # Counts at a size no build reaches. From the implementation whose degree-class
+    # counts were a hand-written table, not read off the rule's smallest tubes.
+    Row(f"partition --kind armchair --m {HUGE} --n {HUGE}", 0,
+        "99ce4b833d2cde63e451078bedbbc613fb8406cc5eff6a830af84818aaa506da"),
+    Row(f"partition --kind zigzag --m {HUGE} --n {HUGE}", 0,
+        "b4f87df51403e318594789f40bea5a41f5264fd817cfaccc2ef4582462332a14"),
     Row("fit --kind zigzag", 0, "e359c95ba0aff4c5f8b88b59a29a33a56800dcb717a58dc0d6b7f5c9794d59f1"),
     Row("fit --kind armchair --samples 4,2 5,3 6,7", 0,
         "fd190427203c02902cf883295c9f7feaf39ef270f489163b3490cfb611033a42"),
@@ -231,8 +239,8 @@ def run_in_process(row: Row, tmp: Path) -> list[str]:
     return _problems(row, code, _sha256(stdout.getvalue().encode(), out), stderr.getvalue())
 
 
-def run_fresh(row: Row, tmp: Path) -> list[str]:
-    """Run row in a fresh interpreter under its address-space limit."""
+def _fresh(row: Row, tmp: Path) -> tuple[int, str, str]:
+    """The exit code, SHA-256 and stderr of row run in a fresh interpreter under its limit."""
     import resource
 
     def limit() -> None:
@@ -245,7 +253,21 @@ def run_fresh(row: Row, tmp: Path) -> list[str]:
         child = subprocess.run([sys.executable, "-c", CHILD, *row.argv(out)], stdout=sink,
                                stderr=subprocess.PIPE, errors="replace",
                                env={**os.environ, **ENV}, preexec_fn=limit)
-    return _problems(row, child.returncode, _sha256(b"", stdout, out), child.stderr)
+    return child.returncode, _sha256(b"", stdout, out), child.stderr
+
+
+def run_fresh(row: Row, tmp: Path) -> list[str]:
+    """Run row in a fresh interpreter under its address-space limit."""
+    return _problems(row, *_fresh(row, tmp))
+
+
+def take(command: str) -> int:
+    """Print command's row as it runs now with no limit, then its stderr; 1 on a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, digest, stderr = _fresh(Row(command, 0, ""), Path(tmp))
+    print(f'Row("{command}", {code}, "{digest}")')
+    print(stderr, end="", file=sys.stderr)
+    return int("Traceback" in stderr)
 
 
 def main(rows: list[Row] = ROWS) -> int:
@@ -259,4 +281,4 @@ def main(rows: list[Row] = ROWS) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(take(" ".join(sys.argv[2:])) if sys.argv[1:2] == ["--take"] else main())

@@ -33,6 +33,14 @@ REFERENCE_CONTEXT = decimal.Context(prec=50)
 
 Edge = tuple[int, int]
 
+# Each kind's edge count per degree class, written by hand rather than read off
+# a built tube: (c_mn, c_m) for a count of (c_mn*n + c_m)*m. Armchair has
+# (2,2) 2m, (2,3) 4m and (3,3) 3mn - 2m edges; zigzag (2,3) 4m and (3,3) 3mn - 2m.
+CLASS_COUNTS = {
+    NanotubeKind.ARMCHAIR: {(2, 2): (0, 2), (2, 3): (0, 4), (3, 3): (3, -2)},
+    NanotubeKind.ZIGZAG: {(2, 3): (0, 4), (3, 3): (3, -2)},
+}
+
 
 def degrees_from_edges(vertex_count: int, edges: list[Edge]) -> list[int]:
     degs = [0] * vertex_count

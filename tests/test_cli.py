@@ -791,6 +791,9 @@ class TestNoFractionPerRowOrPoint:
 GOLDEN = {row.command: row for row in golden.ROWS}
 UNLIMITED_ROWS = [row for row in golden.ROWS if row.limit_mb is None]
 BUILD_ROWS = [row for row in UNLIMITED_ROWS if row.command.startswith("build --kind")]
+COUNT_ROWS = [row for row in UNLIMITED_ROWS
+              if row.command.split()[0] in ("partition", "index", "sweep")
+              and "--help" not in row.command]
 
 
 class TestDeterminism:
@@ -819,6 +822,17 @@ class TestDeterminism:
         monkeypatch.setattr(polyhex.graph.Graph, "__init__", no_graph)
         assert golden.run_in_process(row, tmp_path) == []
 
+    # partition, index and sweep print their pinned bytes with no tube built:
+    # the class counts they read were taken when polyhex.tubes was imported.
+    @pytest.mark.parametrize("row", COUNT_ROWS, ids=lambda row: row.digest[:8])
+    def test_count_commands_build_no_tube(self, monkeypatch, tmp_path, row):
+        def no_build(*args):
+            raise AssertionError("a tube was built for a count")
+
+        monkeypatch.setattr(polyhex.tubes, "build_nanotube", no_build)
+        monkeypatch.setattr(polyhex.tubes, "Graph", no_build)
+        assert golden.run_in_process(row, tmp_path) == []
+
     # Every row of tests/golden.py; a row with a limit runs only in a fresh
     # process, where the limit can be set.
     @pytest.mark.parametrize("row", UNLIMITED_ROWS,
@@ -832,6 +846,11 @@ class TestDeterminism:
         assert golden.main([small, refusal]) == 0
         assert golden.main([small._replace(digest="0" * 64)]) == 1
         assert f"FAIL {small.command}: SHA-256 {small.digest}" in capsys.readouterr().out
+
+    def test_take_prints_a_pinned_row(self, capsys):
+        small = GOLDEN["index --kind armchair --m 5 --n 9"]
+        assert golden.take(small.command) == 0
+        assert capsys.readouterr().out == f'Row("{small.command}", 0, "{small.digest}")\n'
 
     def test_pinned_outputs_cover_every_subcommand_once_per_argv(self):
         argvs = [tuple(row.command.split()) for row in golden.ROWS]

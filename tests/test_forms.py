@@ -559,6 +559,14 @@ class TestVerification:
         )
         assert {c.form.kind for c in report.checks} == {NanotubeKind.ZIGZAG}
 
+    # A repeated kind was once fitted and checked once per mention, while the
+    # grid's edge budget counted it once.
+    def test_repeated_kind_checked_once(self):
+        zigzag, armchair = NanotubeKind.ZIGZAG, NanotubeKind.ARMCHAIR
+        report = verify_published_forms((2, 2), (1, 2), [zigzag, armchair, zigzag])
+        assert report == verify_published_forms((2, 2), (1, 2), [zigzag, armchair])
+        assert [c.form.kind for c in report.checks] == [zigzag] * 3 + [armchair] * 3
+
     def test_verify_custom_form(self):
         correct = ClosedForm(
             NanotubeKind.ZIGZAG, "azi", A, FITTED_B[NanotubeKind.ZIGZAG],

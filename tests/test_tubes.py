@@ -34,6 +34,7 @@ import oracles
 
 KINDS = (NanotubeKind.ARMCHAIR, NanotubeKind.ZIGZAG)
 Three = enum.IntEnum("Three", {"THREE": 3})  # an int subclass, equal to 3
+HUGE = 10**200  # far past any tube that can be built
 
 specs = st.tuples(
     st.sampled_from(KINDS), st.integers(2, 7), st.integers(1, 7)
@@ -276,17 +277,40 @@ class TestPartition:
     @settings(max_examples=40, deadline=None)
     def test_class_sizes(self, spec: NanotubeSpec):
         m, n = spec.m, spec.n
-        counts = dict(tube_edge_partition(spec).classes)
-        if spec.kind is NanotubeKind.ARMCHAIR:
-            assert counts == {(2, 2): 2 * m, (2, 3): 4 * m, (3, 3): 3 * m * n - 2 * m}
-        else:
-            assert counts == {(2, 3): 4 * m, (3, 3): 3 * m * n - 2 * m}
+        classes = oracles.CLASS_COUNTS[spec.kind]
+        assert dict(tube_edge_partition(spec).classes) == {
+            pair: (c_mn * n + c_m) * m for pair, (c_mn, c_m) in classes.items()
+        }
+
+    # Held to the hand-written table, the counts read off the tubes (2, 1) and
+    # (2, 2) at import do not have the builder, which the verify oracle reads
+    # too, as their only source.
+    def test_class_counts_equal_the_hand_written_table(self):
+        assert polyhex.tubes._CLASS_COUNTS == oracles.CLASS_COUNTS
+        for kind, classes in oracles.CLASS_COUNTS.items():
+            assert list(polyhex.tubes._CLASS_COUNTS[kind].items()) == list(classes.items())
+
+    # The class counts are read off two tubes at m = 2, so this holds every
+    # count to built tubes far from both, where a count that is not linear in
+    # m and n would show.
+    @given(st.sampled_from(KINDS), st.integers(2, 120), st.integers(1, 120))
+    @example(NanotubeKind.ARMCHAIR, 120, 120)
+    @example(NanotubeKind.ZIGZAG, 119, 117)
+    @settings(max_examples=25, deadline=None)
+    def test_counts_match_built_tubes_far_from_where_they_are_read(self, kind, m, n):
+        spec = NanotubeSpec(kind, m, n)
+        g = build_nanotube(spec)
+        assert (tube_vertex_count(spec), tube_edge_count(spec)) == (g.vertex_count, g.edge_count)
+        assert list(tube_edge_partition(spec).classes.items()) == list(
+            edge_partition(g).classes.items()
+        )
 
     # Every count is (a*n + b)*m, so comparing the (a, b) pairs per unit m
-    # checks the class counts against the building rule at every m >= 2 and
-    # n >= 1, not only on a grid. Both checks also pass with
-    # (c22, c23, c33) moved by t*(1, -2, 1) for any t, so they do not prove
-    # the table: the checks against built graphs above do.
+    # checks the class counts, read off the tubes (2, 1) and (2, 2), against
+    # the sizes the building rule gives at every m >= 2 and n >= 1. Both
+    # checks also pass with (c22, c23, c33) moved by t*(1, -2, 1) for any t,
+    # so they do not fix the split among classes: the hand-written table
+    # and the checks against built graphs above do.
     @pytest.mark.parametrize("kind", KINDS)
     def test_class_counts_fit_the_rule_for_every_tube(self, kind):
         vertices, edges = polyhex.tubes._sizes(kind, 1)
@@ -333,6 +357,24 @@ class TestGridTubes:
                 assert type(lo) is type(hi) is int and 1 <= lo <= hi
                 # with n >= 1 and m >= 2, (c_mn*n + c_m)*m >= (c_mn + c_m)*m > 0
                 assert type(c_mn) is type(c_m) is int and c_mn >= 0 and c_mn + c_m >= 1
+
+    # The counts were read at import: no count builds a tube when called.
+    def test_counts_build_no_tube(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("a tube was built for a count")
+
+        def counts() -> list:
+            sizes = ((2, 1), (7, 5), (HUGE, HUGE))
+            grids = (((2, 9), (1, 8)), ((HUGE, HUGE), (1, 2)))
+            return [*(tube_edge_partition(NanotubeSpec(k, *size)) for k in KINDS for size in sizes),
+                    *(list(grid_tubes(k, *grid)) for k in KINDS for grid in grids)]
+
+        before = counts()
+        monkeypatch.setattr(polyhex.tubes, "build_nanotube", no_build)
+        monkeypatch.setattr(polyhex.tubes, "Graph", no_build)
+        assert counts() == before
+        with pytest.raises(AssertionError, match="a tube was built"):
+            build_nanotube(NanotubeSpec(NanotubeKind.ZIGZAG, 2, 1))
 
     @given(st.sampled_from(KINDS), st.integers(2, 10**6), st.integers(1, 10**6))
     @settings(max_examples=60, deadline=None)
