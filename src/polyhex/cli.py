@@ -34,8 +34,7 @@ from .tubes import (
     InvalidSpecError,
     NanotubeKind,
     NanotubeSpec,
-    _build_counts,
-    _edge_id_rows,
+    _tube_ids,
     build_nanotube,  # unused: test_uninstall_restores_every_patched_attribute reads it
     grid_tubes,
     validate_ranges,
@@ -151,8 +150,7 @@ def _render(line: str, ints_per_line: int, ints: Iterator[int]) -> Iterator[str]
 
 def cmd_build(args: argparse.Namespace) -> int:
     spec = NanotubeSpec(NanotubeKind.parse(args.kind), args.m, args.n)
-    vertex_count, edge_count = _build_counts(spec)  # refused before any edge is generated
-    ids = chain.from_iterable(_edge_id_rows(spec.kind, spec.m, spec.n))  # sorted, no Graph
+    vertex_count, edge_count, ids = _tube_ids(spec)  # refused before any id is made; no Graph
     out = sys.stdout  # a chunk at a time, so no copy of the document is held
     if args.format == "json":
         # %d prints ints as json does, no kind needs escapes; chunks lose their last comma

@@ -16,7 +16,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, compress, product, repeat
 from math import gcd, lcm
 from operator import add, gt, mul, not_
 
@@ -28,11 +28,10 @@ from .tubes import (
     NanotubeSpec,
     _as_tuple,
     _check_kind,
-    _edge_id_rows,
+    _tube_ids,
     build_nanotube,
     grid_edge_count,
     tube_edge_count,
-    tube_vertex_count,
     validate_ranges,
 )
 
@@ -389,18 +388,19 @@ def _oracle_values(kind: NanotubeKind, m: int, ns: range) -> list[tuple[int, int
     Only g = tube (m, ns[-1]) is built. Each tube is g's subgraph on its first
     vertices, a row more per n (the prefix property, polyhex.tubes), so g's
     vertex count must be len(ns) - 1 equal steps past the first tube's, and
-    g's edges below that are the builder's ids for the first tube
-    (_edge_id_rows), which pass every check Graph makes. _walk_rows reads each
-    n off g, storing the partition that azi(g) reads.
+    g's edges below that are the first tube's ids, read with its vertex count
+    from the one id stream that builds g (_tube_ids), so they pass every check
+    Graph makes. _walk_rows reads each n off g, storing the partition that
+    azi(g) reads.
     """
     g = build_nanotube(NanotubeSpec(kind, m, ns[-1]))
     if len(ns) == 1:
         return [azi(g)._ratio]
-    first = tube_vertex_count(NanotubeSpec(kind, m, ns[0]))
+    first, _, first_ids = _tube_ids(NanotubeSpec(kind, m, ns[0]))
     step, uneven = divmod(g.vertex_count - first, len(ns) - 1)
     ids = g._ids[: 2 * bisect_left(g._ids[::2], first)]  # u0, v0, ... of the edges from below first
     kept = chain.from_iterable(compress(zip(ids[::2], ids[1::2]), map(first.__gt__, ids[1::2])))
-    if uneven or step < 1 or [*chain.from_iterable(_edge_id_rows(kind, m, ns[0]))] != [*kept]:
+    if uneven or step < 1 or [*first_ids] != [*kept]:
         raise RuntimeError(
             f"{kind.value} tube m={m}, n={ns[0]} is not the subgraph of tube n={ns[-1]} "
             f"on its first {first} vertices, a row per n below its {g.vertex_count}"
@@ -419,7 +419,8 @@ def verify_forms(
     together have more than MAX_VERIFY_EDGES edges with GridTooLargeError,
     both before any tube is built. For each kind and m, only the tube at
     the grid's last n is built, and the values below it are read off its
-    rows, one row per n (_oracle_values).
+    rows, one row per n (_oracle_values). The grid's points are made a form
+    at a time, so with no form, which the budget does not bound, none is.
     """
     forms = _as_tuple(forms, "forms")
     for form in forms:
@@ -430,7 +431,6 @@ def verify_forms(
                 f"verification oracle is exact and covers 'azi' only, not {form.index_name!r}"
             )
     ms, ns = _check_grid(tuple(form.kind for form in forms), m_range, n_range)
-    grid = [(m, n) for m in ms for n in ns]
     oracles = {
         kind: [pair for m in ms for pair in _oracle_values(kind, m, ns)]
         for kind in dict.fromkeys(form.kind for form in forms)
@@ -447,7 +447,7 @@ def verify_forms(
         den = a.denominator * b.denominator
         ca, cb = a.numerator * b.denominator, b.numerator * a.denominator
         points = []
-        for (m, n), (o_num, o_den) in zip(grid, oracles[form.kind]):
+        for (m, n), (o_num, o_den) in zip(product(ms, ns), oracles[form.kind]):
             num = (ca * n + cb) * m
             divisor = gcd(num, den)
             c_num, c_den = num // divisor, den // divisor

@@ -34,8 +34,10 @@ alone, never on n. The verify oracle (polyhex.forms) relies on it to build
 one tube per m, the one at the grid's last n, not one per grid point. As no
 edge joins ids more than one row (2m) apart, it reads every n off that tube
 a row at a time, once the first n's vertex count is checked to be whole
-rows below the tube's and the ids _edge_id_rows makes for the first n to be
-the tube's edges below it.
+rows below the tube's and the first n's ids to be the tube's edges below it.
+There is one id stream, refused first: _tube_ids refuses a tube past
+MAX_BUILD_EDGES before any id is made, then gives _edge_id_rows' ids, and
+build_nanotube, `build` (polyhex.cli) and that check all read it.
 
 Domain: m >= 2 and n >= 1 for both kinds. Zigzag m = 2 is accepted although
 it is not hexagonal: its rows are 4-cycles, so its girth is 4 (every other
@@ -50,7 +52,7 @@ from collections.abc import Iterable, Iterator
 from itertools import chain
 from operator import itemgetter
 
-from .graph import DegreePair, Edge, EdgePartition, Graph, _Value, edge_partition
+from .graph import DegreePair, EdgePartition, Graph, _Value, edge_partition
 
 __all__ = [
     "MAX_BUILD_EDGES",
@@ -68,11 +70,11 @@ __all__ = [
 ]
 
 
-# Largest tube build_nanotube builds and `build` prints. A build peaks near 50
-# traced bytes per edge and keeps 44 (13.4 and 11.9 MB for the 271,200-edge
-# armchair [300, 300], Python 3.11.7), so this caps it near 0.25 GB. For `build`,
-# which holds no graph, it bounds time and output: a 1.1-1.4 s process (2-CPU VM)
-# and 78 MB of JSON at 4,504,000 edges. Larger tubes' counts are tube_edge_partition's.
+# Most edges of a tube whose ids _tube_ids makes (its one check, before any id). A build
+# peaks near 50 traced bytes per edge and keeps 44 (13.4 and 11.9 MB for the 271,200-edge
+# armchair [300, 300], Python 3.11.7), so this caps it near 0.25 GB. For `build`, which
+# holds no graph, it bounds time and output: a 1.1-1.4 s process (2-CPU VM) and 78 MB of
+# JSON at 4,504,000 edges. Larger tubes' counts are tube_edge_partition's.
 MAX_BUILD_EDGES = 5_000_000
 
 
@@ -257,20 +259,16 @@ def _edge_id_rows(kind: NanotubeKind, m: int, n: int) -> Iterator[tuple[int, ...
     yield last(ids[-width:])
 
 
-def _tube_edges(kind: NanotubeKind, m: int, n: int) -> Iterator[Edge]:
-    ids = chain.from_iterable(_edge_id_rows(kind, m, n))
-    return zip(ids, ids)
-
-
-def _build_counts(spec: NanotubeSpec) -> tuple[int, int]:
-    """The vertex and edge counts of spec's tube, refused past MAX_BUILD_EDGES edges."""
+def _tube_ids(spec: NanotubeSpec) -> tuple[int, int, Iterator[int]]:
+    """spec's vertex and edge counts and sorted edge ids u0, v0, u1, v1, ... (_edge_id_rows),
+    refused with TubeTooLargeError past MAX_BUILD_EDGES edges before any id is made."""
     vertex_count, edge_count = _tube_size(spec)
     if edge_count > MAX_BUILD_EDGES:
         raise TubeTooLargeError(
             f"{spec.kind.value} tube m={spec.m}, n={spec.n} has {edge_count} edges, "
             f"more than the {MAX_BUILD_EDGES} a built graph may have"
         )
-    return vertex_count, edge_count
+    return vertex_count, edge_count, chain.from_iterable(_edge_id_rows(spec.kind, spec.m, spec.n))
 
 
 def build_nanotube(spec: NanotubeSpec) -> Graph:
@@ -280,7 +278,8 @@ def build_nanotube(spec: NanotubeSpec) -> Graph:
     MAX_BUILD_EDGES edges. Like each count function here, it refuses a spec
     that is not a NanotubeSpec with InvalidSpecError.
     """
-    return Graph(_build_counts(spec)[0], _tube_edges(spec.kind, spec.m, spec.n))
+    vertex_count, _, ids = _tube_ids(spec)
+    return Graph(vertex_count, zip(ids, ids))
 
 
 def _class_counts(kind: NanotubeKind) -> dict[DegreePair, tuple[int, int]]:

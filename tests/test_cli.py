@@ -226,30 +226,6 @@ class TestBuild:
         assert code == 2
         assert "m must be >= 2 (got 1)" in err
 
-    def test_rejects_huge_tube(self, capsys, monkeypatch):
-        def no_edges(kind, m, n):
-            raise AssertionError("edges generated for a refused tube")
-
-        monkeypatch.setattr(polyhex.tubes, "_tube_edges", no_edges)
-        code, out, err = run_cli(capsys, "build", "--kind", "armchair", "--m", "100000", "--n", "100000")
-        assert code == 2
-        assert out == ""
-        assert "30000400000 edges, more than the 5000000" in err
-
-    def test_refused_before_any_edge_id(self, capsys, monkeypatch):
-        def no_ids(kind, m, n):
-            raise AssertionError("edge ids generated for a refused tube")
-
-        for module in (polyhex.cli, polyhex.tubes):
-            monkeypatch.setattr(module, "_edge_id_rows", no_ids)
-        for fmt in ("json", "dot"):
-            code, out, err = run_cli(
-                capsys, "build", "--kind", "zigzag", "--m", "100000", "--n", "100000",
-                "--format", fmt,
-            )
-            assert (code, out) == (2, "")
-            assert "more than the 5000000" in err
-
     # As tubes.MAX_BUILD_EDGES bounds build_nanotube (test_tubes.py's
     # test_limit_is_inclusive), it bounds `build`: a tube of exactly that
     # many edges prints, one row more is refused.

@@ -32,15 +32,19 @@ from polyhex import (
     fit_closed_form,
     fit_from_values,
     grid_edge_count,
+    grid_tubes,
     published_forms,
     tube_edge_count,
+    tube_edge_partition,
     tube_vertex_count,
+    validate_ranges,
     verify_forms,
     verify_published_forms,
 )
 
 import oracles
 import test_acceptance
+from test_indices import HOSTILE, traced_peak
 
 A = Fraction(2187, 64)
 FITTED_B = {NanotubeKind.ARMCHAIR: Fraction(807, 32), NanotubeKind.ZIGZAG: Fraction(295, 32)}
@@ -511,24 +515,26 @@ class TestVerification:
         ):
             verify_forms([f for f in published_forms() if f.kind is kind], (3, 3), (1, 4))
 
-    # The first tube is never built: its ids come from the builder's rows, so
-    # rows that lose an edge or swap two ids are refused, before any row is
-    # walked, against the one tube built.
+    # The first tube is never built: its ids come from the builder's id
+    # stream, so ids that lose an edge or swap two are refused, before any
+    # row is walked, against the one tube built. Only forms' name is patched:
+    # the tube built reads tubes._tube_ids, so only the first tube's ids change.
     @pytest.mark.parametrize("n_range", [(1, 2), (2, 5)], ids=["two-n", "four-n"])
     @pytest.mark.parametrize("corruption", ["lose-an-edge", "swap-two-ids"])
     def test_oracle_refuses_first_tube_rows_that_differ(self, monkeypatch, n_range, corruption):
-        def corrupt_first_rows(kind, m, n):
-            rows = [list(row) for row in polyhex.tubes._edge_id_rows(kind, m, n)]
+        def corrupt_first_ids(spec):
+            vertex_count, edge_count, ids = polyhex.tubes._tube_ids(spec)
+            ids = [*ids]
             if corruption == "lose-an-edge":
-                del rows[0][:2]
+                del ids[:2]
             else:
-                rows[0][1], rows[0][3] = rows[0][3], rows[0][1]
-            return iter(rows)
+                ids[1], ids[3] = ids[3], ids[1]
+            return vertex_count, edge_count, iter(ids)
 
         def no_walk(g, cuts):
             raise AssertionError("rows walked past refused first-tube rows")
 
-        monkeypatch.setattr(polyhex.forms, "_edge_id_rows", corrupt_first_rows)
+        monkeypatch.setattr(polyhex.forms, "_tube_ids", corrupt_first_ids)
         monkeypatch.setattr(polyhex.forms, "_walk_rows", no_walk)
         first, last = n_range
         for kind in NanotubeKind:
@@ -829,3 +835,73 @@ class TestOracleIndependence:
         with pytest.raises(AssertionError, match=r"^assert \{"):
             test_acceptance.test_criterion_7_performance()
         assert capsys.readouterr().out.startswith("criterion 7: FAIL")
+
+
+# Hostile arguments for the public callables of tubes and forms: test_indices'
+# HOSTILE values, plus values of the right type, in and out of the domain.
+# Sizes are -3..9 or 10**300 and above, so every tube that passes a check is
+# small and every larger one is refused before it is built.
+SIZES = st.one_of(st.integers(-3, 9), st.integers(10**300, 10**400))
+H_KINDS = st.one_of(st.sampled_from(NanotubeKind), st.sampled_from(["zigzag", "ARMCHAIR"]), HOSTILE)
+H_SPECS = st.one_of(
+    st.builds(NanotubeSpec, st.sampled_from(NanotubeKind), st.integers(2, 9), st.integers(1, 9)),
+    st.builds(NanotubeSpec, st.sampled_from(NanotubeKind),
+              st.integers(10**300, 10**400), st.integers(10**300, 10**400)),
+    st.tuples(H_KINDS, SIZES, SIZES), HOSTILE,
+)
+H_RANGES = st.one_of(st.tuples(SIZES, SIZES), st.tuples(SIZES, SIZES, SIZES),
+                     st.lists(SIZES, max_size=2), HOSTILE)
+H_KIND_LISTS = st.one_of(st.lists(H_KINDS, max_size=3), st.lists(H_KINDS, max_size=3).map(tuple),
+                         H_KINDS)
+H_INDEX_NAMES = st.one_of(st.sampled_from(["azi", "randic", "abc", "AZI"]), HOSTILE)
+H_PROVENANCES = st.one_of(st.sampled_from(Provenance), HOSTILE)
+FORMS = st.builds(ClosedForm, st.sampled_from(NanotubeKind), st.sampled_from(["azi", "randic"]),
+                  st.fractions(), st.fractions(), st.sampled_from(Provenance))
+H_FORMS = st.one_of(FORMS, HOSTILE)
+H_SAMPLES = st.one_of(st.lists(st.one_of(st.tuples(SIZES, SIZES), HOSTILE), max_size=5), HOSTILE)
+H_VALUES = st.one_of(st.lists(st.one_of(st.fractions(), HOSTILE), max_size=5), HOSTILE)
+
+HOSTILE_CALLS = {
+    "NanotubeKind.parse": (NanotubeKind.parse, st.tuples(H_KINDS)),
+    "NanotubeSpec": (NanotubeSpec, st.tuples(H_KINDS, SIZES, SIZES)),
+    "tube_vertex_count": (tube_vertex_count, st.tuples(H_SPECS)),
+    "tube_edge_count": (tube_edge_count, st.tuples(H_SPECS)),
+    "tube_edge_partition": (tube_edge_partition, st.tuples(H_SPECS)),
+    "build_nanotube": (build_nanotube, st.tuples(H_SPECS)),
+    "grid_edge_count": (grid_edge_count, st.tuples(H_KIND_LISTS, H_RANGES, H_RANGES)),
+    "grid_tubes": (lambda *args: next(grid_tubes(*args)), st.tuples(H_KINDS, H_RANGES, H_RANGES)),
+    "validate_ranges": (validate_ranges, st.tuples(H_RANGES, H_RANGES)),
+    "fit_from_values": (fit_from_values, st.tuples(H_SAMPLES, H_VALUES)),
+    "fit_closed_form": (fit_closed_form, st.tuples(H_KINDS, H_INDEX_NAMES, H_SAMPLES)),
+    "verify_forms": (verify_forms, st.tuples(st.lists(H_FORMS, max_size=3), H_RANGES, H_RANGES)),
+    "verify_published_forms": (
+        verify_published_forms, st.tuples(H_RANGES, H_RANGES, st.one_of(st.none(), H_KIND_LISTS))
+    ),
+    "ClosedForm": (ClosedForm, st.tuples(H_KINDS, H_INDEX_NAMES, st.one_of(st.fractions(), HOSTILE),
+                                         st.one_of(st.fractions(), HOSTILE), H_PROVENANCES)),
+    "ClosedForm.evaluate": (ClosedForm.evaluate, st.tuples(FORMS, HOSTILE, HOSTILE)),
+}
+# traced bytes a call may peak at: the largest call that passes every check,
+# verify_published_forms on 2:9 x 1:9 for both kinds, peaks near 110 KB
+FORMS_PEAK_BOUND = 256 * 1024
+
+
+class TestHostileInput:
+    # Each call returns or raises a ValueError subclass; any other exception
+    # fails the test, and so does a traced peak past FORMS_PEAK_BOUND.
+    @pytest.mark.parametrize("name", sorted(HOSTILE_CALLS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_returns_or_raises_value_error(self, name, data):
+        call, arguments = HOSTILE_CALLS[name]
+        args = data.draw(arguments)
+        assert traced_peak(lambda: call(*args)) < FORMS_PEAK_BOUND
+
+    # With no form, or no kind, the edge budget is 0 however large the grid,
+    # so no point of it may be made: once verify_forms listed every point
+    # before reading a form, and these asked for 10**600 of them.
+    def test_no_form_over_a_huge_grid_is_an_empty_report(self):
+        huge = ((2, 10**300), (1, 10**300))
+        for call in (lambda: verify_forms([], *huge), lambda: verify_published_forms(*huge, [])):
+            assert traced_peak(call) < FORMS_PEAK_BOUND
+            assert call().checks == ()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fractions import Fraction
 
+import polyhex.cli
 import polyhex.tubes
 from polyhex import (
     MAX_BUILD_EDGES,
@@ -35,6 +36,13 @@ import oracles
 KINDS = (NanotubeKind.ARMCHAIR, NanotubeKind.ZIGZAG)
 Three = enum.IntEnum("Three", {"THREE": 3})  # an int subclass, equal to 3
 HUGE = 10**200  # far past any tube that can be built
+
+
+def tube_edges(kind: NanotubeKind, m: int, n: int):
+    """The (u, v) pairs of the ids _tube_ids gives for tube (kind, m, n)."""
+    ids = polyhex.tubes._tube_ids(NanotubeSpec(kind, m, n))[2]
+    return zip(ids, ids)
+
 
 specs = st.tuples(
     st.sampled_from(KINDS), st.integers(2, 7), st.integers(1, 7)
@@ -175,16 +183,31 @@ class TestSpecValidation:
 class TestBuildSizeGuard:
     """Sizes are computed, never built: the huge cases allocate nothing."""
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_huge_tube_refused_before_any_edge(self, kind, monkeypatch):
-        def no_edges(kind, m, n):
-            raise AssertionError("edges generated for a refused tube")
+    # Every reader of _tube_ids, build_nanotube and `build` in each format,
+    # refuses a huge tube before any id is made; `build` exits 2 and prints nothing.
+    @pytest.mark.parametrize(
+        "kind, fmt",
+        [(kind, None) for kind in KINDS] + [(kind, f) for f in ("json", "dot") for kind in KINDS],
+        ids=[f"NanotubeKind.{kind.name}" for kind in KINDS]
+        + [f"build-{f}-{kind.value}" for f in ("json", "dot") for kind in KINDS],
+    )
+    def test_huge_tube_refused_before_any_edge(self, kind, fmt, monkeypatch, capsys):
+        def no_ids(kind, m, n):
+            raise AssertionError("edge ids generated for a refused tube")
 
-        monkeypatch.setattr(polyhex.tubes, "_tube_edges", no_edges)
+        monkeypatch.setattr(polyhex.tubes, "_edge_id_rows", no_ids)
         spec = NanotubeSpec(kind, 100_000, 100_000)
         assert tube_edge_count(spec) > MAX_BUILD_EDGES
-        with pytest.raises(TubeTooLargeError, match="more than the 5000000"):
-            build_nanotube(spec)
+        message = (f"{kind.value} tube m=100000, n=100000 has {tube_edge_count(spec)} edges, "
+                   "more than the 5000000 a built graph may have")
+        if fmt is None:
+            with pytest.raises(TubeTooLargeError, match=message):
+                build_nanotube(spec)
+        else:
+            argv = ["build", "--kind", kind.value, "--m", "100000", "--n", "100000"]
+            assert polyhex.cli.main([*argv, "--format", fmt]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and message in err
         assert issubclass(TubeTooLargeError, InvalidSpecError)
 
     def test_limit_is_inclusive(self, monkeypatch):
@@ -472,7 +495,7 @@ class TestStructure:
             (NanotubeKind.ARMCHAIR, oracles.armchair_edges_reference),
             (NanotubeKind.ZIGZAG, oracles.zigzag_edges_reference),
         ):
-            edges = list(polyhex.tubes._tube_edges(kind, m, n))
+            edges = list(tube_edges(kind, m, n))
             expected = reference(m, n)
             assert len(edges) == len(expected)
             assert {(min(e), max(e)) for e in edges} == {(min(e), max(e)) for e in expected}
@@ -489,7 +512,7 @@ class TestStructure:
     @example(NanotubeKind.ARMCHAIR, 2, 1)
     @settings(max_examples=40, deadline=None)
     def test_edges_come_out_sorted(self, kind, m, n):
-        edges = list(polyhex.tubes._tube_edges(kind, m, n))
+        edges = list(tube_edges(kind, m, n))
         assert edges == list(build_nanotube(NanotubeSpec(kind, m, n)).edges)
         assert all(u < v for u, v in edges)
         assert all(a < b for a, b in zip(edges, edges[1:]))
