@@ -10,6 +10,7 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,10 +47,10 @@ INDEX_LIST = ",".join(INDEX_NAMES)  # as --indices takes them
 
 # Most rows one sweep may write. Sweep writes each row as it is computed, so
 # its memory does not grow with the grid (tracemalloc peak near 70 KB at
-# 4,000 and at 100,000 rows) and this cap bounds time only: about 18 us per
+# 4,000 and at 100,000 rows) and this cap bounds time only: about 8.4 us per
 # row (wall clock of a whole `sweep --kind both --m-range 2:201 --n-range
 # 1:250` process, 100,000 rows, start-up included: median of 15 runs, quartiles
-# 16 and 18 us; 2-CPU Xeon VM, Python 3.11.7), so a sweep at the cap takes
+# 8.0 and 11.4 us; 2-CPU Xeon VM, Python 3.11.7), so a sweep at the cap takes
 # under 30 s.
 MAX_SWEEP_ROWS = 1_000_000
 
@@ -63,14 +64,22 @@ def _fraction_fields(q: Fraction) -> dict[str, int]:
     return {"num": q.numerator, "den": q.denominator}
 
 
-def _exact_decimal(num: int, den: int) -> str:
-    """Decimal string of num/den in lowest terms: exact when it terminates, else 15 digits."""
+# Cached, as every sweep row asks: a tube's reduced AZI denominator divides 64 (7 in all)
+@functools.lru_cache(maxsize=64)
+def _decimal_scale(den: int) -> tuple[int, int]:
+    """(places, 10**places // den) when den divides 10**places, else (0, 0)."""
     # den = 2**a * 5**b has 2**a <= den and 2**b <= 5**b <= den, so a and b are
     # at most places and den divides 10**places; any other prime factor of den
     # leaves a remainder.
     places = den.bit_length() - 1
     scale, remainder = divmod(10**places, den)
-    if remainder:
+    return (0, 0) if remainder else (places, scale)
+
+
+def _exact_decimal(num: int, den: int) -> str:
+    """Decimal string of num/den in lowest terms: exact when it terminates, else 15 digits."""
+    places, scale = _decimal_scale(den)
+    if not scale:
         return "%.15g" % (num / den)  # the float slot; float(Fraction(num, den)) is this quotient
     whole, part = divmod(abs(num), den)
     fractional = str(part * scale).rjust(places, "0").rstrip("0")
@@ -109,11 +118,12 @@ def _index_rows(
 ) -> Iterator[tuple]:
     """(m, n, vertices, edges, then the cells _cell_slots names for each of functions) per
     grid_tubes row, each cell a value for its slot."""
+    flagged = [(f, f.exact) for f in functions]  # exact read once per call, not per cell
     for m, n, vertices, edges, partition in tubes:
         cells = [m, n, vertices, edges]
-        for f in functions:
+        for f, exact in flagged:
             value = index_from_partition(partition, f)
-            if f.exact:
+            if exact:
                 num, den = value._ratio  # lowest terms, as the Fraction exact would be
                 cells += num, den, _exact_decimal(num, den)
             else:

@@ -222,19 +222,9 @@ class EdgePartition(_Value):
     def __reduce__(self) -> tuple:  # a mappingproxy cannot be copied or pickled
         return type(self), (dict(self.classes),)
 
-    @classmethod
-    def _unchecked(cls, classes: dict[DegreePair, int]) -> "EdgePartition":
-        """The partition of classes as given, without the checks EdgePartition(classes) makes.
 
-        Only for callers whose classes are already in sorted order, keyed by
-        int pairs 1 <= d_min <= d_max, with positive int counts.
-        """
-        partition = object.__new__(cls)
-        _set_classes(partition, MappingProxyType(classes))
-        return partition
-
-
-_set_classes = EdgePartition.classes.__set__  # for _unchecked: no lookup by name
+# Sets the classes of a partition made by object.__new__, as tubes._tube_rows does
+_set_classes = EdgePartition.classes.__set__
 
 
 def _degree_codes(

@@ -195,40 +195,36 @@ def index_from_partition(partition: EdgePartition, f: EdgeFunction) -> IndexValu
     """Sum count * f(d_min, d_max) over the partition's degree classes.
 
     f must be AZI, RANDIC or ABC itself (a copy or a pickle of one is the
-    same object); anything else, and a partition that is not an
-    EdgePartition, raises ValueError, as does a value too large for a float.
-    AZI's Fraction terms accumulate one integer numerator over the running
-    lcm of their denominators; the float approximation is num / den, which
-    int true division rounds correctly, and one gcd then reduces the pair
-    the IndexValue holds. RANDIC and ABC sum with math.fsum in sorted
+    same object), told by identity; anything else, and a partition that is
+    not an EdgePartition, raises ValueError, as does a value too large for a
+    float. AZI reads each term's integer pair with one as_integer_ratio()
+    call and accumulates one integer numerator over the running lcm of the
+    denominators; the float approximation is num / den, which int true
+    division rounds correctly, and one gcd then reduces the pair the
+    IndexValue holds. RANDIC and ABC sum with math.fsum in sorted
     degree-class order, so the result is deterministic.
     """
     if not isinstance(partition, EdgePartition):
         raise ValueError(f"partition must be an EdgePartition (got {type(partition).__name__})")
-    # by identity: a membership test would compare fields through _Value.__eq__
-    if f is not AZI and f is not RANDIC and f is not ABC:
-        raise ValueError(f"f must be AZI, RANDIC or ABC (got {f!r})")
-    classes, term = partition.classes, f.term
-    if f.exact:
-        num, den = 0, 1
-        for pair, count in classes.items():
-            q = term(*pair)
-            term_num, term_den = q.numerator, q.denominator
-            if den % term_den:  # else den is already a common multiple
-                lcm = math.lcm(den, term_den)
-                num, den = num * (lcm // den), lcm
-            num += count * term_num * (den // term_den)
-        try:  # zero-cost until it raises on 3.11+, as is the one below
-            approx = num / den
-        except OverflowError:
-            raise ValueError(f"the {f.name} index is too large for a float") from None
-        divisor = math.gcd(num, den)
-        ratio = num // divisor, den // divisor
-    else:  # count * f(class) for each class, in the partition's sorted order
-        try:
-            ratio, approx = None, math.fsum(map(mul, classes.values(), starmap(term, classes)))
-        except OverflowError:
-            raise ValueError(f"the {f.name} index is too large for a float") from None
+    classes = partition.classes
+    try:  # zero-cost until it raises on 3.11+
+        # by identity: a membership test would compare fields through _Value.__eq__
+        if f is AZI:
+            num, den, term = 0, 1, f.term
+            for pair, count in classes.items():
+                term_num, term_den = term(*pair).as_integer_ratio()
+                if den % term_den:  # else den is already a common multiple
+                    lcm = math.lcm(den, term_den)
+                    num, den = num * (lcm // den), lcm
+                num += count * term_num * (den // term_den)
+            divisor = math.gcd(num, den)
+            ratio, approx = (num // divisor, den // divisor), num / den
+        elif f is RANDIC or f is ABC:  # count * f(class) for each class, in sorted class order
+            ratio, approx = None, math.fsum(map(mul, classes.values(), starmap(f.term, classes)))
+        else:
+            raise ValueError(f"f must be AZI, RANDIC or ABC (got {f!r})")
+    except OverflowError:
+        raise ValueError(f"the {f.name} index is too large for a float") from None
     value = object.__new__(IndexValue)
     _set_ratio(value, ratio)
     _set_approx(value, approx)

@@ -51,8 +51,9 @@ import enum
 from collections.abc import Iterable, Iterator
 from itertools import chain
 from operator import itemgetter
+from types import MappingProxyType
 
-from .graph import DegreePair, EdgePartition, Graph, _Value, edge_partition
+from .graph import DegreePair, EdgePartition, Graph, _set_classes, _Value, edge_partition
 
 __all__ = [
     "MAX_BUILD_EDGES",
@@ -172,10 +173,13 @@ def _tube_rows(
     """
     (vertex_a, vertex_b), (edge_a, edge_b) = _sizes(kind, m)
     coefficients = [(pair, c_mn * m, c_m * m) for pair, (c_mn, c_m) in _CLASS_COUNTS[kind].items()]
-    unchecked = EdgePartition._unchecked
     for n in ns:
-        yield (m, n, vertex_a * n + vertex_b, edge_a * n + edge_b,
-               unchecked({pair: a * n + b for pair, a, b in coefficients}))
+        classes = {}
+        for pair, a, b in coefficients:  # a loop, not a comprehension: no frame per row on 3.11
+            classes[pair] = a * n + b
+        partition = object.__new__(EdgePartition)
+        _set_classes(partition, MappingProxyType(classes))
+        yield m, n, vertex_a * n + vertex_b, edge_a * n + edge_b, partition
 
 
 def _tube_size(spec: NanotubeSpec) -> tuple[int, int]:
@@ -248,9 +252,9 @@ def _edge_id_rows(kind: NanotubeKind, m: int, n: int) -> Iterator[tuple[int, ...
     ids = list(range(rows * width))
 
     def template(r: int) -> itemgetter:
-        edges = [tuple(sorted((c, (c + 1) % width))) for c in range(width) if (c - r) % ring == 0]
+        edges = [(c, c + 1) if c < width - 1 else (0, c) for c in range(r % ring, width, ring)]
         if r < rows - 1:
-            edges += [(c, c + width) for c in range(width) if (c - r) % rung == 0]
+            edges += [(c, c + width) for c in range(r % rung, width, rung)]
         return itemgetter(*map(ids.__getitem__, chain.from_iterable(sorted(edges))))
 
     inner, last = (template(0), template(1)), template(rows - 1)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +33,7 @@ from polyhex.graph import _MAX_VERTICES
 from polyhex.indices import AZI, UndefinedTermError, index_from_partition
 
 import oracles
+from test_indices import HOSTILE, traced_peak
 
 
 @st.composite
@@ -603,3 +605,52 @@ class TestConnectivity:
     def test_matches_component_count(self, g: Graph):
         components = oracles.component_count(g.vertex_count, list(g.edges))
         assert oracles.is_connected(g) == (components <= 1)
+
+
+# Hostile arguments for the public callables of graph: test_indices' HOSTILE
+# values, plus ids and counts of the right type, in and out of range, edges
+# that are not pairs, and generators. Vertex counts are drawn only from
+# invalid values and 0..64: a valid count near _MAX_VERTICES allocates a
+# 240 MB degree list.
+H_VERTEX_COUNTS = st.one_of(st.integers(0, 64), st.integers(-(10**400), -1), HOSTILE)
+H_IDS = st.one_of(st.integers(-3, 70), st.integers(-(10**400), -(10**300)), HOSTILE)
+H_EDGES = st.one_of(
+    st.tuples(H_IDS, H_IDS), st.tuples(), st.tuples(H_IDS), st.tuples(H_IDS, H_IDS, H_IDS),
+    st.lists(H_IDS, max_size=3), st.tuples(H_IDS, H_IDS).map(lambda pair: (v for v in pair)),
+    HOSTILE,
+)
+H_EDGE_LISTS = st.one_of(
+    st.lists(H_EDGES, max_size=8), st.lists(H_EDGES, max_size=8).map(lambda es: (e for e in es)),
+    HOSTILE,
+)
+H_GRAPHS = st.one_of(graphs(), HOSTILE)
+H_DEGREES = st.one_of(st.integers(10**300, 10**400), HOSTILE)
+H_PAIRS = st.one_of(st.tuples(H_DEGREES, H_DEGREES), st.tuples(H_DEGREES),
+                    st.tuples(H_DEGREES, H_DEGREES, H_DEGREES), HOSTILE)
+H_COUNTS = st.one_of(st.integers(-(10**6), 10**6), st.integers(10**300, 10**400), HOSTILE)
+H_CLASSES = st.one_of(
+    st.dictionaries(H_PAIRS, H_COUNTS, max_size=4),
+    st.dictionaries(H_PAIRS, H_COUNTS, max_size=4).map(MappingProxyType),
+    st.lists(st.tuples(H_PAIRS, H_COUNTS), max_size=4), HOSTILE,
+)
+
+HOSTILE_CALLS = {
+    "Graph": (Graph, st.tuples(H_VERTEX_COUNTS, H_EDGE_LISTS)),
+    "edge_partition": (edge_partition, st.tuples(H_GRAPHS)),
+    "EdgePartition": (EdgePartition, st.tuples(H_CLASSES)),
+}
+# traced bytes a call may peak at: a Graph of 64 vertices and a few edges, or
+# a partition of a few classes, takes a few KB
+GRAPH_PEAK_BOUND = 256 * 1024
+
+
+class TestHostileInput:
+    # Each call returns or raises a ValueError subclass; any other exception
+    # fails the test, and so does a traced peak past GRAPH_PEAK_BOUND.
+    @pytest.mark.parametrize("name", sorted(HOSTILE_CALLS))
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_returns_or_raises_value_error(self, name, data):
+        call, arguments = HOSTILE_CALLS[name]
+        args = data.draw(arguments)
+        assert traced_peak(lambda: call(*args)) < GRAPH_PEAK_BOUND

@@ -29,6 +29,7 @@ from polyhex import (
     verify_forms,
 )
 from polyhex.indices import EdgeFunction
+from polyhex.tubes import _tube_rows
 
 Q = Fraction(3, 4)
 FORM_ARGS = (NanotubeKind.ARMCHAIR, "azi", Fraction(2187, 64), -4, Provenance.STATED)
@@ -187,9 +188,18 @@ def test_int_exact_fields_read_back_as_fractions():
     assert repr(point) == repr(PointCheck(2, 1, Fraction(3), Fraction(-1), Fraction(4)))
 
 
+# _tube_rows sets each partition's classes without EdgePartition's checks;
+# each must be the partition the checked constructor makes of its classes.
 def test_unchecked_partition_equals_checked():
-    classes = {(2, 2): 4, (2, 3): 8, (3, 3): 13}
-    assert EdgePartition._unchecked(classes) == EdgePartition(classes)
+    for kind in NanotubeKind:
+        for m in range(2, 6):
+            for row in _tube_rows(kind, m, range(1, 6)):
+                partition = row[4]
+                checked = EdgePartition(dict(partition.classes))
+                assert partition == checked
+                assert list(partition.classes) == list(checked.classes)
+                with pytest.raises(TypeError):
+                    partition.classes[2, 2] = 1
 
 
 # The count functions make their partitions without EdgePartition's checks.
